@@ -6,9 +6,6 @@
     simulate 6 --repaired      # the counterfactual: defects fixed
     simulate 3 --signal host_speed --signal ca_accel_req
     simulate 1 --repaired --inject nan:object_range@2..8 --seed 7
-    simulate 1 --journal runs.jnl            # journal the classified outcome
-    simulate 1 --journal runs.jnl --resume   # replay it: no re-simulation
-    simulate 1 --retries 2                   # retry transient failures
     v} *)
 
 open Cmdliner
@@ -21,31 +18,14 @@ let spec_conv =
         | Error e -> Error (`Msg e)),
       Inject.Fault.pp )
 
-let run n repaired seed faults signals journal resume retries metrics =
-  if resume && journal = None then begin
-    Fmt.epr "--resume requires --journal PATH@.";
-    exit 1
-  end;
+let run n repaired seed faults signals metrics =
   let defects =
     if repaired then Vehicle.Defects.repaired else Vehicle.Defects.as_evaluated
   in
   let inject = Inject.Plan.make ~seed faults in
   if not (Inject.Plan.is_empty inject) then
     Fmt.pr "injecting: %a@." Inject.Plan.pp inject;
-  let retry =
-    if retries > 0 then
-      Some (Exec.Supervise.policy ~max_attempts:(retries + 1) ~seed ())
-    else None
-  in
-  let o, provenance =
-    Scenarios.Runner.run_journaled ?journal ~resume ?retry ~defects ~inject
-      (Scenarios.Defs.get n)
-  in
-  (match provenance with
-  | Scenarios.Runner.Replayed -> Fmt.pr "replayed from the journal@."
-  | Scenarios.Runner.Ran attempts when attempts > 1 ->
-      Fmt.pr "succeeded after %d attempts@." attempts
-  | Scenarios.Runner.Ran _ -> ());
+  let o = Scenarios.Runner.run ~defects ~inject (Scenarios.Defs.get n) in
   Fmt.pr "%s@.%s@.@." o.Scenarios.Runner.scenario.Scenarios.Defs.title
     o.Scenarios.Runner.scenario.Scenarios.Defs.description;
   Fmt.pr "%a@." Scenarios.Results.pp_table o;
@@ -85,34 +65,6 @@ let () =
   let signals =
     Arg.(value & opt_all string [] & info [ "signal"; "s" ] ~doc:"Also print this signal.")
   in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"PATH"
-          ~doc:
-            "Fsync-append the classified outcome to this crash-safe \
-             journal; with $(b,--resume), a matching journaled outcome is \
-             replayed instead of re-simulating. Without $(b,--resume) an \
-             existing journal is truncated.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Replay the $(b,--journal) first: if this exact configuration \
-             (scenario, defects, injection plan, window) was already \
-             journaled, print its tables without simulating.")
-  in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a failing run up to $(docv) extra times with jittered \
-             exponential backoff before giving up. Default 0.")
-  in
   let metrics =
     Arg.(
       value
@@ -127,5 +79,4 @@ let () =
     (Cmd.eval
        (Cmd.v (Cmd.info "simulate" ~doc)
           Term.(
-            const run $ n $ repaired $ seed $ faults $ signals $ journal
-            $ resume $ retries $ metrics)))
+            const run $ n $ repaired $ seed $ faults $ signals $ metrics)))

@@ -1,21 +1,23 @@
 (* CRC-32 (IEEE 802.3, reflected, as used by gzip/zlib). Shared by the
    framed binary protocols in this repo: the scenario journal ("SJL1"
-   records) and the shard coordinator/worker pipe ("SHD1" frames). *)
+   records) and the shard coordinator/worker pipe ("SHD1" frames).
+
+   The table is built at module initialisation, not lazily: the first
+   [digest] may come from two domains at once, and forcing one lazy from
+   two domains raises [CamlinternalLazy.Undefined]. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let digest s =
-  let table = Lazy.force table in
   let c = ref 0xFFFFFFFFl in
   String.iter
     (fun ch ->

@@ -12,10 +12,6 @@ type error = {
   backtrace : Printexc.raw_backtrace;
 }
 
-exception Timed_out of { limit_s : float; elapsed_s : float }
-(** The per-task watchdog limit and the elapsed time measured when the
-    overrun was published. *)
-
 exception Reentrant_submission
 
 exception Aborted
@@ -109,17 +105,16 @@ let shutdown pool =
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry. Counter parity between the pooled and sequential paths:
-   every task is counted submitted once, and settles as exactly one of
-   completed (result published, Ok or Error) or timed_out. [failed]
-   counts the Error subset of completed. Wait/run histograms record
-   per-task latency; on the sequential path the wait is structurally 0
-   and the run duration is the full task, so completed-only batches
-   report identical counts (not timings) in both modes. *)
+   every task is counted submitted once and completed once when its
+   result is published (Ok or Error). [failed] counts the Error subset
+   of completed. Wait/run histograms record per-task latency; on the
+   sequential path the wait is structurally 0 and the run duration is
+   the full task, so completed-only batches report identical counts
+   (not timings) in both modes. *)
 
 let m_submitted = Obs.Metrics.counter "pool.tasks_submitted"
 let m_completed = Obs.Metrics.counter "pool.tasks_completed"
 let m_failed = Obs.Metrics.counter "pool.tasks_failed"
-let m_timed_out = Obs.Metrics.counter "pool.tasks_timed_out"
 let m_aborted = Obs.Metrics.counter "pool.tasks_aborted"
 let m_batches = Obs.Metrics.counter "pool.batches"
 let g_queue_depth = Obs.Metrics.gauge "pool.queue_depth"
@@ -138,48 +133,32 @@ let guarded f x ~index =
   | v -> Ok v
   | exception exn -> Error { index; exn; backtrace = Printexc.get_raw_backtrace () }
 
-(* Like [timed_out] below, the abort is published from outside the task
-   (it never started), so the backtrace is deliberately empty. *)
+(* The abort is published from outside the task (it never started), so
+   the backtrace is deliberately empty: the most recent recorded one
+   belongs to some unrelated earlier raise. *)
 let aborted_error ~index =
+  Obs.Metrics.incr m_aborted;
   Error { index; exn = Aborted; backtrace = Printexc.get_callstack 0 }
 
-let timed_out ~index ~elapsed_s limit =
-  Error
-    {
-      index;
-      exn = Timed_out { limit_s = limit; elapsed_s };
-      (* Deliberately empty: the overrun is published from the watchdog
-         (or post-hoc from the sequential wrapper), whose most recent
-         recorded backtrace belongs to some unrelated earlier raise —
-         attaching it would point post-mortems at innocent frames. *)
-      backtrace = Printexc.get_callstack 0;
-    }
+let aborting = function Some stop -> stop () | None -> false
 
-(** Sequential execution cannot preempt a running task, so the watchdog
-    here is post-hoc: a task that overran the limit completes, but its
-    result is replaced by [Timed_out] for parity with the pooled path; the
-    payload's [elapsed_s] is the task's full measured duration. *)
-let guarded_seq ?timeout_s ?abort f x ~index =
+let timed f x ~index =
+  let t0 = Obs.Clock.now () in
+  let r = guarded f x ~index in
+  Obs.Metrics.observe h_run (Obs.Clock.now () -. t0);
+  r
+
+let guarded_seq ?abort f x ~index =
   Obs.Metrics.incr m_submitted;
-  match abort with
-  | Some stop when stop () ->
-      Obs.Metrics.incr m_aborted;
-      let r = aborted_error ~index in
-      count_published r;
-      r
-  | _ -> (
+  let r =
+    if aborting abort then aborted_error ~index
+    else begin
       Obs.Metrics.observe h_wait 0.;
-      let t0 = Obs.Clock.now () in
-      let r = guarded f x ~index in
-      let elapsed_s = Obs.Clock.now () -. t0 in
-      Obs.Metrics.observe h_run elapsed_s;
-      match timeout_s with
-      | Some limit when elapsed_s > limit ->
-          Obs.Metrics.incr m_timed_out;
-          timed_out ~index ~elapsed_s limit
-      | _ ->
-          count_published r;
-          r)
+      timed f x ~index
+    end
+  in
+  count_published r;
+  r
 
 (** A worker asking its own pool to run a batch would deadlock (every
     worker may end up blocked on an inner batch no free worker can ever
@@ -193,7 +172,7 @@ let check_reentrancy pool =
   Mutex.unlock pool.lock;
   if reentrant then raise Reentrant_submission
 
-let try_map_pool ?timeout_s ?abort pool f xs =
+let try_map_pool ?abort pool f xs =
   check_reentrancy pool;
   Obs.Metrics.incr m_batches;
   Obs.Metrics.set g_workers (float_of_int pool.size);
@@ -202,23 +181,18 @@ let try_map_pool ?timeout_s ?abort pool f xs =
   (if pool.workers = [] then
      (* size-1 pool: sequential fallback on the calling domain *)
      List.iteri
-       (fun i x -> results.(i) <- Some (guarded_seq ?timeout_s ?abort f x ~index:i))
+       (fun i x -> results.(i) <- Some (guarded_seq ?abort f x ~index:i))
        xs
    else begin
      let remaining = ref n in
      let submitted = Obs.Clock.now () in
-     (* The last instant the batch demonstrably made progress (a worker
-        started or published a task), initially the submission instant.
-        The watchdog bounds still-queued tasks against this: while the
-        queue drains, waiting is not counted against them, but once every
-        worker is wedged, no progress can advance it and the queued tasks
-        time out instead of keeping the batch alive forever. *)
-     let last_progress = ref submitted in
-     (* Monotonic start per task, written under the pool lock when a
-        worker picks the task up; nan = not started yet. For a started
-        task the watchdog clock runs from its start, not from batch
-        submission. *)
-     let started = Array.make n Float.nan in
+     (* Called with the pool lock held. *)
+     let publish i r =
+       results.(i) <- Some r;
+       count_published r;
+       decr remaining;
+       if !remaining = 0 then Condition.broadcast pool.batch_done
+     in
      (* This batch's lease: all its jobs queue here, and the lease joins
         the pool's round-robin ring in one step below — a batch is never
         half-visible, and concurrent batches interleave fairly. *)
@@ -227,50 +201,20 @@ let try_map_pool ?timeout_s ?abort pool f xs =
        (fun i x ->
          let job () =
            Mutex.lock pool.lock;
-           let abandoned = results.(i) <> None in
            (* Cooperative cancellation: a task a worker has not yet
               started is published as [Aborted] instead of being run. The
               [abort] probe must be fast and non-blocking (it is called
               under the pool lock) — an [Atomic.get] in practice. Tasks
               already running are never preempted. *)
-           let aborting =
-             (not abandoned)
-             && (match abort with Some stop -> stop () | None -> false)
-           in
-           if aborting then begin
-             let r = aborted_error ~index:i in
-             results.(i) <- Some r;
-             last_progress := Obs.Clock.now ();
-             Obs.Metrics.incr m_aborted;
-             count_published r;
-             decr remaining;
-             if !remaining = 0 then Condition.broadcast pool.batch_done
-           end;
-           let abandoned = abandoned || aborting in
-           if not abandoned then begin
-             let t = Obs.Clock.now () in
-             started.(i) <- t;
-             last_progress := t;
-             Obs.Metrics.observe h_wait (t -. submitted)
-           end;
+           let aborted = aborting abort in
+           if aborted then publish i (aborted_error ~index:i)
+           else Obs.Metrics.observe h_wait (Obs.Clock.now () -. submitted);
            Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
            Mutex.unlock pool.lock;
-           if not abandoned then begin
-             let t_run = Obs.Clock.now () in
-             let r = guarded f x ~index:i in
-             Obs.Metrics.observe h_run (Obs.Clock.now () -. t_run);
+           if not aborted then begin
+             let r = timed f x ~index:i in
              Mutex.lock pool.lock;
-             (match results.(i) with
-             | None ->
-                 results.(i) <- Some r;
-                 last_progress := Obs.Clock.now ();
-                 count_published r;
-                 decr remaining;
-                 if !remaining = 0 then Condition.broadcast pool.batch_done
-             | Some _ ->
-                 (* The watchdog already published [Timed_out] for this
-                    task and accounted for it; drop the late result. *)
-                 ());
+             publish i r;
              Mutex.unlock pool.lock
            end
          in
@@ -281,50 +225,10 @@ let try_map_pool ?timeout_s ?abort pool f xs =
      pool.leases <- pool.leases @ [ lease ];
      Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
      Condition.broadcast pool.pending;
-     Mutex.unlock pool.lock;
-     match timeout_s with
-     | None ->
-         Mutex.lock pool.lock;
-         while !remaining > 0 do
-           Condition.wait pool.batch_done pool.lock
-         done;
-         Mutex.unlock pool.lock
-     | Some limit ->
-         (* OCaml's stdlib [Condition] has no timed wait, so the caller
-            doubles as the watchdog: poll the batch, publishing [Timed_out]
-            for any task past the limit. The worker running an abandoned
-            task is not preempted — it stays occupied until the task
-            returns on its own, and only then frees its slot — but the
-            batch no longer waits for it. A task no worker has started is
-            bounded against [last_progress] (initially the submission
-            instant): if every worker is wedged, queued tasks would
-            otherwise keep [nan] start times forever and the batch would
-            never settle despite the limit, while on a healthy pool every
-            task start refreshes the bound so a long queue never times out
-            merely for waiting. *)
-         let poll = Float.max 0.001 (Float.min 0.05 (limit /. 10.)) in
-         Mutex.lock pool.lock;
-         while !remaining > 0 do
-           let now = Obs.Clock.now () in
-           Array.iteri
-             (fun i t0 ->
-               if results.(i) = None then begin
-                 let origin = if Float.is_nan t0 then !last_progress else t0 in
-                 if now -. origin > limit then begin
-                   results.(i) <-
-                     Some (timed_out ~index:i ~elapsed_s:(now -. origin) limit);
-                   Obs.Metrics.incr m_timed_out;
-                   decr remaining
-                 end
-               end)
-             started;
-           if !remaining > 0 then begin
-             Mutex.unlock pool.lock;
-             Unix.sleepf poll;
-             Mutex.lock pool.lock
-           end
-         done;
-         Mutex.unlock pool.lock
+     while !remaining > 0 do
+       Condition.wait pool.batch_done pool.lock
+     done;
+     Mutex.unlock pool.lock
    end);
   Array.to_list (Array.map Option.get results)
 
@@ -335,8 +239,7 @@ let reraise_first results =
       | Error e -> Printexc.raise_with_backtrace e.exn e.backtrace)
     results
 
-let map_pool ?timeout_s pool f xs =
-  reraise_first (try_map_pool ?timeout_s pool f xs)
+let map_pool pool f xs = reraise_first (try_map_pool pool f xs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -356,19 +259,17 @@ let default () =
   Mutex.unlock default_lock;
   pool
 
-let with_transient ~domains f =
-  let pool = create ~domains () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let try_map ?domains ?timeout_s ?abort f xs =
+let try_map ?domains ?abort f xs =
   match domains with
-  | None -> try_map_pool ?timeout_s ?abort (default ()) f xs
+  | None -> try_map_pool ?abort (default ()) f xs
   | Some n when n <= 1 ->
       Obs.Metrics.incr m_batches;
       Obs.Metrics.set g_workers 1.;
-      List.mapi (fun i x -> guarded_seq ?timeout_s ?abort f x ~index:i) xs
+      List.mapi (fun i x -> guarded_seq ?abort f x ~index:i) xs
   | Some n ->
-      with_transient ~domains:n (fun pool ->
-          try_map_pool ?timeout_s ?abort pool f xs)
+      let pool = create ~domains:n () in
+      Fun.protect
+        ~finally:(fun () -> shutdown pool)
+        (fun () -> try_map_pool ?abort pool f xs)
 
-let map ?domains ?timeout_s f xs = reraise_first (try_map ?domains ?timeout_s f xs)
+let map ?domains f xs = reraise_first (try_map ?domains f xs)

@@ -34,19 +34,6 @@ type error = {
           the failure's origin is not replaced by the re-raise site *)
 }
 
-exception Timed_out of { limit_s : float; elapsed_s : float }
-(** A task overran the [?timeout_s] watchdog; the payload carries both the
-    configured limit and the elapsed monotonic time actually measured when
-    the overrun was published (so post-mortems can tell a marginal overrun
-    from a wedged task). Appears as the [exn] of an {!error} — never raised
-    into a worker, and its {!error.backtrace} is deliberately empty (the
-    watchdog publishes from outside the task, so any backtrace it could
-    capture would name innocent frames). [elapsed_s >= limit_s] always
-    holds; on the pooled path [elapsed_s] is the watchdog's poll-time
-    measurement from the task's start (or from batch submission, for a
-    task no worker ever started), on the sequential post-hoc path it is
-    the task's full measured duration. *)
-
 exception Reentrant_submission
 (** A task attempted to submit a batch to the pool that is running it.
     Every worker of the pool may be blocked on the inner batch while the
@@ -77,7 +64,6 @@ val shutdown : t -> unit
     must not be used afterwards. *)
 
 val try_map_pool :
-  ?timeout_s:float ->
   ?abort:(unit -> bool) ->
   t ->
   ('a -> 'b) ->
@@ -89,22 +75,9 @@ val try_map_pool :
     raises {!Reentrant_submission} (inside the offending task it is
     captured as that task's {!error}).
 
-    [timeout_s] (default: none) arms a per-task monotonic-clock watchdog:
-    a task past the limit yields [Error {exn = Timed_out _; _}] instead
-    of hanging the batch. For a task a worker has started, the clock runs
-    from its start; for a task still queued, it runs from the batch's
-    last progress instant (a task start or completion, initially the
-    submission) — so a long queue on a healthy pool never times out
-    merely for waiting, yet a fully wedged pool (every worker stuck on a
-    task that never returns) publishes [Timed_out] for the queued tasks
-    and the batch returns within roughly the limit plus one poll
-    interval. The overrunning task itself is not preempted — its worker
-    stays occupied until the task returns, and its late result is
-    dropped; an abandoned still-queued task is skipped outright when a
-    worker eventually pops it. On the sequential paths (size-1 pool,
-    [~domains:1]) nothing can run concurrently with a task, so the
-    watchdog degrades to post-hoc detection: the task completes, then its
-    result is replaced by [Timed_out] if it overran.
+    The pool never preempts a task: a task that never returns holds its
+    worker, and the batch, forever. Worker liveness is {!Shard}'s job
+    (heartbeats and a hang sweep over whole worker processes).
 
     [abort] (default: none) is a cooperative-cancellation probe, polled
     when a worker picks a task up (and, on the sequential paths, before
@@ -114,7 +87,7 @@ val try_map_pool :
     non-blocking — it is called under the pool lock; an [Atomic.get] is
     the intended shape. *)
 
-val map_pool : ?timeout_s:float -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_pool : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Like {!try_map_pool} but re-raises the first (lowest-index) task
     failure — with the backtrace captured in the worker — after every task
     has finished. *)
@@ -123,14 +96,8 @@ val default : unit -> t
 (** The process-wide shared pool, created on first use with the default
     size. *)
 
-val with_transient : domains:int -> (t -> 'a) -> 'a
-(** [with_transient ~domains f] — run [f] on a transient pool of
-    [domains] workers, shutting the pool down (also on exception) before
-    returning. *)
-
 val try_map :
   ?domains:int ->
-  ?timeout_s:float ->
   ?abort:(unit -> bool) ->
   ('a -> 'b) ->
   'a list ->
@@ -138,7 +105,7 @@ val try_map :
 (** Convenience front-end: [~domains:1] runs inline sequentially;
     [~domains:n] runs on a transient pool of [n] workers that is shut
     down before returning; omitting [domains] uses the shared
-    {!default} pool. [timeout_s] and [abort] as in {!try_map_pool}. *)
+    {!default} pool. [abort] as in {!try_map_pool}. *)
 
-val map : ?domains:int -> ?timeout_s:float -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Same dispatch as {!try_map}, re-raising the first task failure. *)

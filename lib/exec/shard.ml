@@ -10,7 +10,7 @@
     because both sides run byte-identical code.
 
     The coordinator owns every piece of orchestration state — pending
-    queue, in-flight assignments, retry/restart budgets, reports — and
+    queue, in-flight assignments, restart budgets, results — and
     multiplexes worker pipes with [Unix.select]. Workers are pure
     compute: read an assignment frame, run it (on a private domain pool
     when [domains > 1]), write one result frame per task, repeat until
@@ -566,10 +566,18 @@ let rec take n = function
       let chunk, rest = take (n - 1) xs in
       (x :: chunk, rest)
 
+(* The settle hook runs on the coordinator; a hook that raises fails its
+   task with that exception, as it would inside an in-process task. *)
+let notify on_result index v =
+  match Option.iter (fun g -> g index v) on_result with
+  | () -> Ok v
+  | exception exn ->
+      Error { Pool.index; exn; backtrace = Printexc.get_raw_backtrace () }
+
 let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
-    ?batch ?(policy = Supervise.default_policy) ?on_result ?abort ?havoc
-    ?spawn_fault ?(hang_timeout_s = default_hang_timeout_s) ?deadline_s
-    (f : a -> b) (xs : a list) : b Supervise.report list =
+    ?batch ?on_result ?abort ?havoc ?spawn_fault
+    ?(hang_timeout_s = default_hang_timeout_s) ?deadline_s (f : a -> b)
+    (xs : a list) : (b, Pool.error) result list =
   if in_worker () then
     invalid_arg "Shard.try_map: nested sharding inside a shard worker";
   let n = List.length xs in
@@ -595,11 +603,11 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
     if not (List.exists (fun w -> w.alive) fleet.members) then begin
       (* Graceful degradation: not one worker could be spawned, so the
          batch runs in-process on a domain pool instead of dying — same
-         retry policy, same settle hook, bit-for-bit the same reports. *)
+         settle hook on this coordinator, bit-for-bit the same results. *)
       Obs.Metrics.incr m_fallbacks;
-      Supervise.try_map
-        ~domains:(max 1 (shards * domains))
-        ?abort ~policy ?on_result f xs
+      List.mapi
+        (fun i r -> Result.bind r (notify on_result i))
+        (Pool.try_map ~domains:(max 1 (shards * domains)) ?abort f xs)
     end
     else begin
       let job = fleet.next_job in
@@ -620,13 +628,9 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
             payloads.(i) <- Some s;
             s
       in
-      let reports : b Supervise.report option array = Array.make n None in
-      let dispatches = Array.make n 0 in
-      let failures = Array.make n 0 in
+      let results : (b, Pool.error) result option array = Array.make n None in
       let settled = ref 0 in
-      (* (task index, earliest re-dispatch instant); deferred entries carry
-         the retry policy's backoff as a deadline, never as a sleep. *)
-      let pending = ref (List.init n (fun i -> (i, 0.))) in
+      let pending = ref (List.init n Fun.id) in
       let batch_seq = ref 0 in
       let live_count () =
         List.fold_left
@@ -639,9 +643,9 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
       let requeue w =
         List.iter
           (fun (i, _) ->
-            if reports.(i) = None then begin
+            if results.(i) = None then begin
               Obs.Metrics.incr m_requeued;
-              pending := (i, 0.) :: !pending
+              pending := i :: !pending
             end)
           w.inflight;
         w.inflight <- []
@@ -661,12 +665,11 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
       (* A worker is dead the moment its pipe reaches EOF, errors, yields
          a corrupt frame, or misses its liveness deadline: close its fd
          and reap it ({!dismiss} — every death path releases the
-         descriptor), put its in-flight work back on the queue (not
-         charged against the retry policy — crashes are bounded by the
-         restart budget instead, so a single-attempt policy still recovers
-         from SIGKILL), and respawn into the same slot while the budget
-         lasts. A respawn that itself fails leaves the slot down; its
-         budget is spent all the same. *)
+         descriptor), put its in-flight work back on the queue (crash
+         recovery, bounded by the restart budget — not a retry: the task
+         still runs once as far as the caller can tell), and respawn into
+         the same slot while the budget lasts. A respawn that itself fails
+         leaves the slot down; its budget is spent all the same. *)
       and on_death w =
         dismiss w;
         requeue w;
@@ -679,16 +682,14 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
         end;
         sync_gauge ()
       in
-      let quarantine index exn =
-        reports.(index) <-
-          Some
-            {
-              Supervise.status =
-                Supervise.Quarantined
-                  { Pool.index; exn; backtrace = Printexc.get_callstack 0 };
-              attempts = max 1 dispatches.(index);
-            };
+      let publish index r =
+        results.(index) <- Some r;
         incr settled
+      in
+      (* Failures published by the coordinator itself (a remote failure's
+         backtrace is the printed [trace]), so the raw backtrace is empty. *)
+      let fail index exn =
+        publish index (Error { Pool.index; exn; backtrace = Printexc.get_callstack 0 })
       in
       let settle w rjob index (value : (Obj.t, remote_failure) Stdlib.result) =
         Obs.Metrics.incr m_frames_recv;
@@ -701,57 +702,29 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
               Obs.Metrics.observe h_roundtrip (t -. sent);
               if w.inflight = [] then
                 w.busy_s <- w.busy_s +. (t -. w.batch_started);
-              if reports.(index) = None then begin
+              if results.(index) = None then
                 match value with
-                | Ok v ->
-                    let v : b = Obj.obj v in
-                    reports.(index) <-
-                      Some
-                        {
-                          Supervise.status = Supervise.Done v;
-                          attempts = max 1 dispatches.(index);
-                        };
-                    incr settled;
-                    Option.iter (fun g -> g index v) on_result
+                | Ok v -> publish index (notify on_result index (Obj.obj v : b))
                 | Error { printed; trace } ->
-                    failures.(index) <- failures.(index) + 1;
-                    let exn = Worker_failure { printed; trace } in
-                    if
-                      failures.(index) < policy.Supervise.max_attempts
-                      && policy.Supervise.retry_on exn
-                    then begin
-                      let delay =
-                        Supervise.backoff_delay policy ~attempt:failures.(index)
-                      in
-                      Obs.Metrics.incr m_requeued;
-                      pending := (index, t +. delay) :: !pending
-                    end
-                    else quarantine index exn
-              end
+                    fail index (Worker_failure { printed; trace })
       in
       let refill w =
         if w.alive && w.inflight = [] && !pending <> [] then begin
           let t = now () in
-          let ready, deferred = List.partition (fun (_, nb) -> nb <= t) !pending in
-          let chunk, rest = take batch (List.sort compare ready) in
-          if chunk <> [] then begin
-            pending := rest @ deferred;
-            incr batch_seq;
-            Obs.Metrics.observe h_batch (float_of_int (List.length chunk));
-            List.iter (fun (i, _) -> dispatches.(i) <- dispatches.(i) + 1) chunk;
-            w.batch_started <- t;
-            w.last_heard <- t;
-            w.inflight <- List.map (fun (i, _) -> (i, t)) chunk;
-            let tasks =
-              Array.of_list (List.map (fun (i, _) -> (i, payload i)) chunk)
-            in
-            match Frame.write w.fd (Batch { job; seq = !batch_seq; tasks }) with
-            | () -> Obs.Metrics.incr m_frames_sent
-            | exception
-                Unix.Unix_error
-                  ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) ->
-                on_death w
-          end
+          let chunk, rest = take batch (List.sort compare !pending) in
+          pending := rest;
+          incr batch_seq;
+          Obs.Metrics.observe h_batch (float_of_int (List.length chunk));
+          w.batch_started <- t;
+          w.last_heard <- t;
+          w.inflight <- List.map (fun i -> (i, t)) chunk;
+          let tasks = Array.of_list (List.map (fun i -> (i, payload i)) chunk) in
+          match Frame.write w.fd (Batch { job; seq = !batch_seq; tasks }) with
+          | () -> Obs.Metrics.incr m_frames_sent
+          | exception
+              Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _)
+            ->
+              on_death w
         end
       in
       let drain w =
@@ -812,30 +785,27 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
              (* Cooperative cancellation: the caller withdrew the batch.
                 Workers holding cells are killed — their in-flight compute
                 is abandoned work, and the slot respawns at the next job's
-                [get_fleet] — and everything unsettled quarantines as
-                [Pool.Aborted], never retried (see {!Supervise}). *)
+                [get_fleet] — and everything unsettled fails as
+                [Pool.Aborted], which {!Supervise} never retries. *)
              List.iter
                (fun w -> if w.alive && w.inflight <> [] then dismiss w)
                fleet.members;
              sync_gauge ();
              pending := [];
-             Array.iteri
-               (fun i r -> if r = None then quarantine i Pool.Aborted)
-               reports
+             Array.iteri (fun i r -> if r = None then fail i Pool.Aborted) results
            end
            else begin
              List.iter refill fleet.members;
              let alive = List.filter (fun w -> w.alive) fleet.members in
              if alive = [] then begin
                (* Out of workers and out of restart budget: everything not
-                  yet settled is terminally quarantined. *)
+                  yet settled fails for this job. *)
                let slot =
                  match fleet.members with w :: _ -> w.slot | [] -> -1
                in
                Array.iteri
-                 (fun i r ->
-                   if r = None then quarantine i (Worker_crashed { slot }))
-                 reports;
+                 (fun i r -> if r = None then fail i (Worker_crashed { slot }))
+                 results;
                pending := []
              end
              else begin
@@ -864,18 +834,11 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
                  alive;
                let alive = List.filter (fun w -> w.alive) fleet.members in
                if alive <> [] then begin
-                 (* Wake for whichever comes first: a deferred retry's
-                    backoff deadline or a busy worker's liveness deadline.
+                 (* Wake for the earliest busy worker's liveness deadline.
                     The timeout is also the abort-probe latency bound, so
                     an idle coordinator still notices a cancellation
                     within a second. *)
-                 let next_deadline =
-                   List.fold_left
-                     (fun acc (_, nb) ->
-                       if nb > t then Float.min acc nb else acc)
-                     Float.infinity !pending
-                 in
-                 let next_liveness =
+                 let wake =
                    List.fold_left
                      (fun acc w ->
                        if w.inflight = [] then acc
@@ -889,7 +852,6 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
                          Float.min acc h)
                      Float.infinity alive
                  in
-                 let wake = Float.min next_deadline next_liveness in
                  let timeout =
                    if wake = Float.infinity then 1.0
                    else Float.max 0.005 (Float.min 1.0 (wake -. t))
@@ -927,7 +889,7 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
       let unsettled = ref [] in
       Array.iteri
         (fun i r -> if r = None then unsettled := i :: !unsettled)
-        reports;
+        results;
       if !unsettled <> [] then
         failwith
           (Printf.sprintf
@@ -937,16 +899,13 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
              (String.concat "; "
                 (List.map string_of_int (List.rev !unsettled))));
       Array.to_list
-        (Array.map (function Some r -> r | None -> assert false) reports)
+        (Array.map (function Some r -> r | None -> assert false) results)
     end
   end
 
-let map ?shards ?domains ?restarts ?batch ?policy ?havoc ?spawn_fault
-    ?hang_timeout_s ?deadline_s f xs =
+let map ?shards ?domains ?restarts ?batch ?havoc ?spawn_fault ?hang_timeout_s
+    ?deadline_s f xs =
   List.map
-    (fun (r : _ Supervise.report) ->
-      match r.Supervise.status with
-      | Supervise.Done v -> v
-      | Supervise.Quarantined e -> raise e.Pool.exn)
-    (try_map ?shards ?domains ?restarts ?batch ?policy ?havoc ?spawn_fault
+    (function Ok v -> v | Error e -> raise e.Pool.exn)
+    (try_map ?shards ?domains ?restarts ?batch ?havoc ?spawn_fault
        ?hang_timeout_s ?deadline_s f xs)

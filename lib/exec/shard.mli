@@ -4,7 +4,8 @@
     single segfault, OOM kill, or runaway C stub still takes down the
     whole grid. A shard run splits the batch across [N] worker
     {e processes} instead — independently failing, independently
-    restartable components beneath the supervision/journal layers. The
+    restartable components beneath the supervision/journal layers
+    ({!Supervise} wraps a shard run exactly as it wraps a pool run). The
     coordinator (the calling process) keeps all orchestration state: it
     assigns chunks of tasks to workers, collects results, detects worker
     death, requeues the dead worker's in-flight tasks, and respawns the
@@ -81,16 +82,17 @@
     [create_process] error) never aborts the run: the slot stays down
     and is counted in [shard.spawn_failures], and the remaining workers
     absorb the batch. If {e no} worker at all comes up at job start, the
-    run falls back to an in-process {!Supervise.try_map} on a domain
-    pool — same retry policy, same [on_result] settle hook, bit-for-bit
-    the same reports — and counts [shard.fallbacks].
+    run falls back to an in-process {!Pool.try_map} on a domain pool —
+    same [on_result] settle hook (called on the coordinator once the
+    pool batch returns), bit-for-bit the same results — and counts
+    [shard.fallbacks].
 
     {1 Determinism}
 
-    Results are reported in submission order, like {!Pool} and
-    {!Supervise}: report [i] always corresponds to input [i], regardless
-    of the number of shards, chunk interleaving, worker crashes, or
-    respawns. A crash costs only recomputation of the in-flight chunk.
+    Results are reported in submission order, like {!Pool}: result [i]
+    always corresponds to input [i], regardless of the number of shards,
+    chunk interleaving, worker crashes, or respawns. A crash costs only
+    recomputation of the in-flight chunk.
 
     {1 Telemetry}
 
@@ -118,12 +120,14 @@ exception Worker_failure of { printed : string; trace : string }
     between processes as values (an unmarshalled exception constructor no
     longer matches its own identity), so the worker ships the printed
     exception ([Printexc.to_string]) and its backtrace text instead.
-    Carried in {!Supervise.Quarantined} when retry policy is exhausted. *)
+    Carried as the [exn] of the task's {!Pool.error}. *)
 
 exception Worker_crashed of { slot : int }
-(** Terminal status for tasks that could not be settled because every
-    worker died and the restart budget ran out. [slot] is the shard slot
-    that died last holding the task ([-1] when it was never assigned). *)
+(** The error for tasks a job could not settle because every worker died
+    and the restart budget ran out. [slot] is the shard slot that died
+    last holding the task ([-1] when it was never assigned). Terminal for
+    the job, not for the task: under a {!Supervise} retry policy the
+    next round is a new job whose slots respawn with a fresh budget. *)
 
 type havoc = Chaos.fault =
   | Torn_frame
@@ -214,7 +218,6 @@ val try_map :
   ?domains:int ->
   ?restarts:int ->
   ?batch:int ->
-  ?policy:Supervise.policy ->
   ?on_result:(int -> 'b -> unit) ->
   ?abort:(unit -> bool) ->
   ?havoc:(slot:int -> seq:int -> havoc option) ->
@@ -223,10 +226,11 @@ val try_map :
   ?deadline_s:float ->
   ('a -> 'b) ->
   'a list ->
-  'b Supervise.report list
-(** [try_map f xs] runs [f] over [xs] across the resident worker fleet
-    and reports in submission order (report [i] corresponds to input
-    [i]).
+  ('b, Pool.error) result list
+(** [try_map f xs] runs [f] once over every element of [xs] across the
+    resident worker fleet and returns result [i] for input [i], like
+    {!Pool.try_map}. It never retries a task that failed: wrap it in
+    {!Supervise.try_map} for retry and quarantine.
 
     - [fleet] — resident-fleet label (default [""], the anonymous
       fleet). Distinct labels get disjoint worker processes; see
@@ -238,34 +242,28 @@ val try_map :
       {!Pool} of that size and runs each batch on it (default 1, i.e.
       sequential workers).
     - [restarts] — how many times each slot may be respawned after a
-      crash (default 2), counted per call. A slot that exhausts its
-      budget stays down for the rest of the call (the next call respawns
-      it with a fresh budget); if every slot is down, unsettled tasks
-      are quarantined with {!Worker_crashed}.
+      crash (default 2), counted per call. A crash requeues the dead
+      worker's in-flight cells: crash recovery, not retry — the cells
+      still run once as far as the caller can tell. A slot that exhausts
+      its budget stays down for the rest of the call (the next call
+      respawns it with a fresh budget); if every slot is down, unsettled
+      tasks fail with {!Worker_crashed}.
     - [batch] — cells per assignment frame (default: enough for four
       waves per worker, [max domains (ceil n / (shards * 4))]). Larger
       batches amortize frame and scheduling overhead; smaller ones
       load-balance better and lose less work per crash.
-    - [policy] — {!Supervise} retry policy for {e task} failures
-      (a task that raised in a healthy worker). Failed tasks are requeued
-      after the policy's {!Supervise.backoff_delay} — deferred on the
-      coordinator's clock, never slept — until [max_attempts] is reached,
-      then quarantined carrying {!Worker_failure}. Default:
-      {!Supervise.default_policy}. Worker {e crashes} are not charged
-      against the policy: a requeue after a crash is bounded by
-      [restarts], so a single-attempt policy still recovers from
-      SIGKILL.
     - [on_result] — called in the coordinator as [on_result i v] the
-      moment input [i] settles as [Done v] (settle order, not submission
+      moment input [i] settles as [Ok v] (settle order, not submission
       order). This is the journal hook: results flow back to the
-      coordinator's journal, keeping resume byte-identical.
+      coordinator's journal, keeping resume byte-identical. A hook that
+      raises fails its task with that exception.
     - [abort] — cooperative-cancellation probe, polled once per
       coordinator loop turn (so within about a second even when idle).
       Once it answers [true], workers holding cells are killed (their
       in-flight compute is abandoned; slots respawn at the next call) and
-      every unsettled task quarantines as {!Pool.Aborted} — already
-      settled results are kept, and [on_result] has already fired for
-      them, so a journaled campaign resumes exactly past the abort point.
+      every unsettled task fails with {!Pool.Aborted} — already settled
+      results are kept, and [on_result] has already fired for them, so a
+      journaled campaign resumes exactly past the abort point.
     - [havoc] — test/CI-only worker-fault injection, see {!havoc}.
     - [spawn_fault] — test/CI-only spawn-failure injection, consulted
       once per spawn attempt (1-based across the call, initial fleet
@@ -280,9 +278,7 @@ val try_map :
       default: a deadline kills {e slow but correct} batches, so pick
       one only when an upper bound on batch duration is really known.
 
-    The report's [attempts] counts dispatches of the task to a worker
-    (so a crash requeue increments it even though the policy is not
-    charged).
+    A task that raised in a healthy worker fails with {!Worker_failure}.
 
     @raise Invalid_argument when called from inside a shard worker
     (nested sharding would fork-bomb the machine by re-execing workers
@@ -293,7 +289,6 @@ val map :
   ?domains:int ->
   ?restarts:int ->
   ?batch:int ->
-  ?policy:Supervise.policy ->
   ?havoc:(slot:int -> seq:int -> havoc option) ->
   ?spawn_fault:(attempt:int -> bool) ->
   ?hang_timeout_s:float ->
@@ -301,7 +296,6 @@ val map :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** Like {!try_map} but re-raises the first (lowest-index) quarantined
-    task's error after the batch settles — {!Worker_failure} for a task
-    that kept failing, {!Worker_crashed} when workers died without
-    leaving a result. *)
+(** Like {!try_map} but re-raises the first (lowest-index) task's error
+    after the batch settles — {!Worker_failure} for a task that raised,
+    {!Worker_crashed} when workers died without leaving a result. *)

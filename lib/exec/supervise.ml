@@ -1,6 +1,7 @@
 (** Supervised batch execution: retry with jittered exponential backoff
-    around {!Pool}, quarantining tasks that keep failing so one poisoned
-    cell degrades the batch instead of aborting it. *)
+    around any batch runner ({!Pool} domains or {!Shard} processes),
+    quarantining tasks that keep failing so one poisoned cell degrades
+    the batch instead of aborting it. *)
 
 type policy = {
   max_attempts : int;
@@ -69,22 +70,41 @@ let stats reports =
     { tasks = 0; retried = 0; retries = 0; quarantined = 0 }
     reports
 
-(** The supervision loop over an arbitrary batch runner ([Pool.try_map_pool]
-    or [Pool.try_map]), so every dispatch mode shares one implementation.
-    Each round runs the still-pending tasks as a single batch; failures the
-    policy deems retryable survive to the next round, everything else
-    settles. [Pool.error.index] is rewritten from the round-local position
-    back to the task's position in the original batch. [on_result] fires
-    once per task that settles [Done], with its original batch index — the
-    hook {!Shard}'s coordinator exposes for journaling, available here so
-    an in-process fallback run journals identically. *)
-let supervise ?on_result p run_batch f xs =
+type ('a, 'b) runner =
+  on_result:(int -> 'b -> unit) ->
+  ('a -> 'b) ->
+  'a list ->
+  ('b, Pool.error) result list
+
+(* The hook runs inside the task, on whichever domain ran it, so a hook
+   that raises fails its task exactly as the task raising would. *)
+let in_process ?domains ?abort () ~on_result f xs =
+  Pool.try_map ?domains ?abort
+    (fun (i, x) ->
+      let v = f x in
+      on_result i v;
+      v)
+    (List.mapi (fun i x -> (i, x)) xs)
+
+(** The supervision loop. Each round runs the still-pending tasks as one
+    batch on [run]; failures the policy deems retryable survive to the
+    next round, everything else settles. The runner sees round-local
+    positions, so both the settle hook's index and [Pool.error.index]
+    are mapped back to the task's position in the original batch. *)
+let try_map ?(policy = default_policy) ?on_result (run : ('a, 'b) runner) f xs
+    =
   let n = List.length xs in
   let reports = Array.make n None in
   let rec go attempt pending =
     Obs.Metrics.incr ~by:(List.length pending) m_attempts;
     if attempt > 1 then Obs.Metrics.incr ~by:(List.length pending) m_retries;
-    let results = run_batch f (List.map snd pending) in
+    let origin = Array.of_list (List.map fst pending) in
+    let on_result =
+      match on_result with
+      | Some g -> fun j v -> g origin.(j) v
+      | None -> fun _ _ -> ()
+    in
+    let results = run ~on_result f (List.map snd pending) in
     let failed =
       List.concat
         (List.map2
@@ -92,7 +112,6 @@ let supervise ?on_result p run_batch f xs =
              match r with
              | Ok v ->
                  reports.(i) <- Some { status = Done v; attempts = attempt };
-                 Option.iter (fun g -> g i v) on_result;
                  []
              | Error (e : Pool.error) ->
                  (* [Aborted] is the caller cancelling the batch — a retry
@@ -101,10 +120,9 @@ let supervise ?on_result p run_batch f xs =
                  let retryable =
                    match e.Pool.exn with
                    | Pool.Aborted -> false
-                   | exn -> p.retry_on exn
+                   | exn -> policy.retry_on exn
                  in
-                 if attempt < p.max_attempts && retryable then
-                   [ (i, x) ]
+                 if attempt < policy.max_attempts && retryable then [ (i, x) ]
                  else begin
                    Obs.Metrics.incr m_quarantined;
                    reports.(i) <-
@@ -118,7 +136,7 @@ let supervise ?on_result p run_batch f xs =
            pending results)
     in
     if failed <> [] then begin
-      let delay = backoff_delay p ~attempt in
+      let delay = backoff_delay policy ~attempt in
       (* Zero-delay fast path: a policy with [base_delay_s = 0.] retries
          immediately. Skipping the sleep *and* the histogram sample keeps
          crash-recovery tests free of wall-clock waits without recording
@@ -132,27 +150,3 @@ let supervise ?on_result p run_batch f xs =
   in
   if n > 0 then go 1 (List.mapi (fun i x -> (i, x)) xs);
   Array.to_list (Array.map Option.get reports)
-
-let try_map_pool ?timeout_s ?abort ?(policy = default_policy) ?on_result pool
-    f xs =
-  supervise ?on_result policy (Pool.try_map_pool ?timeout_s ?abort pool) f xs
-
-let try_map ?domains ?timeout_s ?abort ?(policy = default_policy) ?on_result f
-    xs =
-  match domains with
-  | Some n when n > 1 ->
-      (* One transient pool for the whole supervised run — not one per
-         retry round, which would re-spawn domains on every backoff. *)
-      Pool.with_transient ~domains:n (fun pool ->
-          try_map_pool ?timeout_s ?abort ~policy ?on_result pool f xs)
-  | _ ->
-      supervise ?on_result policy (Pool.try_map ?domains ?timeout_s ?abort) f
-        xs
-
-let map ?domains ?timeout_s ?policy f xs =
-  List.map
-    (fun r ->
-      match r.status with
-      | Done v -> v
-      | Quarantined e -> Printexc.raise_with_backtrace e.Pool.exn e.Pool.backtrace)
-    (try_map ?domains ?timeout_s ?policy f xs)

@@ -1,5 +1,6 @@
 (** Supervised batch execution: retry with exponential backoff and
-    quarantine on top of {!Pool}.
+    quarantine on top of any batch runner — a {!Pool} of domains or a
+    {!Shard} fleet of worker processes.
 
     A batch run through the supervisor degrades gracefully instead of
     aborting: a task that fails a retryable way is re-submitted (with the
@@ -7,6 +8,9 @@
     up to [max_attempts] total attempts; a task that keeps failing — or
     fails a non-retryable way — ends in the {!Quarantined} terminal state
     carrying its last error, while every other task's result is kept.
+    This is the only retry loop in the execution stack: runners execute
+    each task once per round, and the supervisor alone counts attempts,
+    sleeps backoffs and quarantines.
 
     Backoff jitter is drawn from {!Inject.Prng} seeded by the policy, so a
     supervised run's delay schedule is deterministic for a given policy —
@@ -51,9 +55,8 @@ val backoff_delay : policy -> attempt:int -> float
 
     A delay of exactly [0.] (e.g. any policy with [base_delay_s = 0.]) is
     a fast path: the supervisor neither sleeps nor records a
-    [supervise.backoff_s] histogram sample, so zero-delay retry policies —
-    used by crash-recovery tests and by {!Shard}'s deferred requeues — cost
-    no wall-clock time. *)
+    [supervise.backoff_s] histogram sample, so zero-delay retry policies
+    (used by the tests) cost no wall-clock time. *)
 
 type 'a status =
   | Done of 'a  (** completed, possibly after retries *)
@@ -76,50 +79,48 @@ val stats : 'a report list -> stats
 (** [stats reports] folds a settled batch into its retry/quarantine
     totals — the summary surfaced as campaign "robustness" counts. *)
 
-val try_map_pool :
-  ?timeout_s:float ->
-  ?abort:(unit -> bool) ->
-  ?policy:policy ->
-  ?on_result:(int -> 'b -> unit) ->
-  Pool.t ->
+type ('a, 'b) runner =
+  on_result:(int -> 'b -> unit) ->
   ('a -> 'b) ->
   'a list ->
-  'b report list
-(** {!Pool.try_map_pool} under supervision: report [i] corresponds to
-    input [i] (submission order). Each retry round re-submits only the
-    still-failing tasks, as one batch, after a single backoff sleep.
-    [on_result i v] fires once per task that settles [Done v], with the
-    task's position in the original batch — the same settle hook
-    {!Shard.try_map} exposes, so callers that stream results somewhere
-    durable (the campaign journal) behave identically whether a batch
-    runs sharded or falls back in-process. It is {e not} called for
-    quarantined tasks.
+  ('b, Pool.error) result list
+(** A batch runner: runs [f] once over every element and returns result
+    [i] for input [i], like {!Pool.try_map}. It calls [on_result i v] as
+    task [i] settles [Ok v] — the moment the result exists, so a caller
+    can make each result durable before the batch ends — and a hook that
+    raises fails its task with that exception. A sharded runner is
+    [fun ~on_result f xs -> Shard.try_map ~on_result f xs] (the hook runs
+    on the coordinator as the result frame arrives). *)
 
-    [abort] as in {!Pool.try_map_pool}, with one supervision-specific
-    rule: a task settled as {!Pool.Aborted} is never retried — it
-    quarantines immediately regardless of [policy.retry_on], because the
-    abort is the caller cancelling the batch, not a transient fault. *)
+val in_process :
+  ?domains:int -> ?abort:(unit -> bool) -> unit -> ('a, 'b) runner
+(** The domain-pool runner: {!Pool.try_map} with the same [domains] and
+    [abort], calling the settle hook inside the task on the domain that
+    ran it (so the hook must be domain-safe). [~domains:n] with [n > 1]
+    runs each round on a transient pool of [n] workers. *)
 
 val try_map :
-  ?domains:int ->
-  ?timeout_s:float ->
-  ?abort:(unit -> bool) ->
   ?policy:policy ->
   ?on_result:(int -> 'b -> unit) ->
+  ('a, 'b) runner ->
   ('a -> 'b) ->
   'a list ->
   'b report list
-(** Same dispatch as {!Pool.try_map} ([~domains:1] sequential, [~domains:n]
-    transient pool, default shared pool), supervised. [on_result] as in
-    {!try_map_pool}. *)
+(** [try_map ?policy ?on_result run f xs] runs [f] over [xs] on [run]
+    under supervision: report [i] corresponds to input [i] (submission
+    order). Each retry round re-submits only the still-failing tasks, as
+    one batch, after a single backoff sleep. [policy] defaults to
+    {!default_policy}.
 
-val map :
-  ?domains:int ->
-  ?timeout_s:float ->
-  ?policy:policy ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** Like {!try_map} but re-raises the first (lowest-index) quarantined
-    task's error — with the backtrace captured in the worker — after the
-    whole batch has settled. *)
+    [on_result i v] is forwarded to the runner's settle hook, with [i]
+    mapped back from the round's position to the task's position in the
+    original batch. It fires exactly once per task that settles
+    [Done v], never for quarantined tasks.
+
+    A task the runner settles as {!Pool.Aborted} is never retried — it
+    quarantines immediately regardless of [policy.retry_on], because the
+    abort is the caller cancelling the batch, not a transient fault. A
+    task a {!Shard} runner reports as {!Shard.Worker_crashed} (its slot's
+    restart budget ran out) {e is} retryable under the default
+    [retry_on]: the next round is a new shard job, whose slots respawn
+    with a fresh restart budget. *)

@@ -253,19 +253,22 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     sequential ([~domains:1]) and parallel.
 
     [journal] names an on-disk result journal: each completed cell is
-    fsync-appended as it finishes (from the worker that computed it), so a
-    killed campaign loses at most the cells in flight. With [resume]
+    fsync-appended as it settles (from the pool domain that computed it,
+    or from the coordinator as a shard worker's result frame arrives), so
+    a killed campaign loses at most the cells in flight. With [resume]
     (default [false]) the journal is replayed first and only the missing
     cells execute — the resumed matrix is bit-for-bit the uninterrupted
     one; without [resume] an existing journal is truncated and the run
     starts fresh.
 
-    [retry] supervises cell execution (exponential backoff with jitter,
-    per-cell attempt counts): a cell that keeps failing is quarantined —
-    dropped from the matrix and counted in [robustness.quarantined] —
-    instead of aborting the campaign. Without [retry] the historical
-    semantics hold: the first cell failure re-raises after the batch
-    settles.
+    [retry] supervises cell execution ({!Exec.Supervise}: exponential
+    backoff with jitter, per-cell attempt counts) on either runner: a
+    cell that keeps failing is quarantined — dropped from the matrix and
+    counted in [robustness.quarantined] — instead of aborting the
+    campaign. Without [retry] each cell runs once and the first cell
+    failure re-raises after the batch settles. A shard worker crash is
+    not a failure: its cells are requeued within the restart budget and
+    never count as retries.
 
     [shards] switches the grid to multi-process execution on
     [Exec.Shard]: cells are simulated in [shards] resident worker
@@ -298,11 +301,12 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     [Atomic.incr] feeding a progress gauge, or an
     [Analytics.Analyze.observe] feeding the streaming emergence miner
     (which serializes internally), are the intended shapes. [abort] is
-    the campaign-service cancellation probe, threaded to {!Exec.Shard.try_map} /
-    {!Exec.Supervise.try_map}: once it answers [true], unstarted cells
-    stop executing and the run raises {!Exec.Pool.Aborted} (regardless
-    of [retry]) — completed cells are already journaled, so a resumed
-    run continues exactly past the abort point. *)
+    the campaign-service cancellation probe, threaded to the runner
+    ({!Exec.Shard.try_map} or {!Exec.Pool.try_map}): once it answers
+    [true], unstarted cells stop executing and the run raises
+    {!Exec.Pool.Aborted} (regardless of [retry]) — completed cells are
+    already journaled, so a resumed run continues exactly past the abort
+    point. *)
 let run ?fleet ?domains ?shards ?batch ?use_cache
     ?(defects = Vehicle.Defects.repaired)
     ?(window = Runner.default_window) ?journal ?(resume = false) ?retry
@@ -366,34 +370,35 @@ let run ?fleet ?domains ?shards ?batch ?use_cache
       | Some p -> p
       | None -> Exec.Supervise.policy ~max_attempts:1 ()
     in
-    let execute writer =
+    let run : (_, cell) Exec.Supervise.runner =
       match shards with
       | Some s ->
           (* Multi-process execution: workers only simulate — the journal
              and the cell counters stay with this coordinator process, fed
-             from [on_result] as each cell's frame arrives, so crash-safe
-             resume works unchanged (a worker SIGKILL costs at most the
-             cells in flight, exactly like a domain crash cannot). *)
-          let keys = Array.of_list (List.map (fun (_, k, _) -> k) todo) in
-          Exec.Shard.try_map ?fleet ~shards:s ?domains ?batch ~policy ?abort
-            ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
-            ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
-            ?hang_timeout_s ?deadline_s
-            ~on_result:(fun i cell ->
-              Option.iter (fun w -> Journal.append w ~key:keys.(i) cell) writer;
-              Obs.Metrics.incr m_cells_executed;
-              cell_done cell)
-            (fun (pair, _, _) -> simulate pair)
-            todo
-      | None ->
-          let task (pair, k, _) =
-            let cell = simulate pair in
-            Option.iter (fun w -> Journal.append w ~key:k cell) writer;
-            Obs.Metrics.incr m_cells_executed;
-            cell_done cell;
-            cell
-          in
-          Exec.Supervise.try_map ?domains ~policy ?abort task todo
+             from the settle hook as each cell's frame arrives, so
+             crash-safe resume works unchanged (a worker SIGKILL costs at
+             most the cells in flight). *)
+          fun ~on_result f xs ->
+            Exec.Shard.try_map ?fleet ~shards:s ?domains ?batch ~on_result
+              ?abort
+              ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
+              ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
+              ?hang_timeout_s ?deadline_s f xs
+      | None -> Exec.Supervise.in_process ?domains ?abort ()
+    in
+    let keys = Array.of_list (List.map (fun (_, k, _) -> k) todo) in
+    (* One settle hook for both runners: journal, count and stream each
+       cell the moment it exists — inside the task on a pool domain, or
+       on the coordinator as its result frame arrives. *)
+    let execute writer =
+      Exec.Supervise.try_map ~policy
+        ~on_result:(fun i cell ->
+          Option.iter (fun w -> Journal.append w ~key:keys.(i) cell) writer;
+          Obs.Metrics.incr m_cells_executed;
+          cell_done cell)
+        run
+        (fun (pair, _, _) -> simulate pair)
+        todo
     in
     Obs.span "campaign.grid" (fun () ->
         match journal with

@@ -8,8 +8,8 @@
     +-------+-----------+-----------+-------------------+
     v}
 
-    where [payload] is [Marshal.to_string (key, value) [Closures]] and
-    [crc] its CRC-32. A replay accepts the longest valid prefix of
+    where [payload] is [Marshal.to_string (key, value) []] and [crc]
+    its CRC-32. A replay accepts the longest valid prefix of
     records and drops the rest: a record can only be torn by a crash
     mid-append, and append order means nothing after the tear can be
     intact anyway. *)
@@ -74,7 +74,10 @@ let create ?(fresh = false) ?(on_error = `Raise) ?fault path =
 let degraded w = w.degraded
 
 let append w ~key v =
-  let payload = Marshal.to_string (key, v) [ Marshal.Closures ] in
+  (* No [Closures] flag: a closure's image is only valid inside the binary
+     that wrote it, so a closure-carrying value is refused here — before
+     any byte reaches the file — by [Marshal]'s own [Invalid_argument]. *)
+  let payload = Marshal.to_string (key, v) [] in
   if String.length payload > max_payload then
     invalid_arg "Journal.append: payload too large";
   let buf = Buffer.create (header_len + String.length payload) in
@@ -168,7 +171,11 @@ let empty_replay = { entries = []; records = 0; duplicates = 0; dropped_bytes = 
 
 (** Read one record at the current position; [None] on any validation
     failure (short header, bad magic, absurd length, short payload, CRC
-    mismatch, unmarshal failure) — all of which stop the replay. *)
+    mismatch, unmarshal failure) — all of which stop the replay. The
+    unmarshal guard only catches payloads [Marshal] itself rejects (a
+    truncated or foreign image); a closure-free record of another type
+    decodes silently, so reading a journal at its own type stays the
+    caller's contract. *)
 let read_record (type a) ic size : (string * a) option =
   match
     let header = Bytes.create header_len in

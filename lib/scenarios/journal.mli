@@ -14,14 +14,15 @@
     duplicate keys resolve to the last occurrence, so re-running a
     partially journaled campaign is idempotent.
 
-    The value type is fixed by the caller at use site (the payload is
-    [Marshal]ed with [Closures] mode, so closure-carrying values work
-    within one binary); replaying a journal at a different type — or one
-    written by a different binary, for closure-carrying values — is
-    detected by the unmarshal guard at worst, but is the caller's contract
-    to avoid, exactly as with [Marshal] itself. Writers serialize appends
-    internally and are safe to share across domains; concurrent writers in
-    {e separate processes} are not supported. *)
+    The value type is fixed by the caller at use site. Journaled values
+    must be closure-free pure data: the payload is [Marshal]ed without
+    [Closures] mode, so {!append} refuses a closure instead of writing a
+    record only the same binary could read back. Replaying a journal at a
+    different type is the caller's contract to avoid, exactly as with
+    [Marshal] itself: the unmarshal guard drops only payloads [Marshal]
+    rejects outright, not well-formed records of another type. Writers
+    serialize appends internally and are safe to share across domains;
+    concurrent writers in {e separate processes} are not supported. *)
 
 exception Io_error of { path : string; op : string; error : string }
 (** A device-level failure (ENOSPC, EIO, a [Sys_error]) in a journal
@@ -64,7 +65,9 @@ val append : 'a writer -> key:string -> 'a -> unit
 
     @raise Io_error on a device failure under the [`Raise] policy. Under
     [`Degrade] the error is absorbed (see {!create}); use {!degraded} to
-    observe it. *)
+    observe it.
+    @raise Invalid_argument if the value contains a closure (under either
+    policy); nothing is written and the file is unchanged. *)
 
 val degraded : 'a writer -> bool
 (** Whether a device failure has switched this writer to degraded

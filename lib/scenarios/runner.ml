@@ -99,108 +99,19 @@ let run ?(use_cache = true) ?(defects = Vehicle.Defects.as_evaluated)
         in
         classify ~window s trace results)
 
-(** [retry] supervises the fleet fan-out: scenarios whose task fails a
-    transient way (the retry policy's [retry_on]) are re-attempted with
-    backoff before the failure is re-raised; without it a task failure
-    re-raises immediately after the batch settles, as before. The fleet
-    result always contains every scenario — [run_all] never thins the
-    fleet, because its consumers (sweeps, figures, estimates) index it
-    positionally.
-
-    [shards] fans the fleet out over the resident worker fleet instead
-    ([Exec.Shard], [domains] domains per worker, [batch] scenarios per
-    assignment frame); results are identical to the in-process
-    dispatches. Without [retry] the sharded fleet keeps the fail-fast
-    contract (a single-attempt policy), so crashes and task failures
-    re-raise rather than thin the fleet. [chaos] injects the plan's
-    worker and spawn faults into the sharded dispatch ([Exec.Chaos] —
-    all recoverable, results unchanged); [hang_timeout_s] / [deadline_s]
-    configure the coordinator's liveness sweep. All three are ignored by
-    the in-process dispatches. *)
+(** The whole fleet, in [Defs.all] order. [shards] fans it out over the
+    resident worker fleet ([Exec.Shard], [domains] domains per worker,
+    [batch] scenarios per assignment frame) instead of the domain pool;
+    results are identical. A task failure re-raises after the batch
+    settles: consumers (sweeps, figures, estimates) index the fleet
+    positionally, so it is never thinned. *)
 let run_all ?domains ?shards ?batch ?use_cache ?defects ?timing ?dynamics
-    ?inject ?window ?retry ?chaos ?hang_timeout_s ?deadline_s () =
+    ?window () =
   Obs.span "runner.fleet" (fun () ->
-      let f = run ?use_cache ?defects ?timing ?dynamics ?inject ?window in
+      let f = run ?use_cache ?defects ?timing ?dynamics ?window in
       match shards with
-      | Some s ->
-          let policy =
-            match retry with
-            | Some p -> p
-            | None -> Exec.Supervise.policy ~max_attempts:1 ()
-          in
-          Exec.Shard.map ~shards:s ?domains ?batch ~policy
-            ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
-            ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
-            ?hang_timeout_s ?deadline_s f Defs.all
-      | None -> (
-          match retry with
-          | None -> Exec.Pool.map ?domains f Defs.all
-          | Some policy -> Exec.Supervise.map ?domains ~policy f Defs.all))
-
-(* ------------------------------------------------------------------ *)
-(* Cross-process persistence: journaled single-scenario runs.
-
-   The in-process cache digests [Defs.t] itself, closures included —
-   perfect within one process, meaningless after it dies. The journal key
-   must survive process death, so it is built from closure-free pure data
-   only: the scenario *number* (definitions are versioned with the
-   binary) plus everything else the outcome depends on. The journaled
-   outcome payload does carry the scenario's closures ([Marshal] in
-   [Closures] mode), so it only unmarshals inside the same binary; a
-   journal written by a different build fails the unmarshal guard and
-   replays as empty — a clean re-run, never a crash. *)
-
-let stable_key ?(defects = Vehicle.Defects.as_evaluated)
-    ?(timing = Vehicle.Arbiter.default_timing)
-    ?(dynamics = Vehicle.Plant.default_dynamics)
-    ?(inject = Inject.Plan.empty) ?(window = default_window) (s : Defs.t) =
-  Exec.Memo.digest (s.Defs.number, defects, timing, dynamics, inject, window)
-
-type provenance =
-  | Replayed  (** restored from the journal; nothing simulated *)
-  | Ran of int  (** simulated by this run, after [attempts] attempts *)
-
-(** [run_journaled ?journal ?resume ?retry … s] — the crash-safe form of
-    {!run}: with [journal] and [resume], an outcome already journaled
-    under this exact configuration is returned without simulating;
-    otherwise the scenario runs (supervised by [retry] when given, which
-    re-attempts transient failures with backoff before re-raising) and,
-    when a journal is named, the classified outcome is fsync-appended to
-    it before returning. *)
-let run_journaled ?journal ?(resume = false) ?retry ?use_cache ?defects
-    ?timing ?dynamics ?inject ?window (s : Defs.t) : outcome * provenance =
-  let key = stable_key ?defects ?timing ?dynamics ?inject ?window s in
-  let replayed =
-    match journal with
-    | Some path when resume ->
-        (* Streaming lookup: scan for [key] without materializing the
-           record list (later occurrences win, as in a full replay). *)
-        fst
-          (Journal.fold path ~init:None ~f:(fun acc k (o : outcome) ->
-               if k = key then Some o else acc))
-    | _ -> None
-  in
-  match replayed with
-  | Some o -> (o, Replayed)
-  | None ->
-      let compute () = run ?use_cache ?defects ?timing ?dynamics ?inject ?window s in
-      let o, attempts =
-        match retry with
-        | None -> (compute (), 1)
-        | Some policy -> (
-            match Exec.Supervise.try_map ~domains:1 ~policy compute [ () ] with
-            | [ { Exec.Supervise.status = Exec.Supervise.Done o; attempts } ] ->
-                (o, attempts)
-            | [ { Exec.Supervise.status = Exec.Supervise.Quarantined e; _ } ] ->
-                Printexc.raise_with_backtrace e.Exec.Pool.exn e.Exec.Pool.backtrace
-            | _ -> assert false)
-      in
-      Option.iter
-        (fun path ->
-          Journal.with_writer ~fresh:(not resume) path (fun w ->
-              Journal.append w ~key o))
-        journal;
-      (o, Ran attempts)
+      | Some s -> Exec.Shard.map ~shards:s ?domains ?batch f Defs.all
+      | None -> Exec.Pool.map ?domains f Defs.all)
 
 (** Violating monitor entries only, for the Appendix D tables. *)
 let violations (o : outcome) =

@@ -14,14 +14,13 @@ type retry_cause = Backpressure | Transport of string
    resubmits — safe because submission is idempotent by digest. *)
 exception Retry of retry_cause
 
-(* A server-side chaos drop (or plain crash) between our write and its
-   read turns into EPIPE on this end; as a signal it would kill the
-   process before the retry loop ever saw the failure. *)
-let ignore_sigpipe =
-  lazy (Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
-
 let connect socket =
-  Lazy.force ignore_sigpipe;
+  (* A server-side chaos drop (or plain crash) between our write and its
+     read turns into EPIPE on this end; as a signal it would kill the
+     process before the retry loop ever saw the failure. Setting the
+     disposition is idempotent, so every connect does it: a lazy here
+     would raise when first forced from two domains at once. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX socket)
    with e ->

@@ -85,125 +85,6 @@ let test_backtrace_preserved () =
   | _ -> Alcotest.fail "expected a single task failure");
   Alcotest.(check bool) "backtrace recording enabled" true (Printexc.backtrace_status ())
 
-let slow_then i =
-  if i = 0 then Unix.sleepf 0.4;
-  i * 10
-
-let is_timeout = function
-  | Error e -> (
-      match e.Exec.Pool.exn with
-      | Exec.Pool.Timed_out { limit_s; elapsed_s } ->
-          limit_s = 0.1 && elapsed_s >= limit_s
-      | _ -> false)
-  | Ok _ -> false
-
-let test_watchdog_parallel () =
-  (* Task 0 sleeps past the limit: its slot must come back [Timed_out]
-     while the rest of the batch completes normally, without waiting for
-     the sleeper. *)
-  match Exec.Pool.try_map ~domains:2 ~timeout_s:0.1 slow_then [ 0; 1; 2; 3 ] with
-  | [ r0; Ok 10; Ok 20; Ok 30 ] ->
-      Alcotest.(check bool) "overrunning task timed out" true (is_timeout r0)
-  | _ -> Alcotest.fail "unexpected batch shape"
-
-let test_watchdog_sequential () =
-  (* ~domains:1 cannot preempt: the watchdog degrades to post-hoc
-     detection, still reporting [Timed_out] for the overrun — and because
-     detection is post-hoc, the payload's [elapsed_s] must be the task's
-     *full* measured duration (the 0.4 s sleep), not the 0.1 s limit. *)
-  match Exec.Pool.try_map ~domains:1 ~timeout_s:0.1 slow_then [ 0; 1 ] with
-  | [ Error e; Ok 10 ] -> (
-      match e.Exec.Pool.exn with
-      | Exec.Pool.Timed_out { limit_s; elapsed_s } ->
-          Alcotest.(check (float 1e-9)) "limit preserved" 0.1 limit_s;
-          Alcotest.(check bool)
-            "post-hoc elapsed covers the whole overrunning task" true
-            (elapsed_s >= 0.4);
-          Alcotest.(check bool) "elapsed past the limit" true (elapsed_s > limit_s)
-      | _ -> Alcotest.fail "expected Timed_out")
-  | _ -> Alcotest.fail "unexpected batch shape"
-
-let test_watchdog_parallel_elapsed () =
-  (* On the pooled path the watchdog publishes the overrun as soon as its
-     poll sees it, so elapsed lands past the limit but well before the
-     sleeper's full duration would require waiting. *)
-  match Exec.Pool.try_map ~domains:2 ~timeout_s:0.1 slow_then [ 0; 1 ] with
-  | [ Error e; Ok 10 ] -> (
-      match e.Exec.Pool.exn with
-      | Exec.Pool.Timed_out { limit_s; elapsed_s } ->
-          Alcotest.(check bool) "elapsed >= limit" true (elapsed_s >= limit_s)
-      | _ -> Alcotest.fail "expected Timed_out")
-  | _ -> Alcotest.fail "unexpected batch shape"
-
-let test_wedged_pool_settles () =
-  (* The liveness regression: every worker wedged on an over-limit task,
-     with more tasks still queued. The queued tasks never start, so they
-     never get a per-task start time — before the progress-bound fix the
-     watchdog had nothing to bound them against and the batch blocked for
-     the full 1.2 s sleeps. Now the whole batch must settle within about
-     the limit (plus a poll), with all four slots [Timed_out]. *)
-  let pool = Exec.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown pool)
-    (fun () ->
-      let results, elapsed =
-        Obs.Clock.elapsed (fun () ->
-            Exec.Pool.try_map_pool ~timeout_s:0.3 pool
-              (fun i ->
-                if i < 2 then Unix.sleepf 1.2;
-                i)
-              [ 0; 1; 2; 3 ])
-      in
-      Alcotest.(check int) "batch complete" 4 (List.length results);
-      List.iteri
-        (fun i r ->
-          match r with
-          | Error e -> (
-              match e.Exec.Pool.exn with
-              | Exec.Pool.Timed_out { limit_s; elapsed_s } ->
-                  Alcotest.(check (float 1e-9))
-                    (Fmt.str "task %d limit" i) 0.3 limit_s;
-                  Alcotest.(check bool)
-                    (Fmt.str "task %d elapsed past limit" i)
-                    true (elapsed_s >= limit_s)
-              | _ -> Alcotest.fail (Fmt.str "task %d: expected Timed_out" i))
-          | Ok _ -> Alcotest.fail (Fmt.str "task %d should have timed out" i))
-        results;
-      (* settled from the watchdog, not from the sleepers returning *)
-      Alcotest.(check bool)
-        (Fmt.str "batch settled in %.2f s, well before the 1.2 s sleeps" elapsed)
-        true (elapsed < 1.0))
-
-let test_deep_queue_not_spuriously_timed_out () =
-  (* The other half of the progress-bound contract: on a healthy pool a
-     task far back in the queue waits longer than the limit in total, but
-     every task start refreshes the progress bound, so waiting alone must
-     never count as an overrun. 8 × 0.15 s tasks on 2 workers ≈ 0.6 s of
-     queue wait for the tail, limit 0.4 s — all must still complete. *)
-  let results =
-    Exec.Pool.try_map ~domains:2 ~timeout_s:0.4
-      (fun i ->
-        Unix.sleepf 0.15;
-        i)
-      (List.init 8 Fun.id)
-  in
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) (Fmt.str "task %d completed" i) i v
-      | Error _ -> Alcotest.fail (Fmt.str "task %d spuriously timed out" i))
-    results
-
-let test_timeout_backtrace_empty () =
-  (* [Timed_out] is published by the watchdog, not raised at a fault
-     site: its backtrace must be empty rather than whatever stale trace
-     the publishing domain last recorded. *)
-  match Exec.Pool.try_map ~domains:2 ~timeout_s:0.05 slow_then [ 0 ] with
-  | [ Error e ] ->
-      Alcotest.(check int) "no stale frames attached" 0
-        (Printexc.raw_backtrace_length e.Exec.Pool.backtrace)
-  | _ -> Alcotest.fail "expected the task to time out"
-
 let test_reentrant_submission () =
   (* A task submitting to its own pool is a guaranteed deadlock; it must
      be refused with [Reentrant_submission] — captured as that task's
@@ -237,11 +118,6 @@ let test_reentrant_submission () =
           [ 3 ]
       in
       Alcotest.(check (list int)) "different pool allowed" [ 6 ] inner)
-
-let test_watchdog_not_triggered () =
-  Alcotest.(check (list int))
-    "fast batch unaffected by watchdog" [ 0; 10; 20 ]
-    (Exec.Pool.map ~domains:2 ~timeout_s:5.0 (fun i -> i * 10) [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Fleet equivalence: parallel run_all is bit-for-bit the sequential run *)
@@ -413,18 +289,6 @@ let () =
           Alcotest.test_case "pool survives task failure" `Quick test_pool_survives_failure;
           Alcotest.test_case "map re-raises" `Quick test_map_reraises;
           Alcotest.test_case "worker backtrace preserved" `Quick test_backtrace_preserved;
-          Alcotest.test_case "watchdog: parallel timeout" `Quick test_watchdog_parallel;
-          Alcotest.test_case "watchdog: sequential post-hoc" `Quick test_watchdog_sequential;
-          Alcotest.test_case "watchdog: parallel elapsed payload" `Quick
-            test_watchdog_parallel_elapsed;
-          Alcotest.test_case "watchdog: fast batch untouched" `Quick
-            test_watchdog_not_triggered;
-          Alcotest.test_case "watchdog: wedged pool still settles" `Quick
-            test_wedged_pool_settles;
-          Alcotest.test_case "watchdog: deep queue is not an overrun" `Quick
-            test_deep_queue_not_spuriously_timed_out;
-          Alcotest.test_case "watchdog: Timed_out backtrace empty" `Quick
-            test_timeout_backtrace_empty;
           Alcotest.test_case "re-entrant submission refused" `Quick
             test_reentrant_submission;
         ] );

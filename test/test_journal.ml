@@ -241,6 +241,26 @@ let test_closed_writer_rejected () =
     (Invalid_argument "Journal.append: writer is closed") (fun () ->
       Journal_access.append w ~key:"b" (2, "two"))
 
+let test_closure_refused () =
+  (* Journaled values are closure-free: a closure is refused at append
+     time, under either error policy, and not one byte reaches the file. *)
+  with_path "closure" @@ fun path ->
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Journal_access.with_writer path (fun w ->
+      Journal_access.append w ~key:"a" (1, "one"));
+  let before = read () in
+  List.iter
+    (fun on_error ->
+      Journal_access.with_writer ~on_error path (fun w ->
+          match Journal_access.append w ~key:"b" (2, fun () -> "two") with
+          | () -> Alcotest.fail "a closure was journaled"
+          | exception Invalid_argument _ -> ()))
+    [ `Raise; `Degrade ];
+  Alcotest.(check string) "file unchanged" before (read ());
+  Alcotest.check entries_t "the earlier record still replays alone"
+    [ ("a", (1, "one")) ]
+    (Journal_access.replay path).Journal_access.entries
+
 (* ------------------------------------------------------------------ *)
 (* Campaign resume contract                                             *)
 
@@ -394,6 +414,8 @@ let () =
             `Quick test_write_fault_degrades_and_replay_keeps_prefix;
           Alcotest.test_case "fsync fault degrades" `Quick
             test_fsync_fault_degrades;
+          Alcotest.test_case "closure refused, file unchanged" `Quick
+            test_closure_refused;
           Alcotest.test_case "append after close rejected" `Quick
             test_closed_writer_rejected;
         ] );

@@ -10,11 +10,13 @@ let () = Exec.Shard.init ()
 
 let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
-let get_done (r : _ Exec.Supervise.report) =
-  match r.Exec.Supervise.status with
-  | Exec.Supervise.Done v -> v
-  | Exec.Supervise.Quarantined e ->
-      Alcotest.failf "unexpected quarantine: %s" (Printexc.to_string e.Exec.Pool.exn)
+let get_done = function
+  | Ok v -> v
+  | Error (e : Exec.Pool.error) ->
+      Alcotest.failf "unexpected failure: %s" (Printexc.to_string e.Exec.Pool.exn)
+
+(* A two-worker shard runner for {!Exec.Supervise.try_map}. *)
+let sharded ~on_result f xs = Exec.Shard.try_map ~shards:2 ~on_result f xs
 
 (* ------------------------------------------------------------------ *)
 (* Frame codec                                                          *)
@@ -116,11 +118,7 @@ let test_try_map_order () =
   Alcotest.(check (list int))
     "results in submission order across 3 workers"
     (List.map (fun x -> x * x) xs)
-    (List.map get_done reports);
-  List.iter
-    (fun (r : _ Exec.Supervise.report) ->
-      Alcotest.(check int) "one dispatch each" 1 r.Exec.Supervise.attempts)
-    reports
+    (List.map get_done reports)
 
 let test_on_result_hook () =
   let seen = ref [] in
@@ -138,20 +136,25 @@ let test_on_result_hook () =
 
 let test_task_failure_quarantines () =
   (* A deterministic task failure crosses the process boundary as
-     Worker_failure carrying the printed exception, and consumes policy
-     attempts (zero-delay policy: no sleeps). *)
+     Worker_failure carrying the printed exception, and under supervision
+     consumes policy attempts (zero-delay policy: no sleeps). *)
   let policy =
     Exec.Supervise.policy ~max_attempts:3 ~base_delay_s:0. ~jitter:0. ()
   in
   let reports =
-    Exec.Shard.try_map ~shards:2 ~policy
+    Exec.Supervise.try_map ~policy sharded
       (fun x -> if x = 2 then failwith "poisoned cell" else x * 10)
       [ 1; 2; 3 ]
   in
+  let supervised_done (r : _ Exec.Supervise.report) =
+    match r.Exec.Supervise.status with
+    | Exec.Supervise.Done v -> v
+    | Exec.Supervise.Quarantined _ -> Alcotest.fail "unexpected quarantine"
+  in
   match reports with
   | [ a; b; c ] ->
-      Alcotest.(check int) "healthy neighbours keep results" 10 (get_done a);
-      Alcotest.(check int) "healthy neighbours keep results" 30 (get_done c);
+      Alcotest.(check int) "healthy neighbours keep results" 10 (supervised_done a);
+      Alcotest.(check int) "healthy neighbours keep results" 30 (supervised_done c);
       (match b.Exec.Supervise.status with
       | Exec.Supervise.Quarantined e -> (
           match e.Exec.Pool.exn with
@@ -164,6 +167,85 @@ let test_task_failure_quarantines () =
       | Exec.Supervise.Done _ -> Alcotest.fail "poisoned cell must quarantine");
       Alcotest.(check int) "policy attempts consumed" 3 b.Exec.Supervise.attempts
   | _ -> Alcotest.fail "unexpected batch shape"
+
+let test_supervision_agrees () =
+  (* One supervision loop over either runner: the same batch under the
+     same zero-delay 3-attempt policy must settle identically on the
+     domain pool and on the worker fleet. Task 1 always raises; task 2
+     raises only on its first attempt — a marker file remembers the
+     attempt across worker processes. Its retry runs at round position 1,
+     so the settle hook's batch index is the mapped one. *)
+  let policy =
+    Exec.Supervise.policy ~max_attempts:3 ~base_delay_s:0. ~jitter:0. ()
+  in
+  let run name runner =
+    let marker = Filename.temp_file ("supervise_" ^ name) ".marker" in
+    Sys.remove marker;
+    Fun.protect ~finally:(fun () -> if Sys.file_exists marker then Sys.remove marker)
+    @@ fun () ->
+    let task x =
+      match x with
+      | 1 -> failwith "always fails"
+      | 2 when not (Sys.file_exists marker) ->
+          Out_channel.with_open_bin marker ignore;
+          failwith "fails once"
+      | x -> x * 10
+    in
+    let metric m = counter ("supervise." ^ m) in
+    let before = List.map metric [ "attempts"; "retries"; "quarantined" ] in
+    let seen = ref [] in
+    let lock = Mutex.create () in
+    let reports =
+      Exec.Supervise.try_map ~policy
+        ~on_result:(fun i v -> Mutex.protect lock (fun () -> seen := (i, v) :: !seen))
+        runner task [ 0; 1; 2; 3 ]
+    in
+    let deltas =
+      List.map2 ( - ) (List.map metric [ "attempts"; "retries"; "quarantined" ]) before
+    in
+    (* A remote failure carries the printed exception, a local one the
+       exception itself: compare them printed. *)
+    let shape (r : _ Exec.Supervise.report) =
+      ( (match r.Exec.Supervise.status with
+        | Exec.Supervise.Done v -> Ok v
+        | Exec.Supervise.Quarantined e ->
+            Error
+              ( e.Exec.Pool.index,
+                match e.Exec.Pool.exn with
+                | Exec.Shard.Worker_failure { printed; _ } -> printed
+                | exn -> Printexc.to_string exn )),
+        r.Exec.Supervise.attempts )
+    in
+    ( List.map shape reports,
+      Exec.Supervise.stats reports,
+      deltas,
+      List.sort compare !seen )
+  in
+  let pool_reports, pool_stats, pool_deltas, pool_seen =
+    run "pool" (Exec.Supervise.in_process ~domains:2 ())
+  in
+  let shard_reports, shard_stats, shard_deltas, shard_seen = run "shard" sharded in
+  let report_t =
+    Alcotest.(list (pair (result int (pair int string)) int))
+  in
+  Alcotest.check report_t "pool reports as expected"
+    [
+      (Ok 0, 1);
+      (Error (1, Printexc.to_string (Failure "always fails")), 3);
+      (Ok 20, 2);
+      (Ok 30, 1);
+    ]
+    pool_reports;
+  Alcotest.check report_t "shard reports = pool reports" pool_reports shard_reports;
+  Alcotest.(check bool) "shard stats = pool stats" true (shard_stats = pool_stats);
+  Alcotest.(check (list int)) "pool supervise.{attempts,retries,quarantined}"
+    [ 7; 3; 1 ] pool_deltas;
+  Alcotest.(check (list int)) "shard counter deltas = pool deltas" pool_deltas
+    shard_deltas;
+  Alcotest.(check (list (pair int int))) "pool hook: once per Done, batch index"
+    [ (0, 0); (2, 20); (3, 30) ]
+    pool_seen;
+  Alcotest.(check (list (pair int int))) "shard hook = pool hook" pool_seen shard_seen
 
 let test_batched_execution () =
   (* 12 tasks in explicit batches of 3: results stay in submission order
@@ -308,16 +390,14 @@ let test_restart_budget_exhaustion () =
   in
   Alcotest.(check int) "every task reported" 3 (List.length reports);
   List.iter
-    (fun (r : _ Exec.Supervise.report) ->
-      match r.Exec.Supervise.status with
-      | Exec.Supervise.Quarantined e -> (
+    (function
+      | Error (e : Exec.Pool.error) -> (
           match e.Exec.Pool.exn with
           | Exec.Shard.Worker_crashed _ -> ()
           | exn ->
               Alcotest.failf "expected Worker_crashed, got %s"
                 (Printexc.to_string exn))
-      | Exec.Supervise.Done _ ->
-          Alcotest.fail "no task can settle when every frame tears")
+      | Ok _ -> Alcotest.fail "no task can settle when every frame tears")
     reports
 
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
@@ -580,8 +660,11 @@ let test_sigkill_worker_mid_grid () =
   (* SIGKILL a real worker while the grid is running; the campaign must
      absorb the crash (respawn + requeue) and still produce the exact
      single-process matrix and CSV. The killer runs on its own domain,
-     polling /proc until a worker exists. *)
+     polling /proc until a worker exists. The fleet starts cold: a
+     resident fleet with warm trace caches can finish the grid before the
+     killer finds a worker, and a kill after the job is no respawn. *)
   ignore (Lazy.force reference);
+  Exec.Shard.shutdown_fleets ();
   let respawns0 = counter "shard.respawns" in
   let killed = Atomic.make 0 in
   let killer =
@@ -652,6 +735,8 @@ let () =
           Alcotest.test_case "on_result hook" `Quick test_on_result_hook;
           Alcotest.test_case "task failure quarantines" `Quick
             test_task_failure_quarantines;
+          Alcotest.test_case "pool and shard supervision agree" `Quick
+            test_supervision_agrees;
           Alcotest.test_case "batched frames settle in order" `Quick
             test_batched_execution;
           Alcotest.test_case "fleet persists across jobs" `Quick

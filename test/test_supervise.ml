@@ -35,6 +35,9 @@ let fast ?(max_attempts = 3) ?retry_on () =
   Exec.Supervise.policy ~max_attempts ~base_delay_s:0.001 ~max_delay_s:0.002
     ?retry_on ()
 
+(* The in-process runner on [domains] domains. *)
+let pool domains = Exec.Supervise.in_process ~domains ()
+
 let get_done (r : _ Exec.Supervise.report) =
   match r.Exec.Supervise.status with
   | Exec.Supervise.Done v -> v
@@ -43,7 +46,7 @@ let get_done (r : _ Exec.Supervise.report) =
 let test_retry_until_success () =
   let task, attempts_of = flaky_until 2 in
   let reports =
-    Exec.Supervise.try_map ~domains:1 ~policy:(fast ()) task [ 0; 1; 2 ]
+    Exec.Supervise.try_map ~policy:(fast ()) (pool 1) task [ 0; 1; 2 ]
   in
   Alcotest.(check (list int))
     "all tasks eventually succeed, in submission order" [ 0; 10; 20 ]
@@ -67,7 +70,7 @@ let test_quarantine_after_exhaustion () =
   let task, attempts_of = flaky_until 5 in
   let mixed i = if i = 1 then task i else i * 10 in
   let reports =
-    Exec.Supervise.try_map ~domains:1 ~policy:(fast ~max_attempts:2 ()) mixed
+    Exec.Supervise.try_map ~policy:(fast ~max_attempts:2 ()) (pool 1) mixed
       [ 0; 1; 2 ]
   in
   (match reports with
@@ -99,19 +102,12 @@ let test_retry_on_short_circuit () =
     raise Fatal
   in
   let policy = fast ~retry_on:(function Flaky _ -> true | _ -> false) () in
-  match Exec.Supervise.try_map ~domains:1 ~policy task [ () ] with
+  match Exec.Supervise.try_map ~policy (pool 1) task [ () ] with
   | [ { Exec.Supervise.status = Exec.Supervise.Quarantined e; attempts } ] ->
       Alcotest.(check bool) "Fatal preserved" true (e.Exec.Pool.exn = Fatal);
       Alcotest.(check int) "one attempt only" 1 attempts;
       Alcotest.(check int) "task ran exactly once" 1 (Atomic.get runs)
   | _ -> Alcotest.fail "expected immediate quarantine"
-
-let test_map_reraises_quarantined () =
-  Alcotest.check_raises "map re-raises the quarantined error" Fatal (fun () ->
-      ignore
-        (Exec.Supervise.map ~domains:1 ~policy:(fast ~max_attempts:2 ())
-           (fun () -> raise Fatal)
-           [ () ]))
 
 let test_parallel_supervision () =
   (* Supervision must compose with the real pool: retried results come back
@@ -119,7 +115,7 @@ let test_parallel_supervision () =
   let task, _ = flaky_until 1 in
   let xs = List.init 8 Fun.id in
   let reports =
-    Exec.Supervise.try_map ~domains:3 ~policy:(fast ()) task xs
+    Exec.Supervise.try_map ~policy:(fast ()) (pool 3) task xs
   in
   Alcotest.(check (list int))
     "submission order preserved under parallel retry"
@@ -187,7 +183,7 @@ let test_zero_delay_fast_path () =
     (Exec.Supervise.backoff_delay policy ~attempt:5);
   let task, attempts_of = flaky_until 2 in
   let t0 = Obs.Clock.now () in
-  let reports = Exec.Supervise.try_map ~domains:1 ~policy task [ 0 ] in
+  let reports = Exec.Supervise.try_map ~policy (pool 1) task [ 0 ] in
   let elapsed = Obs.Clock.now () -. t0 in
   Alcotest.(check (list int)) "retries still happen" [ 0 ]
     (List.map get_done reports);
@@ -201,17 +197,19 @@ let test_zero_delay_fast_path () =
 let test_on_result_hook () =
   (* The settle hook fires exactly once per Done task with the original
      batch index — including retried tasks — and never for quarantined
-     ones. *)
+     ones. The in-process runner calls it inside the task, on a pool
+     domain, so the recording side is locked. *)
   let seen = ref [] in
+  let lock = Mutex.create () in
   let task, _ = flaky_until 1 in
   let mixed i = if i = 2 then raise Fatal else task i in
   let policy =
     fast ~max_attempts:2 ~retry_on:(function Flaky _ -> true | _ -> false) ()
   in
   let reports =
-    Exec.Supervise.try_map ~domains:2 ~policy
-      ~on_result:(fun i v -> seen := (i, v) :: !seen)
-      mixed [ 0; 1; 2; 3 ]
+    Exec.Supervise.try_map ~policy
+      ~on_result:(fun i v -> Mutex.protect lock (fun () -> seen := (i, v) :: !seen))
+      (pool 2) mixed [ 0; 1; 2; 3 ]
   in
   Alcotest.(check int) "4 reports" 4 (List.length reports);
   Alcotest.(check (list (pair int int)))
@@ -244,8 +242,6 @@ let () =
             test_quarantine_after_exhaustion;
           Alcotest.test_case "retry_on short-circuits" `Quick
             test_retry_on_short_circuit;
-          Alcotest.test_case "map re-raises quarantined" `Quick
-            test_map_reraises_quarantined;
           Alcotest.test_case "parallel supervision keeps order" `Quick
             test_parallel_supervision;
           Alcotest.test_case "on_result fires once per Done task" `Quick
