@@ -250,20 +250,10 @@ let serve_contention_row ~concurrent ~name =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let buf = Serve.Wire.Frame.create () in
   let recv () =
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      match Serve.Wire.Frame.decode buf with
-      | `Frame (v : Serve.Wire.response) -> v
-      | `Corrupt -> failwith "bench: corrupt frame from serve daemon"
-      | `Need_more -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> failwith "bench: serve daemon closed the connection"
-          | n ->
-              Serve.Wire.Frame.feed buf chunk n;
-              go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-    in
-    go ()
+    match Serve.Wire.Frame.read fd buf with
+    | `Frame (v : Serve.Wire.response) -> v
+    | `Corrupt -> failwith "bench: corrupt frame from serve daemon"
+    | `Eof -> failwith "bench: serve daemon closed the connection"
   in
   Serve.Wire.Frame.write fd
     (Serve.Wire.Hello { proto = Serve.Wire.proto_version; client = "bench" });

@@ -10,50 +10,22 @@
     export campaign --journal c.jnl --resume     # finish a killed run;
                                                  # CSV identical to an
                                                  # uninterrupted export
-    v} *)
+    v}
+
+    [campaign] takes the same command line as [experiments campaign]
+    ({!Campaign_cli}) plus [--out-dir], and reads and writes the same
+    journal records, so either command resumes the other's journal. *)
 
 open Cmdliner
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
 
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"PATH"
-        ~doc:
-          "Write an obs/1 JSON telemetry snapshot (pool/cache/journal \
-           counters, latency histograms, phase spans) to $(docv) before \
-           exiting.")
-
-let write_metrics ~name metrics =
-  Option.iter
-    (fun path ->
-      Obs.Export.write_file ~name path;
-      Fmt.pr "wrote metrics snapshot %s@." path)
-    metrics
-
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard execution across $(docv) worker processes \
-           (crash-isolated: a worker SIGKILL is absorbed by respawn and \
-           requeue), each running $(b,--domains) domains. Output is \
-           byte-identical to the single-process run.")
+let out_dir =
+  Arg.(value & opt string "." & info [ "out-dir"; "o" ] ~doc:"Output directory.")
 
 let figures_cmd =
-  let out_dir =
-    Arg.(value & opt string "." & info [ "out-dir"; "o" ] ~doc:"Output directory.")
-  in
   let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains"; "j" ] ~docv:"N"
-          ~doc:"Simulate the fleet on $(docv) domains (1 = sequential).")
+    Campaign_cli.domains ~doc:"Simulate the fleet on $(docv) domains (1 = sequential)."
   in
   let run out_dir domains shards metrics =
     ensure_dir out_dir;
@@ -73,16 +45,13 @@ let figures_cmd =
             Scenarios.Export.write_file path (Scenarios.Export.figure_csv fig o);
             Fmt.pr "wrote %s@." path)
           Scenarios.Figures.all);
-    write_metrics ~name:"export_figures" metrics
+    Campaign_cli.write_metrics ~name:"export_figures" metrics
   in
   Cmd.v (Cmd.info "figures" ~doc:"Export every regenerated figure as CSV.")
-    Term.(const run $ out_dir $ domains $ shards_arg $ metrics_arg)
+    Term.(const run $ out_dir $ domains $ Campaign_cli.shards $ Campaign_cli.metrics)
 
 let scenario_cmd =
   let n = Arg.(required & pos 0 (some int) None & info [] ~docv:"SCENARIO") in
-  let out_dir =
-    Arg.(value & opt string "." & info [ "out-dir"; "o" ] ~doc:"Output directory.")
-  in
   let repaired =
     Arg.(value & flag & info [ "repaired" ] ~doc:"Run with every defect fixed.")
   in
@@ -114,160 +83,22 @@ let scenario_cmd =
     Term.(const run $ n $ out_dir $ repaired $ signals $ stride)
 
 let campaign_cmd =
-  let spec_conv =
-    Arg.conv
-      ( (fun s ->
-          match Inject.Spec.parse s with
-          | Ok f -> Ok f
-          | Error e -> Error (`Msg e)),
-        Inject.Fault.pp )
-  in
-  let out_dir =
-    Arg.(value & opt string "." & info [ "out-dir"; "o" ] ~doc:"Output directory.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Campaign seed; same seed, bit-for-bit identical CSV.")
-  in
-  let faults =
-    Arg.(
-      value
-      & opt_all spec_conv []
-      & info [ "inject" ] ~docv:"SPEC"
-          ~doc:
-            (Inject.Spec.conv_doc
-            ^ " Repeatable; default: the smoke grid's three sensor faults."))
-  in
-  let scenarios =
-    Arg.(
-      value
-      & opt (list int) [ 1; 3; 7 ]
-      & info [ "scenarios" ] ~docv:"N,.."
-          ~doc:"Scenario numbers forming the grid columns.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains"; "j" ] ~docv:"N"
-          ~doc:"Run the grid on $(docv) domains (1 = sequential).")
-  in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"PATH"
-          ~doc:
-            "Fsync-append every completed cell to this crash-safe journal; \
-             with $(b,--resume), replay it and execute only the missing \
-             cells — the resumed CSV is byte-identical to an uninterrupted \
-             export. Without $(b,--resume) an existing journal is \
-             truncated.")
-  in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:"Replay the $(b,--journal) before running (see above).")
-  in
-  let retries =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a failing cell up to $(docv) extra times with jittered \
-             exponential backoff before quarantining it. Default 0: first \
-             failure aborts.")
-  in
-  let chaos =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "chaos" ] ~docv:"SPEC"
-          ~doc:
-            ("Inject a deterministic infrastructure-fault plan into the \
-              campaign's own execution stack (workers, frames, journal, \
-              spawns), seeded by $(b,--seed). Every fault is recoverable: \
-              the CSV is byte-identical to the chaos-free run. "
-            ^ Exec.Chaos.conv_doc))
-  in
-  let hang_timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hang-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Declare a sharded worker hung — SIGKILL it and requeue its \
-             cells — after $(docv) seconds without results or heartbeats \
-             (default 30).")
-  in
-  let batch_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "batch-deadline" ] ~docv:"SECS"
-          ~doc:
-            "Hard bound on one sharded batch's in-flight time: a worker \
-             exceeding it is killed and its cells requeued, even if it is \
-             still heartbeating. Off by default.")
-  in
-  let run out_dir seed faults scenarios domains shards journal resume retries
-      chaos hang_timeout deadline metrics =
-    if resume && journal = None then begin
-      Fmt.epr "--resume requires --journal PATH@.";
-      exit 1
-    end;
+  let run out_dir (seed, campaign) metrics =
     ensure_dir out_dir;
-    let smoke = Scenarios.Campaign.smoke ~seed () in
-    let grid =
-      {
-        Scenarios.Campaign.seed;
-        faults = (if faults = [] then smoke.Scenarios.Campaign.faults else faults);
-        grid_scenarios = List.map Scenarios.Defs.get scenarios;
-      }
-    in
-    let retry =
-      if retries > 0 then
-        Some (Exec.Supervise.policy ~max_attempts:(retries + 1) ~seed ())
-      else None
-    in
-    let chaos =
-      match chaos with
-      | None -> None
-      | Some spec -> (
-          match Exec.Chaos.parse ~seed spec with
-          | Ok plan -> Some plan
-          | Error e ->
-              Fmt.epr "--chaos: %s@." e;
-              exit 1)
-    in
-    let c =
-      Scenarios.Campaign.run ?domains ?shards ?journal ~resume ?retry ?chaos
-        ?hang_timeout_s:hang_timeout ?deadline_s:deadline grid
-    in
+    let c = campaign () in
     let path = Filename.concat out_dir (Fmt.str "campaign_seed%d.csv" seed) in
     Obs.span "campaign.export" (fun () ->
         Scenarios.Export.write_file path (Scenarios.Export.campaign_csv c));
-    let r = c.Scenarios.Campaign.robustness in
-    Fmt.pr "cells: executed=%d replayed=%d retried=%d retries=%d quarantined=%d%s@."
-      r.Scenarios.Campaign.executed r.Scenarios.Campaign.replayed
-      r.Scenarios.Campaign.retried r.Scenarios.Campaign.retries
-      r.Scenarios.Campaign.quarantined
-      (if r.Scenarios.Campaign.degraded then " degraded=true" else "");
+    Fmt.pr "%a@." Scenarios.Campaign.pp_robustness c.Scenarios.Campaign.robustness;
     Fmt.pr "wrote %s@." path;
-    write_metrics ~name:(Fmt.str "export_campaign_seed%d" seed) metrics
+    Campaign_cli.write_metrics ~name:(Fmt.str "export_campaign_seed%d" seed) metrics
   in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:
          "Export a fault-injection detection-coverage matrix as CSV, \
           optionally journaled, resumable, retried and chaos-tested.")
-    Term.(
-      const run $ out_dir $ seed $ faults $ scenarios $ domains $ shards_arg
-      $ journal $ resume $ retries $ chaos $ hang_timeout $ batch_deadline
-      $ metrics_arg)
+    Term.(const run $ out_dir $ Campaign_cli.term $ Campaign_cli.metrics)
 
 let () =
   (* Must precede everything else: when this process is a shard worker

@@ -1,6 +1,6 @@
-(* CRC-32 (IEEE 802.3, reflected, as used by gzip/zlib). Shared by the
-   framed binary protocols in this repo: the scenario journal ("SJL1"
-   records) and the shard coordinator/worker pipe ("SHD1" frames).
+(* CRC-32 (IEEE 802.3, reflected, as used by gzip/zlib): the checksum of
+   [Frame], the one record codec behind the scenario journal ("SJL1"),
+   the shard pipe ("SHD1") and the service socket ("SRV1").
 
    The table is built at module initialisation, not lazily: the first
    [digest] may come from two domains at once, and forcing one lazy from

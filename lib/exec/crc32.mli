@@ -1,12 +1,14 @@
 (** CRC-32 checksums for framed binary records.
 
     This is the IEEE 802.3 reflected CRC-32 (polynomial [0xEDB88320], the
-    variant used by gzip and zlib), computed over whole strings. Both
-    record protocols in the repository use it to guard their payloads:
-    the crash-safe scenario journal ([Scenarios.Journal], magic ["SJL1"])
-    and the multi-process shard pipe ({!Shard}, magic ["SHD1"]). A torn
-    or bit-flipped payload fails its CRC and the record is dropped by the
-    reader instead of being unmarshalled into garbage. *)
+    variant used by gzip and zlib), computed over whole strings.
+    {!Frame}, the one record codec in the repository, uses it to guard
+    every payload on its three streams: the crash-safe scenario journal
+    ([Scenarios.Journal], magic ["SJL1"]), the multi-process shard pipe
+    ({!Shard}, magic ["SHD1"]) and the campaign service socket
+    ([Serve.Wire], magic ["SRV1"]). A torn or bit-flipped payload fails
+    its CRC and the record is dropped by the reader instead of being
+    unmarshalled into garbage. *)
 
 val digest : string -> int32
 (** [digest s] is the CRC-32 of the whole of [s].

@@ -40,80 +40,10 @@ let worker_env = "COMPOSITE_SAFETY_SHARD_WORKER"
 let argv_marker = "--exec-shard-worker"
 let in_worker () = Sys.getenv_opt worker_env <> None
 
-(* ------------------------------------------------------------------ *)
-(* Frame codec: "SHD1" | len u32le | crc u32le | payload                *)
-
-module Frame = struct
+module Frame = Frame.Make (struct
   let magic = "SHD1"
-  let header_len = 12
-
-  (* Same guard as the journal: a bit-flipped length field must surface
-     as corruption, not as a multi-gigabyte allocation. *)
-  let max_payload = 1 lsl 28
-
-  type buf = { mutable data : Bytes.t; mutable len : int }
-
-  let create () = { data = Bytes.create 65536; len = 0 }
-
-  let feed b src n =
-    if b.len + n > Bytes.length b.data then begin
-      let cap = ref (Bytes.length b.data) in
-      while b.len + n > !cap do
-        cap := !cap * 2
-      done;
-      let data = Bytes.create !cap in
-      Bytes.blit b.data 0 data 0 b.len;
-      b.data <- data
-    end;
-    Bytes.blit src 0 b.data b.len n;
-    b.len <- b.len + n
-
-  let consume b n =
-    Bytes.blit b.data n b.data 0 (b.len - n);
-    b.len <- b.len - n
-
-  let encode v =
-    let payload = Marshal.to_string v [ Marshal.Closures ] in
-    if String.length payload > max_payload then
-      invalid_arg "Shard.Frame.encode: payload too large";
-    let b = Buffer.create (header_len + String.length payload) in
-    Buffer.add_string b magic;
-    Buffer.add_int32_le b (Int32.of_int (String.length payload));
-    Buffer.add_int32_le b (Crc32.digest payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
-
-  let decode b =
-    if b.len < header_len then `Need_more
-    else if Bytes.sub_string b.data 0 4 <> magic then `Corrupt
-    else
-      let len = Int32.to_int (Bytes.get_int32_le b.data 4) in
-      let crc = Bytes.get_int32_le b.data 8 in
-      if len < 0 || len > max_payload then `Corrupt
-      else if b.len < header_len + len then `Need_more
-      else begin
-        let payload = Bytes.sub_string b.data header_len len in
-        consume b (header_len + len);
-        if Crc32.digest payload <> crc then `Corrupt
-        else
-          match Marshal.from_string payload 0 with
-          | v -> `Frame v
-          | exception _ -> `Corrupt
-      end
-
-  let write_all fd s =
-    let b = Bytes.unsafe_of_string s in
-    let n = String.length s in
-    let rec go off =
-      if off < n then
-        match Unix.write fd b off (n - off) with
-        | written -> go (off + written)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
-  let write fd v = write_all fd (encode v)
-end
+  let closures = true
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Protocol messages. Task inputs/outputs travel as [Obj.t] because one
@@ -153,21 +83,6 @@ type worker_to_coordinator =
 
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                          *)
-
-(* Blocking frame reader for the worker's single pipe. [None] on EOF or
-   a corrupt stream — either way the worker's only move is to exit. *)
-let rec read_frame buf fd =
-  match Frame.decode buf with
-  | `Frame v -> Some v
-  | `Corrupt -> None
-  | `Need_more -> (
-      let chunk = Bytes.create 65536 in
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> None
-      | n ->
-          Frame.feed buf chunk n;
-          read_frame buf fd
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_frame buf fd)
 
 let run_batch pool f job (tasks : (int * string) array) =
   let xs =
@@ -239,8 +154,8 @@ let write_results fd ~lock ~injected frames =
 let worker_main fd =
   Printexc.record_backtrace true;
   let buf = Frame.create () in
-  match read_frame buf fd with
-  | Some (Hello { slot; domains }) ->
+  match Frame.read fd buf with
+  | `Frame (Hello { slot; domains }) ->
       (* The domain pool outlives every job bound on this pipe: a warm
          worker keeps its domains (and any process-lifetime caches its
          tasks populate) across [try_map] calls. *)
@@ -278,11 +193,11 @@ let worker_main fd =
             beat ())
       in
       let rec serve () =
-        match read_frame buf fd with
-        | Some (Job { job; f; havoc }) ->
+        match Frame.read fd buf with
+        | `Frame (Job { job; f; havoc }) ->
             bound := Some (job, f, havoc);
             serve ()
-        | Some (Batch { job; seq; tasks }) -> (
+        | `Frame (Batch { job; seq; tasks }) -> (
             match !bound with
             | Some (bound_job, f, havoc) when bound_job = job -> (
                 Atomic.set hb_job job;
@@ -321,12 +236,12 @@ let worker_main fd =
                 (* A batch for a job this incarnation was never bound to:
                    protocol violation, die loudly. *)
                 Unix._exit 65)
-        | Some (Hello _) | None ->
+        | `Frame (Hello _) | `Eof | `Corrupt ->
             (* EOF: the coordinator is done with us (or gone). *)
             Unix._exit 0
       in
       serve ()
-  | Some (Job _ | Batch _) | None -> Unix._exit 65
+  | `Frame (Job _ | Batch _) | `Eof | `Corrupt -> Unix._exit 65
 
 let init () =
   if in_worker () then
@@ -736,7 +651,7 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
             on_death w
         | 0 ->
             (* EOF. Undecoded leftover bytes are a frame torn by the crash. *)
-            if w.rbuf.Frame.len > 0 then Obs.Metrics.incr m_frames_dropped;
+            if Frame.length w.rbuf > 0 then Obs.Metrics.incr m_frames_dropped;
             on_death w
         | nread ->
             (* Any bytes at all prove the process is scheduled: liveness

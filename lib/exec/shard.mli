@@ -47,12 +47,12 @@
     in one job is respawned, with a fresh budget, at the start of the
     next.
 
-    Coordinator and worker speak over a [socketpair] using length-prefixed
-    CRC-guarded binary frames (magic ["SHD1"] | length | {!Crc32} |
-    [Marshal] payload — the same record discipline as the scenario
-    journal). A torn frame (worker died mid-write) or corrupt frame (CRC
-    mismatch) is dropped, the worker is declared dead, and its in-flight
-    tasks are requeued; tasks are never lost and never double-settled.
+    Coordinator and worker speak over a [socketpair] in {!Frame}, the
+    one CRC-guarded record format the scenario journal and the service
+    socket also use, here with magic ["SHD1"]. A torn frame (worker died
+    mid-write) or corrupt frame (CRC mismatch) is dropped, the worker is
+    declared dead, and its in-flight tasks are requeued; tasks are never
+    lost and never double-settled.
     Every death path — crash, corrupt stream, restart-budget exhaustion,
     a coordinator exception escaping mid-settle — closes the worker's
     pipe descriptor and reaps the child before anything else happens, so
@@ -154,32 +154,9 @@ type havoc = Chaos.fault =
           respawned worker replays the work cleanly. Derive the hook
           from a seeded plan with {!Chaos.worker_fault}. *)
 
-(** The frame codec, exposed for direct unit testing. A frame is
-    ["SHD1" | len : u32le | crc : u32le | payload], where [payload] is
-    [Marshal.to_string v [Closures]] and [crc] its {!Crc32.digest}. *)
-module Frame : sig
-  type buf
-  (** A growable reassembly buffer for one pipe's byte stream. *)
-
-  val create : unit -> buf
-  (** A fresh, empty buffer. *)
-
-  val feed : buf -> bytes -> int -> unit
-  (** [feed buf chunk n] appends the first [n] bytes of [chunk] — as read
-      from the pipe — to the buffer. *)
-
-  val encode : 'a -> string
-  (** [encode v] is the complete frame carrying [v]. *)
-
-  val decode : buf -> [ `Frame of 'a | `Need_more | `Corrupt ]
-  (** [decode buf] consumes and returns the first complete frame in the
-      buffer. [`Need_more] means the buffer holds only a frame prefix
-      (more bytes must be fed — or, on EOF, the tail is torn); [`Corrupt]
-      means the stream is unrecoverable at this position (bad magic,
-      absurd length, CRC mismatch, or unmarshalable payload). The type of
-      the decoded value is the caller's claim, exactly as with
-      [Marshal.from_string]. *)
-end
+module Frame : Frame.S
+(** The pipe's instance of {!Frame}, with magic ["SHD1"] and payloads
+    marshalled with [Closures]; exposed for direct unit testing. *)
 
 val init : unit -> unit
 (** Worker-mode intercept. Call first thing in [main] of every

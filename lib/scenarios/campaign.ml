@@ -526,6 +526,13 @@ let cell_code c =
   | Spurious -> "S"
   | No_effect -> "-"
 
+(** The [cells:] line of a run, as both campaign commands print it and
+    CI greps it. *)
+let pp_robustness ppf r =
+  Fmt.pf ppf "cells: executed=%d replayed=%d retried=%d retries=%d quarantined=%d%s"
+    r.executed r.replayed r.retried r.retries r.quarantined
+    (if r.degraded then " degraded=true" else "")
+
 (** The detection-coverage matrix: one row per fault, one column per
     scenario; [D+lead] / [M]issed / [S]purious / [-] no effect, with
     per-cell inhibition counts in parentheses when monitors were degraded. *)
@@ -563,9 +570,6 @@ let pp ppf (t : t) =
     faults;
   Fmt.pf ppf
     "@,detected=%d missed=%d spurious=%d no_effect=%d@,\
-     hits=%d false negatives=%d false positives=%d inhibited=%d@,\
-     cells: executed=%d replayed=%d retried=%d retries=%d quarantined=%d%s@]"
+     hits=%d false negatives=%d false positives=%d inhibited=%d@,%a@]"
     t.detected t.missed t.spurious t.no_effect t.hits t.false_negatives
-    t.false_positives t.inhibited t.robustness.executed t.robustness.replayed
-    t.robustness.retried t.robustness.retries t.robustness.quarantined
-    (if t.robustness.degraded then " degraded=true" else "")
+    t.false_positives t.inhibited pp_robustness t.robustness

@@ -1,29 +1,16 @@
 (** Crash-safe, append-only result journal (see journal.mli).
 
-    Record layout, all integers little-endian:
+    Each record is one {!Exec.Frame} record with magic ["SJL1"], whose
+    payload is [Marshal.to_string (key, value) []]. A replay accepts the
+    longest valid prefix of records and drops the rest: a record can only
+    be torn by a crash mid-append, and append order means nothing after
+    the tear can be intact anyway. *)
 
-    {v
-    +-------+-----------+-----------+-------------------+
-    | "SJL1"| len : u32 | crc : u32 | payload (len bytes)|
-    +-------+-----------+-----------+-------------------+
-    v}
+module Record = Exec.Frame.Make (struct
+  let magic = "SJL1"
+  let closures = false
+end)
 
-    where [payload] is [Marshal.to_string (key, value) []] and [crc]
-    its CRC-32. A replay accepts the longest valid prefix of
-    records and drops the rest: a record can only be torn by a crash
-    mid-append, and append order means nothing after the tear can be
-    intact anyway. *)
-
-let magic = "SJL1"
-let header_len = 12
-
-(* A record claiming a payload beyond this bound is treated as corrupt
-   rather than allocated: a bit-flip in the length field must not turn
-   replay into a multi-gigabyte allocation. *)
-let max_payload = 1 lsl 28
-
-(* The checksum is the shared IEEE CRC-32 used by every framed record
-   protocol in the repo (journal "SJL1" records, shard "SHD1" frames). *)
 let crc32 = Exec.Crc32.digest
 
 (* ------------------------------------------------------------------ *)
@@ -77,14 +64,7 @@ let append w ~key v =
   (* No [Closures] flag: a closure's image is only valid inside the binary
      that wrote it, so a closure-carrying value is refused here — before
      any byte reaches the file — by [Marshal]'s own [Invalid_argument]. *)
-  let payload = Marshal.to_string (key, v) [] in
-  if String.length payload > max_payload then
-    invalid_arg "Journal.append: payload too large";
-  let buf = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string buf magic;
-  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_le buf (crc32 payload);
-  Buffer.add_string buf payload;
+  let record = Record.encode (key, v) in
   Mutex.lock w.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.lock)
@@ -103,12 +83,11 @@ let append w ~key v =
             (* Injected torn write: half the record reaches the file,
                then the device errors — the on-disk shape of a crash
                mid-append combined with EIO. *)
-            let s = Buffer.contents buf in
-            output_string w.oc (String.sub s 0 (String.length s / 2));
+            output_string w.oc (String.sub record 0 (String.length record / 2));
             flush w.oc;
             raise (Unix.Unix_error (Unix.EIO, "write", w.path))
           end;
-          Buffer.output_buffer w.oc buf;
+          output_string w.oc record;
           flush w.oc;
           (* The record is only durable once the kernel has it on disk: a
              flushed-but-unsynced append can still vanish with the page
@@ -122,7 +101,7 @@ let append w ~key v =
         with
         | () ->
             Obs.Metrics.incr m_appends;
-            Obs.Metrics.incr ~by:(Buffer.length buf) m_bytes
+            Obs.Metrics.incr ~by:(String.length record) m_bytes
         | exception (Unix.Unix_error _ | Sys_error _ as e) ->
             Obs.Metrics.incr m_write_errors;
             (* Raw device errors never escape as themselves: callers and
@@ -169,38 +148,6 @@ type 'a replay = {
 
 let empty_replay = { entries = []; records = 0; duplicates = 0; dropped_bytes = 0 }
 
-(** Read one record at the current position; [None] on any validation
-    failure (short header, bad magic, absurd length, short payload, CRC
-    mismatch, unmarshal failure) — all of which stop the replay. The
-    unmarshal guard only catches payloads [Marshal] itself rejects (a
-    truncated or foreign image); a closure-free record of another type
-    decodes silently, so reading a journal at its own type stays the
-    caller's contract. *)
-let read_record (type a) ic size : (string * a) option =
-  match
-    let header = Bytes.create header_len in
-    really_input ic header 0 header_len;
-    header
-  with
-  | exception End_of_file -> None
-  | header ->
-      if Bytes.sub_string header 0 4 <> magic then None
-      else
-        let len = Int32.to_int (Bytes.get_int32_le header 4) in
-        let crc = Bytes.get_int32_le header 8 in
-        if len < 0 || len > max_payload || len > size - pos_in ic then None
-        else begin
-          let payload = Bytes.create len in
-          match really_input ic payload 0 len with
-          | exception End_of_file -> None
-          | () ->
-              let payload = Bytes.unsafe_to_string payload in
-              if crc32 payload <> crc then None
-              else (
-                try Some (Marshal.from_string payload 0 : string * a)
-                with _ -> None)
-        end
-
 type fold_stats = {
   fold_records : int;
   fold_valid_bytes : int;
@@ -224,7 +171,7 @@ let fold (type a acc) path ~(init : acc) ~(f : acc -> string -> a -> acc) :
         let size = in_channel_length ic in
         let rec loop acc records =
           let pos = pos_in ic in
-          match (read_record ic size : (string * a) option) with
+          match (Record.input ic ~size : (string * a) option) with
           | None ->
               ( acc,
                 {

@@ -1,8 +1,9 @@
 (** Crash-safe, append-only result journal.
 
     A journal is a flat file of self-delimiting records, each holding one
-    [(key, value)] pair: a record is [magic | payload length | CRC-32 of
-    the payload | payload], with the payload a [Marshal]ed pair. Appends
+    [(key, value)] pair: a record is one {!Exec.Frame} record, [magic |
+    payload length | CRC-32 of the payload | payload], with magic
+    ["SJL1"] and the payload a [Marshal]ed pair (see {!Record}). Appends
     are flushed {e and fsynced} before returning, so every record that
     [append] completed survives [SIGKILL] or power loss; a record that was
     being written when the process died is torn, fails its length or CRC
@@ -23,6 +24,12 @@
     rejects outright, not well-formed records of another type. Writers
     serialize appends internally and are safe to share across domains;
     concurrent writers in {e separate processes} are not supported. *)
+
+module Record : Exec.Frame.S
+(** The journal's instance of {!Exec.Frame}: magic ["SJL1"], payloads
+    marshalled without [Closures]. A record's payload is the
+    [(key, value)] pair; {!fold} reads records with
+    {!Exec.Frame.S.input}. *)
 
 exception Io_error of { path : string; op : string; error : string }
 (** A device-level failure (ENOSPC, EIO, a [Sys_error]) in a journal

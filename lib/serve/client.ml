@@ -29,20 +29,10 @@ let connect socket =
   fd
 
 let recv fd buf =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Wire.Frame.decode buf with
-    | `Frame v -> v
-    | `Corrupt -> raise (Retry (Transport "corrupt frame from server"))
-    | `Need_more -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> raise (Retry (Transport "server closed the connection"))
-        | n ->
-            Wire.Frame.feed buf chunk n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
+  match Wire.Frame.read fd buf with
+  | `Frame v -> v
+  | `Corrupt -> raise (Retry (Transport "corrupt frame from server"))
+  | `Eof -> raise (Retry (Transport "server closed the connection"))
 
 (* Open a session (connect + hello/welcome) and run [k fd buf] on it,
    mapping every [Unix_error] into [Retry] so the caller's retry loop

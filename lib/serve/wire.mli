@@ -1,13 +1,14 @@
 (** The campaign service's wire protocol (["SRV1"]).
 
-    Same framing discipline as the shard pipe and the scenario journal —
-    [magic | payload length : u32le | CRC-32 : u32le | payload] — but
-    with its own magic and, crucially, {e closure-free} payloads:
-    everything on the wire is pure data ([Marshal] without [Closures]),
-    so a client built from a different binary than the server still
-    interoperates. Faults travel as their {!Inject.Spec} grammar strings
-    and scenarios as their numbers; the server re-resolves both against
-    its own catalogue and rejects what it cannot parse ([`Bad_spec]).
+    Frames are {!Exec.Frame} records, the one format the shard pipe and
+    the scenario journal also use — [magic | payload length : u32le |
+    CRC-32 : u32le | payload] — with their own magic and, crucially,
+    {e closure-free} payloads: everything on the wire is pure data
+    ([Marshal] without [Closures]), so a client built from a different
+    binary than the server still interoperates. Faults travel as their
+    {!Inject.Spec} grammar strings and scenarios as their numbers; the
+    server re-resolves both against its own catalogue and rejects what
+    it cannot parse ([`Bad_spec]).
 
     A torn or bit-flipped frame fails its length or CRC check and
     surfaces as [`Corrupt]; both sides treat a corrupt stream as a dead
@@ -81,25 +82,9 @@ type response =
       (** drain accepted: requests already completed vs. checkpointed to
           the journal for the next incarnation to resume *)
 
-(** Frame codec for both directions, mirroring {!Exec.Shard.Frame} with
-    magic ["SRV1"] and closure-free payloads. *)
-module Frame : sig
-  type buf
-  (** Growable reassembly buffer for one connection's byte stream. *)
-
-  val create : unit -> buf
-  val feed : buf -> bytes -> int -> unit
-
-  val encode : 'a -> string
-  (** The complete frame carrying [v]. Payloads marshal {e without}
-      closures: a value that captures a closure raises
-      [Invalid_argument]. *)
-
-  val decode : buf -> [ `Frame of 'a | `Need_more | `Corrupt ]
-  (** First complete frame in the buffer, consumed. The decoded type is
-      the caller's claim ({!request} on the server, {!response} on the
-      client), exactly as with [Marshal.from_string]. *)
-
-  val write : Unix.file_descr -> 'a -> unit
-  (** [encode] then write the whole frame (blocking, EINTR-safe). *)
-end
+module Frame : Exec.Frame.S
+(** The socket's instance of {!Exec.Frame}, for both directions, with
+    magic ["SRV1"] and closure-free payloads: {!Frame.encode} raises
+    [Invalid_argument] on a value that captures a closure. The decoded
+    type is the caller's claim: {!request} on the server, {!response} on
+    the client. *)

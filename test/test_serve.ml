@@ -149,20 +149,10 @@ let connect (d : daemon) =
   s
 
 let recv s =
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Serve.Wire.Frame.decode s.buf with
-    | `Frame (v : Serve.Wire.response) -> v
-    | `Corrupt -> Alcotest.fail "corrupt frame from server"
-    | `Need_more -> (
-        match Unix.read s.fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Alcotest.fail "server closed the connection"
-        | n ->
-            Serve.Wire.Frame.feed s.buf chunk n;
-            go ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-  in
-  go ()
+  match Serve.Wire.Frame.read s.fd s.buf with
+  | `Frame (v : Serve.Wire.response) -> v
+  | `Corrupt -> Alcotest.fail "corrupt frame from server"
+  | `Eof -> Alcotest.fail "server closed the connection"
 
 let expect_welcome s =
   match recv s with
