@@ -60,10 +60,23 @@ let faults =
           (Inject.Spec.conv_doc
           ^ " Repeatable; default: the smoke grid's three sensor faults."))
 
+(* A scenario by its number; an unknown number is a usage error. *)
+let scenario =
+  let all = Scenarios.Defs.all in
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        match List.find_opt (fun d -> d.Scenarios.Defs.number = n) all with
+        | Some d -> Ok d
+        | None ->
+            Error
+              (`Msg (Fmt.str "unknown scenario %d (expected 1-%d)" n (List.length all))))
+  in
+  Arg.conv (parse, fun ppf d -> Fmt.int ppf d.Scenarios.Defs.number)
+
 let scenarios =
   Arg.(
     value
-    & opt (list int) [ 1; 3; 7 ]
+    & opt (list scenario) (List.map Scenarios.Defs.get [ 1; 3; 7 ])
     & info [ "scenarios" ] ~docv:"N,.."
         ~doc:"Scenario numbers forming the grid columns.")
 
@@ -147,7 +160,7 @@ let term =
         {
           Scenarios.Campaign.seed;
           faults = (if faults = [] then smoke.Scenarios.Campaign.faults else faults);
-          grid_scenarios = List.map Scenarios.Defs.get scenarios;
+          grid_scenarios = scenarios;
         }
       in
       let retry =

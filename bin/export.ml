@@ -51,7 +51,9 @@ let figures_cmd =
     Term.(const run $ out_dir $ domains $ Campaign_cli.shards $ Campaign_cli.metrics)
 
 let scenario_cmd =
-  let n = Arg.(required & pos 0 (some int) None & info [] ~docv:"SCENARIO") in
+  let scenario =
+    Arg.(required & pos 0 (some Campaign_cli.scenario) None & info [] ~docv:"SCENARIO")
+  in
   let repaired =
     Arg.(value & flag & info [ "repaired" ] ~doc:"Run with every defect fixed.")
   in
@@ -61,12 +63,13 @@ let scenario_cmd =
   let stride =
     Arg.(value & opt int 10 & info [ "stride" ] ~doc:"Keep every Nth state (default 10).")
   in
-  let run n out_dir repaired signals stride =
+  let run (s : Scenarios.Defs.t) out_dir repaired signals stride =
+    let n = s.Scenarios.Defs.number in
     ensure_dir out_dir;
     let defects =
       if repaired then Vehicle.Defects.repaired else Vehicle.Defects.as_evaluated
     in
-    let o = Scenarios.Runner.run ~defects (Scenarios.Defs.get n) in
+    let o = Scenarios.Runner.run ~defects s in
     let suffix = if repaired then "_repaired" else "" in
     let trace_path = Filename.concat out_dir (Fmt.str "scenario_%d%s.csv" n suffix) in
     let signals = match signals with [] -> None | l -> Some l in
@@ -80,7 +83,7 @@ let scenario_cmd =
     Fmt.pr "wrote %s@." viol_path
   in
   Cmd.v (Cmd.info "scenario" ~doc:"Export one scenario's trace and violations as CSV.")
-    Term.(const run $ n $ out_dir $ repaired $ signals $ stride)
+    Term.(const run $ scenario $ out_dir $ repaired $ signals $ stride)
 
 let campaign_cmd =
   let run out_dir (seed, campaign) metrics =

@@ -41,103 +41,63 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* [NAME=VALUE] pins a counter exactly; [NAME>=VALUE] sets a floor — the
-   form chaos assertions use, where "the hang was detected" means "at
-   least once", never an exact count. ">=" must be tried first: its
-   second character is the "=" the exact form would otherwise split on. *)
-let parse_expect s =
-  let split op =
-    let oplen = String.length op in
+(* Every relation flag is [NAME op VALUE], split by one function: the
+   operators are tried in order and the first one that occurs in the
+   argument splits it at its first occurrence, so a two-character
+   operator must come before the one-character operator it contains
+   (">=" before "=", whose split of "NAME>=V" would leave "NAME>" as the
+   name). *)
+let op_string ops tag = fst (List.find (fun (_, t) -> t = tag) ops)
+
+let relation ~expected ops value pp_value =
+  let split s (op, tag) =
+    let n = String.length op in
     let rec find i =
-      if i + oplen > String.length s then None
-      else if String.sub s i oplen = op then Some i
+      if i + n > String.length s then None
+      else if String.sub s i n = op then
+        Some (String.sub s 0 i, tag, String.sub s (i + n) (String.length s - i - n))
       else find (i + 1)
     in
-    match find 0 with
-    | None -> None
-    | Some i ->
-        Some
-          ( String.sub s 0 i,
-            String.sub s (i + oplen) (String.length s - i - oplen) )
+    find 0
   in
-  let parsed =
-    match split ">=" with
-    | Some (name, v) -> Some (name, `Ge, v)
-    | None -> (
-        match split "=" with
-        | Some (name, v) -> Some (name, `Eq, v)
-        | None -> None)
+  let parse s =
+    match List.find_map (split s) ops with
+    | Some (name, tag, v) when name <> "" -> (
+        match value v with
+        | Some v -> Ok (name, tag, v)
+        | None -> Error (`Msg expected))
+    | _ -> Error (`Msg expected)
   in
-  match parsed with
-  | None -> Error (`Msg "expected NAME=VALUE or NAME>=VALUE")
-  | Some (name, op, v) -> (
-      match int_of_string_opt v with
-      | Some v when name <> "" -> Ok (name, op, v)
-      | _ ->
-          Error (`Msg "expected NAME=VALUE or NAME>=VALUE with an integer VALUE"))
+  let print ppf (name, tag, v) =
+    Fmt.pf ppf "%s%s%a" name (op_string ops tag) pp_value v
+  in
+  Arg.conv (parse, print)
 
+(* [NAME=VALUE] pins a counter exactly; [NAME>=VALUE] sets a floor — the
+   form chaos assertions use, where "the hang was detected" means "at
+   least once", never an exact count. *)
 let expect_conv =
-  Arg.conv
-    ( parse_expect,
-      fun ppf (n, op, v) ->
-        Fmt.pf ppf "%s%s%d" n (match op with `Eq -> "=" | `Ge -> ">=") v )
+  relation ~expected:"expected NAME=VALUE or NAME>=VALUE with an integer VALUE"
+    [ (">=", `Ge); ("=", `Eq) ]
+    int_of_string_opt Fmt.int
 
 (* Gauge assertions compare floats and add the upper-bound form: a
    drained server must show [serve.queue_depth<=0] — "nothing left" is a
-   ceiling, not a floor. "<=" and ">=" before "=", as above. *)
-let parse_gauge_expect s =
-  let split op =
-    match String.index_opt s (String.get op 0) with
-    | Some i
-      when i + String.length op <= String.length s
-           && String.sub s i (String.length op) = op ->
-        Some
-          ( String.sub s 0 i,
-            String.sub s
-              (i + String.length op)
-              (String.length s - i - String.length op) )
-    | _ -> None
-  in
-  let parsed =
-    match split "<=" with
-    | Some (name, v) -> Some (name, `Le, v)
-    | None -> (
-        match split ">=" with
-        | Some (name, v) -> Some (name, `Ge, v)
-        | None -> (
-            match split "=" with
-            | Some (name, v) -> Some (name, `Eq, v)
-            | None -> None))
-  in
-  match parsed with
-  | None -> Error (`Msg "expected NAME=VALUE, NAME<=VALUE or NAME>=VALUE")
-  | Some (name, op, v) -> (
-      match float_of_string_opt v with
-      | Some v when name <> "" -> Ok (name, op, v)
-      | _ ->
-          Error
-            (`Msg
-              "expected NAME=VALUE, NAME<=VALUE or NAME>=VALUE with a \
-               numeric VALUE"))
-
-let gauge_op_str = function `Eq -> "=" | `Le -> "<=" | `Ge -> ">="
+   ceiling, not a floor. *)
+let gauge_ops = [ ("<=", `Le); (">=", `Ge); ("=", `Eq) ]
 
 let gauge_expect_conv =
-  Arg.conv
-    ( parse_gauge_expect,
-      fun ppf (n, op, v) -> Fmt.pf ppf "%s%s%g" n (gauge_op_str op) v )
-
-let parse_faster s =
-  match String.index_opt s '<' with
-  | None -> Error (`Msg "expected FAST<SLOW (bench entry names)")
-  | Some i ->
-      let a = String.sub s 0 i in
-      let b = String.sub s (i + 1) (String.length s - i - 1) in
-      if a = "" || b = "" then Error (`Msg "expected FAST<SLOW")
-      else Ok (a, b)
+  relation
+    ~expected:
+      "expected NAME=VALUE, NAME<=VALUE or NAME>=VALUE with a numeric VALUE"
+    gauge_ops float_of_string_opt
+    (fun ppf -> Fmt.pf ppf "%g")
 
 let faster_conv =
-  Arg.conv (parse_faster, fun ppf (a, b) -> Fmt.pf ppf "%s<%s" a b)
+  relation ~expected:"expected FAST<SLOW (bench entry names)"
+    [ ("<", `Lt) ]
+    (function "" -> None | slow -> Some slow)
+    Fmt.string
 
 let member_value section json name =
   match Obs.Json.member section json with
@@ -258,7 +218,7 @@ let compare_against ~tolerance path json baseline_path =
       end
       else false
 
-let check_faster path json (fast, slow) =
+let check_faster path json (fast, `Lt, slow) =
   match (bench_value json fast, bench_value json slow) with
   | Some f, Some s when f < s -> true
   | Some f, Some s ->
@@ -345,7 +305,7 @@ let check path expects gauge_expects summary compare tolerance fasters
                 true
             | Some got ->
                 Fmt.epr "%s: gauge %s = %g, expected %s %g@." path name got
-                  (gauge_op_str op) want;
+                  (op_string gauge_ops op) want;
                 false
             | None ->
                 Fmt.epr "%s: gauge %s missing@." path name;

@@ -18,14 +18,14 @@ let spec_conv =
         | Error e -> Error (`Msg e)),
       Inject.Fault.pp )
 
-let run n repaired seed faults signals metrics =
+let run (s : Scenarios.Defs.t) repaired seed faults signals metrics =
   let defects =
     if repaired then Vehicle.Defects.repaired else Vehicle.Defects.as_evaluated
   in
   let inject = Inject.Plan.make ~seed faults in
   if not (Inject.Plan.is_empty inject) then
     Fmt.pr "injecting: %a@." Inject.Plan.pp inject;
-  let o = Scenarios.Runner.run ~defects ~inject (Scenarios.Defs.get n) in
+  let o = Scenarios.Runner.run ~defects ~inject s in
   Fmt.pr "%s@.%s@.@." o.Scenarios.Runner.scenario.Scenarios.Defs.title
     o.Scenarios.Runner.scenario.Scenarios.Defs.description;
   Fmt.pr "%a@." Scenarios.Results.pp_table o;
@@ -41,12 +41,14 @@ let run n repaired seed faults signals metrics =
     signals;
   Option.iter
     (fun path ->
-      Obs.Export.write_file ~name:(Fmt.str "simulate_%d" n) path;
+      Obs.Export.write_file ~name:(Fmt.str "simulate_%d" s.Scenarios.Defs.number) path;
       Fmt.pr "wrote metrics snapshot %s@." path)
     metrics
 
 let () =
-  let n = Arg.(required & pos 0 (some int) None & info [] ~docv:"SCENARIO") in
+  let scenario =
+    Arg.(required & pos 0 (some Campaign_cli.scenario) None & info [] ~docv:"SCENARIO")
+  in
   let repaired =
     Arg.(value & flag & info [ "repaired" ] ~doc:"Run with every seeded defect fixed.")
   in
@@ -79,4 +81,4 @@ let () =
     (Cmd.eval
        (Cmd.v (Cmd.info "simulate" ~doc)
           Term.(
-            const run $ n $ repaired $ seed $ faults $ signals $ metrics)))
+            const run $ scenario $ repaired $ seed $ faults $ signals $ metrics)))

@@ -20,15 +20,14 @@ type t = {
   size : int;
   mutable leases : (unit -> unit) Queue.t list;
       (** round-robin ring of per-batch job queues: each concurrent
-          [try_map_pool] call holds its own lease, and workers take one
-          job from the head lease then rotate it to the back — so two
-          batches sharing the pool interleave at task granularity
-          instead of the second queuing behind the whole first *)
+          [try_map] call holds its own lease, and workers take one job
+          from the head lease then rotate it to the back — so two batches
+          sharing the pool interleave at task granularity instead of the
+          second queuing behind the whole first *)
   lock : Mutex.t;
-  pending : Condition.t;  (** work enqueued, or shutdown requested *)
+  pending : Condition.t;  (** work enqueued *)
   batch_done : Condition.t;  (** a batch counter reached zero *)
-  mutable closed : bool;
-  mutable workers : unit Domain.t list;
+  mutable workers : Domain.id list;  (** fixed before the pool is published *)
 }
 
 (* Next job under fair-share: pop from the head lease, then rotate it to
@@ -50,58 +49,53 @@ let rec take_job pool =
 let depth pool =
   List.fold_left (fun acc q -> acc + Queue.length q) 0 pool.leases
 
+(* A worker serves its pool until the process exits: pools are resident,
+   so there is no exit path. *)
 let worker pool =
   Printexc.record_backtrace true;
   let rec loop () =
     Mutex.lock pool.lock;
     let rec next () =
       match take_job pool with
-      | Some _ as job -> job
+      | Some job -> job
       | None ->
-          if pool.closed then None
-          else (
-            Condition.wait pool.pending pool.lock;
-            next ())
+          Condition.wait pool.pending pool.lock;
+          next ()
     in
-    match next () with
-    | None -> Mutex.unlock pool.lock
-    | Some job ->
-        Mutex.unlock pool.lock;
-        job ();
-        loop ()
+    let job = next () in
+    Mutex.unlock pool.lock;
+    job ();
+    loop ()
   in
   loop ()
 
-let create ?domains () =
-  let size =
-    match domains with
-    | Some n -> max 1 n
-    | None -> max 1 (Domain.recommended_domain_count ())
-  in
-  let pool =
-    {
-      size;
-      leases = [];
-      lock = Mutex.create ();
-      pending = Condition.create ();
-      batch_done = Condition.create ();
-      closed = false;
-      workers = [];
-    }
-  in
-  if size > 1 then
-    pool.workers <- List.init size (fun _ -> Domain.spawn (fun () -> worker pool));
-  pool
+(* The resident pools, one per size, spawned on first use and never shut
+   down. The table is the only state shared by every caller, so it is
+   mutex-guarded; a pool's workers are spawned under that lock, so a pool
+   is published with its worker list complete. *)
+let pools : (int, t) Hashtbl.t = Hashtbl.create 4
+let pools_lock = Mutex.create ()
 
-let size pool = pool.size
-
-let shutdown pool =
-  Mutex.lock pool.lock;
-  pool.closed <- true;
-  Condition.broadcast pool.pending;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join pool.workers;
-  pool.workers <- []
+let resident size =
+  Mutex.protect pools_lock (fun () ->
+      match Hashtbl.find_opt pools size with
+      | Some pool -> pool
+      | None ->
+          let pool =
+            {
+              size;
+              leases = [];
+              lock = Mutex.create ();
+              pending = Condition.create ();
+              batch_done = Condition.create ();
+              workers = [];
+            }
+          in
+          pool.workers <-
+            List.init size (fun _ ->
+                Domain.get_id (Domain.spawn (fun () -> worker pool)));
+          Hashtbl.add pools size pool;
+          pool)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry. Counter parity between the pooled and sequential paths:
@@ -160,116 +154,80 @@ let guarded_seq ?abort f x ~index =
   count_published r;
   r
 
-(** A worker asking its own pool to run a batch would deadlock (every
-    worker may end up blocked on an inner batch no free worker can ever
-    start), so refuse re-entrant submissions outright. *)
-let check_reentrancy pool =
-  let self = Domain.self () in
-  Mutex.lock pool.lock;
-  let reentrant =
-    List.exists (fun d -> Domain.get_id d = self) pool.workers
-  in
-  Mutex.unlock pool.lock;
-  if reentrant then raise Reentrant_submission
-
-let try_map_pool ?abort pool f xs =
-  check_reentrancy pool;
+(* One batch on a resident pool. A worker asking its own pool to run a
+   batch would deadlock (every worker may end up blocked on an inner batch
+   no free worker can ever start), so a re-entrant submission is refused
+   outright; the worker list never changes once the pool is published. *)
+let run_batch ?abort pool f xs =
+  if List.mem (Domain.self ()) pool.workers then raise Reentrant_submission;
   Obs.Metrics.incr m_batches;
   Obs.Metrics.set g_workers (float_of_int pool.size);
   let n = List.length xs in
   let results = Array.make n None in
-  (if pool.workers = [] then
-     (* size-1 pool: sequential fallback on the calling domain *)
-     List.iteri
-       (fun i x -> results.(i) <- Some (guarded_seq ?abort f x ~index:i))
-       xs
-   else begin
-     let remaining = ref n in
-     let submitted = Obs.Clock.now () in
-     (* Called with the pool lock held. *)
-     let publish i r =
-       results.(i) <- Some r;
-       count_published r;
-       decr remaining;
-       if !remaining = 0 then Condition.broadcast pool.batch_done
-     in
-     (* This batch's lease: all its jobs queue here, and the lease joins
-        the pool's round-robin ring in one step below — a batch is never
-        half-visible, and concurrent batches interleave fairly. *)
-     let lease = Queue.create () in
-     List.iteri
-       (fun i x ->
-         let job () =
-           Mutex.lock pool.lock;
-           (* Cooperative cancellation: a task a worker has not yet
-              started is published as [Aborted] instead of being run. The
-              [abort] probe must be fast and non-blocking (it is called
-              under the pool lock) — an [Atomic.get] in practice. Tasks
-              already running are never preempted. *)
-           let aborted = aborting abort in
-           if aborted then publish i (aborted_error ~index:i)
-           else Obs.Metrics.observe h_wait (Obs.Clock.now () -. submitted);
-           Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
-           Mutex.unlock pool.lock;
-           if not aborted then begin
-             let r = timed f x ~index:i in
-             Mutex.lock pool.lock;
-             publish i r;
-             Mutex.unlock pool.lock
-           end
-         in
-         Obs.Metrics.incr m_submitted;
-         Queue.push job lease)
-       xs;
-     Mutex.lock pool.lock;
-     pool.leases <- pool.leases @ [ lease ];
-     Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
-     Condition.broadcast pool.pending;
-     while !remaining > 0 do
-       Condition.wait pool.batch_done pool.lock
-     done;
-     Mutex.unlock pool.lock
-   end);
+  let remaining = ref n in
+  let submitted = Obs.Clock.now () in
+  (* Called with the pool lock held. *)
+  let publish i r =
+    results.(i) <- Some r;
+    count_published r;
+    decr remaining;
+    if !remaining = 0 then Condition.broadcast pool.batch_done
+  in
+  (* This batch's lease: all its jobs queue here, and the lease joins the
+     pool's round-robin ring in one step below — a batch is never
+     half-visible, and concurrent batches interleave fairly. *)
+  let lease = Queue.create () in
+  List.iteri
+    (fun i x ->
+      let job () =
+        Mutex.lock pool.lock;
+        (* Cooperative cancellation: a task a worker has not yet started
+           is published as [Aborted] instead of being run. The [abort]
+           probe must be fast and non-blocking (it is called under the
+           pool lock) — an [Atomic.get] in practice. Tasks already running
+           are never preempted. *)
+        let aborted = aborting abort in
+        if aborted then publish i (aborted_error ~index:i)
+        else Obs.Metrics.observe h_wait (Obs.Clock.now () -. submitted);
+        Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
+        Mutex.unlock pool.lock;
+        if not aborted then begin
+          let r = timed f x ~index:i in
+          Mutex.lock pool.lock;
+          publish i r;
+          Mutex.unlock pool.lock
+        end
+      in
+      Obs.Metrics.incr m_submitted;
+      Queue.push job lease)
+    xs;
+  Mutex.lock pool.lock;
+  pool.leases <- pool.leases @ [ lease ];
+  Obs.Metrics.set g_queue_depth (float_of_int (depth pool));
+  Condition.broadcast pool.pending;
+  while !remaining > 0 do
+    Condition.wait pool.batch_done pool.lock
+  done;
+  Mutex.unlock pool.lock;
   Array.to_list (Array.map Option.get results)
 
-let reraise_first results =
+let try_map ?domains ?abort f xs =
+  let size =
+    match domains with
+    | Some n -> max 1 n
+    | None -> max 1 (Domain.recommended_domain_count ())
+  in
+  if size > 1 then run_batch ?abort (resident size) f xs
+  else begin
+    (* one domain: sequential fallback on the calling domain *)
+    Obs.Metrics.incr m_batches;
+    Obs.Metrics.set g_workers 1.;
+    List.mapi (fun i x -> guarded_seq ?abort f x ~index:i) xs
+  end
+
+let map ?domains f xs =
   List.map
     (function
       | Ok v -> v
       | Error e -> Printexc.raise_with_backtrace e.exn e.backtrace)
-    results
-
-let map_pool pool f xs = reraise_first (try_map_pool pool f xs)
-
-(* ------------------------------------------------------------------ *)
-
-let default_lock = Mutex.create ()
-let default_pool = ref None
-
-let default () =
-  Mutex.lock default_lock;
-  let pool =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-        let p = create () in
-        default_pool := Some p;
-        p
-  in
-  Mutex.unlock default_lock;
-  pool
-
-let try_map ?domains ?abort f xs =
-  match domains with
-  | None -> try_map_pool ?abort (default ()) f xs
-  | Some n when n <= 1 ->
-      Obs.Metrics.incr m_batches;
-      Obs.Metrics.set g_workers 1.;
-      List.mapi (fun i x -> guarded_seq ?abort f x ~index:i) xs
-  | Some n ->
-      let pool = create ~domains:n () in
-      Fun.protect
-        ~finally:(fun () -> shutdown pool)
-        (fun () -> try_map_pool ?abort pool f xs)
-
-let map ?domains f xs = reraise_first (try_map ?domains f xs)
+    (try_map ?domains f xs)

@@ -12,9 +12,9 @@
     The coordinator owns every piece of orchestration state — pending
     queue, in-flight assignments, restart budgets, results — and
     multiplexes worker pipes with [Unix.select]. Workers are pure
-    compute: read an assignment frame, run it (on a private domain pool
-    when [domains > 1]), write one result frame per task, repeat until
-    EOF. *)
+    compute: read an assignment frame, run it (on the worker's resident
+    {!Pool} of [domains] domains), write one result frame per task, repeat
+    until EOF. *)
 
 exception Worker_failure of { printed : string; trace : string }
 exception Worker_crashed of { slot : int }
@@ -84,24 +84,12 @@ type worker_to_coordinator =
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                          *)
 
-let run_batch pool f job (tasks : (int * string) array) =
+let run_batch ~domains f job (tasks : (int * string) array) =
   let xs =
     Array.to_list
       (Array.map (fun (_, payload) -> Marshal.from_string payload 0) tasks)
   in
-  let results =
-    match pool with
-    | Some p -> Pool.try_map_pool p f xs
-    | None ->
-        List.map
-          (fun x ->
-            match f x with
-            | v -> Ok v
-            | exception exn ->
-                Error
-                  { Pool.index = 0; exn; backtrace = Printexc.get_raw_backtrace () })
-          xs
-  in
+  let results = Pool.try_map ~domains f xs in
   List.map2
     (fun (index, _) r ->
       let value =
@@ -156,10 +144,9 @@ let worker_main fd =
   let buf = Frame.create () in
   match Frame.read fd buf with
   | `Frame (Hello { slot; domains }) ->
-      (* The domain pool outlives every job bound on this pipe: a warm
-         worker keeps its domains (and any process-lifetime caches its
-         tasks populate) across [try_map] calls. *)
-      let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
+      (* Batches run on the worker's resident pool of [domains] domains,
+         so a warm worker keeps its domains (and any process-lifetime
+         caches its tasks populate) across [try_map] calls. *)
       let bound = ref None in
       (* Liveness: while a batch is in progress ([hb_job] >= 0) a
          dedicated domain writes one heartbeat frame per interval, under
@@ -201,7 +188,7 @@ let worker_main fd =
             match !bound with
             | Some (bound_job, f, havoc) when bound_job = job -> (
                 Atomic.set hb_job job;
-                let frames = run_batch pool f job tasks in
+                let frames = run_batch ~domains f job tasks in
                 let injected =
                   match havoc with Some h -> h ~slot ~seq | None -> None
                 in
@@ -283,34 +270,28 @@ type worker = {
 }
 
 (* A resident fleet: one warm worker process per slot, spawned on first
-   use of its [(label, shards, domains)] shape and kept across [try_map]
-   calls until {!shutdown_fleets} (or process exit). Worker processes
-   carry their domain pools and any process-lifetime caches with them,
-   so the spawn + handshake cost is paid once per campaign, not once per
-   batch of cells.
+   use of its [(coordinator, shards, domains)] key and kept across
+   [try_map] calls until {!shutdown_fleets} (or process exit). Worker
+   processes carry their domain pools and any process-lifetime caches
+   with them, so the spawn + handshake cost is paid once per campaign,
+   not once per batch of cells.
 
-   The label partitions the warm pool of workers into independent
-   fleets: concurrent coordinators (the serve daemon's executor lanes)
-   each lease their own labeled fleet, because a worker serves exactly
-   one bound job at a time — two jobs multiplexed onto one fleet would
-   clobber each other's binding. The registry itself is the only state
-   shared across those coordinator domains, so it is mutex-guarded;
-   everything inside a fleet is owned by the one coordinator running a
-   job on it. *)
+   The coordinator is the domain calling [try_map]. A worker serves
+   exactly one bound job at a time — two jobs multiplexed onto one fleet
+   would clobber each other's binding — so keying fleets by the calling
+   domain gives concurrent coordinators (the serve daemon's executor
+   lanes) disjoint worker processes by construction. Domain ids are never
+   reused, so no domain inherits another's fleet. The registry itself is
+   the only state shared across coordinator domains, so it is
+   mutex-guarded; everything inside a fleet is owned by its coordinator. *)
 type fleet = {
-  f_label : string;
-  f_shards : int;
-  f_domains : int;
+  key : Domain.id * int * int;  (** coordinator, shards, domains *)
   mutable members : worker list;
   mutable next_job : int;
 }
 
-let fleets : (string * int * int, fleet) Hashtbl.t = Hashtbl.create 4
+let fleets : (Domain.id * int * int, fleet) Hashtbl.t = Hashtbl.create 4
 let fleets_lock = Mutex.create ()
-
-let with_fleets_lock f =
-  Mutex.lock fleets_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock fleets_lock) f
 
 let reap pid =
   let rec go () =
@@ -335,13 +316,12 @@ let dismiss w =
 
 let destroy_fleet fleet =
   List.iter dismiss fleet.members;
-  with_fleets_lock (fun () ->
-      Hashtbl.remove fleets (fleet.f_label, fleet.f_shards, fleet.f_domains));
+  Mutex.protect fleets_lock (fun () -> Hashtbl.remove fleets fleet.key);
   Obs.Metrics.set g_workers 0.
 
 let shutdown_fleets () =
   let all =
-    with_fleets_lock (fun () ->
+    Mutex.protect fleets_lock (fun () ->
         Hashtbl.fold (fun _ fleet acc -> fleet :: acc) fleets [])
   in
   List.iter destroy_fleet all
@@ -411,30 +391,30 @@ let spawn_guarded ~domains ?fault ~attempts w =
         Obs.Metrics.incr m_spawn_failures;
         false
 
-(* The fleet for a [(label, shards, domains)] shape: created on first
-   use; dead slots (budget exhaustion in an earlier job, a kill between
-   jobs, or a spawn failure) are respawned here via [spawn_one] without
-   charging any budget — each job starts with as full a complement as
-   spawning allows and a fresh restart budget.
+(* The calling domain's fleet of [shards] workers with [domains] domains
+   each: created on first use; dead slots (budget exhaustion in an
+   earlier job, a kill between jobs, or a spawn failure) are respawned
+   here via [spawn_one] without charging any budget — each job starts
+   with as full a complement as spawning allows and a fresh restart
+   budget.
 
    The registry lookup (and the one-time process setup) runs under the
-   registry lock: concurrent coordinators resolving different labels
-   must not race the Hashtbl, and the lazies must be forced exactly once
+   registry lock: concurrent coordinators resolving their fleets must not
+   race the Hashtbl, and the lazies must be forced exactly once
    before any unlocked re-read. Respawning the fleet's members happens
    outside the lock — the fleet is owned by its coordinator. *)
-let get_fleet ~label ~shards ~domains ~spawn_one =
+let get_fleet ~shards ~domains ~spawn_one =
+  let key = (Domain.self (), shards, domains) in
   let fleet =
-    with_fleets_lock (fun () ->
+    Mutex.protect fleets_lock (fun () ->
         Lazy.force ensure_process_setup;
         ignore (Lazy.force spawn_env : string array);
-        match Hashtbl.find_opt fleets (label, shards, domains) with
+        match Hashtbl.find_opt fleets key with
         | Some fleet -> fleet
         | None ->
             let fleet =
               {
-                f_label = label;
-                f_shards = shards;
-                f_domains = domains;
+                key;
                 members =
                   List.init shards (fun slot ->
                       {
@@ -452,7 +432,7 @@ let get_fleet ~label ~shards ~domains ~spawn_one =
                 next_job = 0;
               }
             in
-            Hashtbl.add fleets (label, shards, domains) fleet;
+            Hashtbl.add fleets key fleet;
             fleet)
   in
   List.iter
@@ -460,7 +440,7 @@ let get_fleet ~label ~shards ~domains ~spawn_one =
     fleet.members;
   fleet
 
-let warm ?(fleet = "") ?shards ?(domains = 1) () =
+let warm ?shards ?(domains = 1) () =
   if in_worker () then
     invalid_arg "Shard.warm: nested sharding inside a shard worker";
   let domains = max 1 domains in
@@ -471,8 +451,7 @@ let warm ?(fleet = "") ?shards ?(domains = 1) () =
   in
   let attempts = ref 0 in
   ignore
-    (get_fleet ~label:fleet ~shards ~domains
-       ~spawn_one:(spawn_guarded ~domains ~attempts))
+    (get_fleet ~shards ~domains ~spawn_one:(spawn_guarded ~domains ~attempts))
 
 let rec take n = function
   | [] -> ([], [])
@@ -489,7 +468,7 @@ let notify on_result index v =
   | exception exn ->
       Error { Pool.index; exn; backtrace = Printexc.get_raw_backtrace () }
 
-let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
+let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
     ?batch ?on_result ?abort ?havoc ?spawn_fault
     ?(hang_timeout_s = default_hang_timeout_s) ?deadline_s (f : a -> b)
     (xs : a list) : (b, Pool.error) result list =
@@ -514,7 +493,7 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
     let now () = Obs.Clock.now () in
     let attempts = ref 0 in
     let spawn_one = spawn_guarded ~domains ?fault:spawn_fault ~attempts in
-    let fleet = get_fleet ~label:fleet ~shards ~domains ~spawn_one in
+    let fleet = get_fleet ~shards ~domains ~spawn_one in
     if not (List.exists (fun w -> w.alive) fleet.members) then begin
       (* Graceful degradation: not one worker could be spawned, so the
          batch runs in-process on a domain pool instead of dying — same
@@ -788,15 +767,16 @@ let try_map (type a b) ?(fleet = "") ?shards ?(domains = 1) ?(restarts = 2)
          destroy_fleet fleet;
          raise e);
       let wall = now () -. t_start in
+      (* Each coordinator sets its own gauges, so concurrent lanes do not
+         clobber each other's; the main domain keeps the plain names. *)
+      let prefix =
+        if Domain.is_main_domain () then "shard."
+        else Printf.sprintf "shard.d%d." (Domain.self () :> int)
+      in
       List.iter
         (fun w ->
           Obs.Metrics.set
-            (Obs.Metrics.gauge
-               (if fleet.f_label = "" then
-                  Printf.sprintf "shard.worker%d.utilization" w.slot
-                else
-                  Printf.sprintf "shard.%s.worker%d.utilization" fleet.f_label
-                    w.slot))
+            (Obs.Metrics.gauge (Printf.sprintf "%sworker%d.utilization" prefix w.slot))
             (if wall > 0. then Float.min 1. (w.busy_s /. wall) else 0.))
         fleet.members;
       (* The loop's postcondition — every cell settled — deserves a real

@@ -25,17 +25,16 @@
 
     {1 Warm fleets}
 
-    Workers are {e resident}: the first run with a given
-    [(fleet, shards, domains)] shape spawns that fleet, and the fleet then
-    stays warm across [try_map] calls until {!shutdown_fleets} or process
-    exit. The [fleet] label (default ["" ]) names an independent fleet:
-    a worker serves exactly one bound job at a time, so concurrent
-    coordinator domains (e.g. the serve daemon's executor lanes) each use
-    their own label to get disjoint worker processes — a fleet-share
-    partition of the machine — instead of racing one fleet's sockets.
-    The registry itself is mutex-guarded, so concurrent [try_map] calls
-    on {e different} labels are safe; concurrent calls on the {e same}
-    label are not (one coordinator per fleet).
+    Workers are {e resident} and found by their shape: the first run
+    from a given coordinating domain with a given [(shards, domains)]
+    shape spawns that fleet, and the fleet then stays warm across
+    [try_map] calls from that domain until {!shutdown_fleets} or process
+    exit. A worker serves exactly one bound job at a time, so fleets are
+    keyed by the calling domain: concurrent coordinator domains (e.g. the
+    serve daemon's executor lanes) get disjoint worker processes — a
+    fleet-share partition of the machine — and "one coordinator per
+    fleet" holds by construction. Domain ids are never reused, so no
+    domain inherits another's fleet.
     A worker keeps its domain pool and any process-lifetime caches its
     tasks populate, so a campaign pays the spawn + handshake cost once,
     not once per batch of cells. Each call binds a fresh {e job} on the
@@ -106,9 +105,9 @@
     per batch member), a [shard.batch_size] histogram (cells per
     assignment frame), and per-worker [shard.worker<slot>.utilization]
     gauges (busy fraction of the run's wall time, set when the run
-    settles; a labelled fleet's gauges are
-    [shard.<label>.worker<slot>.utilization] so concurrent lanes do not
-    clobber each other).
+    settles; a coordinator other than the main domain sets
+    [shard.d<id>.worker<slot>.utilization], [<id>] its domain id, so
+    concurrent lanes do not clobber each other).
 
     The first shard run in a process sets [SIGPIPE] to ignore, so writes
     to a just-died worker surface as [EPIPE] (handled as worker death)
@@ -176,11 +175,11 @@ val in_worker : unit -> bool
     diagnostics; user code never observes it as [true] except from
     inside a task function. *)
 
-val warm : ?fleet:string -> ?shards:int -> ?domains:int -> unit -> unit
-(** [warm ~fleet ~shards ~domains ()] spawns (or completes) the resident
-    fleet for that shape without running any tasks, so a subsequent
-    [try_map] — or a benchmark timing one — pays no spawn cost.
-    Parameter defaults match {!try_map}.
+val warm : ?shards:int -> ?domains:int -> unit -> unit
+(** [warm ~shards ~domains ()] spawns (or completes) the calling domain's
+    resident fleet for that shape without running any tasks, so a
+    subsequent [try_map] from the same domain — or a benchmark timing
+    one — pays no spawn cost. Parameter defaults match {!try_map}.
 
     @raise Invalid_argument when called from inside a shard worker. *)
 
@@ -190,7 +189,6 @@ val shutdown_fleets : unit -> unit
     the first shard run. Subsequent runs simply respawn. *)
 
 val try_map :
-  ?fleet:string ->
   ?shards:int ->
   ?domains:int ->
   ?restarts:int ->
@@ -205,19 +203,16 @@ val try_map :
   'a list ->
   ('b, Pool.error) result list
 (** [try_map f xs] runs [f] once over every element of [xs] across the
-    resident worker fleet and returns result [i] for input [i], like
-    {!Pool.try_map}. It never retries a task that failed: wrap it in
-    {!Supervise.try_map} for retry and quarantine.
+    calling domain's resident worker fleet (see {e Warm fleets} above) and
+    returns result [i] for input [i], like {!Pool.try_map}. It never
+    retries a task that failed: wrap it in {!Supervise.try_map} for retry
+    and quarantine.
 
-    - [fleet] — resident-fleet label (default [""], the anonymous
-      fleet). Distinct labels get disjoint worker processes; see
-      {e Warm fleets} above. Pick a per-lane label when several
-      coordinator domains run [try_map] concurrently.
     - [shards] — worker process count (default: recommended domain count
       divided by [domains], at least 1).
-    - [domains] — domains {e per worker}: each worker builds its own
-      {!Pool} of that size and runs each batch on it (default 1, i.e.
-      sequential workers).
+    - [domains] — domains {e per worker}: each worker runs each batch on
+      its resident {!Pool} of that size (default 1, i.e. sequential
+      workers).
     - [restarts] — how many times each slot may be respawned after a
       crash (default 2), counted per call. A crash requeues the dead
       worker's in-flight cells: crash recovery, not retry — the cells

@@ -97,7 +97,7 @@ val in_process :
 (** The domain-pool runner: {!Pool.try_map} with the same [domains] and
     [abort], calling the settle hook inside the task on the domain that
     ran it (so the hook must be domain-safe). [~domains:n] with [n > 1]
-    runs each round on a transient pool of [n] workers. *)
+    runs each round on the resident pool of [n] workers. *)
 
 val try_map :
   ?policy:policy ->

@@ -287,11 +287,10 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     the catalogue is recoverable, so the matrix under any chaos plan is
     bit-for-bit the chaos-free one. [hang_timeout_s] / [deadline_s]
     configure the sharded coordinator's liveness sweep
-    ({!Exec.Shard.try_map}). [fleet] names the resident worker fleet the
-    sharded branch uses (default: the anonymous fleet); concurrent
-    campaigns driven from separate coordinator domains — the serve
-    daemon's executor lanes — must pass distinct labels so each gets its
-    own disjoint worker processes.
+    ({!Exec.Shard.try_map}). The sharded branch runs on the calling
+    domain's resident worker fleet, so concurrent campaigns driven from
+    separate coordinator domains — the serve daemon's executor lanes —
+    get disjoint worker processes without naming them.
 
     [on_cell] is a progress-and-streaming hook, called once per settled
     cell with the cell itself — replayed cells right after the journal
@@ -307,7 +306,7 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     {!Exec.Pool.Aborted} (regardless of [retry]) — completed cells are
     already journaled, so a resumed run continues exactly past the abort
     point. *)
-let run ?fleet ?domains ?shards ?batch ?use_cache
+let run ?domains ?shards ?batch ?use_cache
     ?(defects = Vehicle.Defects.repaired)
     ?(window = Runner.default_window) ?journal ?(resume = false) ?retry
     ?on_cell ?abort ?chaos ?hang_timeout_s ?deadline_s (g : grid) : t =
@@ -379,7 +378,7 @@ let run ?fleet ?domains ?shards ?batch ?use_cache
              crash-safe resume works unchanged (a worker SIGKILL costs at
              most the cells in flight). *)
           fun ~on_result f xs ->
-            Exec.Shard.try_map ?fleet ~shards:s ?domains ?batch ~on_result
+            Exec.Shard.try_map ~shards:s ?domains ?batch ~on_result
               ?abort
               ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
               ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)

@@ -4,15 +4,16 @@
     Concurrency shape: the main thread owns every socket and every piece
     of request state, multiplexed through one [Unix.select] loop;
     [concurrent] executor {e lanes} (domains) each run one campaign at a
-    time, warm per-lane fleet and shared outcome cache resident between
-    them. Lanes and main loop meet through three structures guarded by
-    one mutex — the backlog, the done queue and the [running] list —
-    plus per-request atomics ([abort], [progress]) that the campaign
-    machinery reads without any lock. A lane picks the {e smallest}
-    queued grid first (ties by ticket), so a 1-cell campaign submitted
-    behind a hundred-cell one starts on the next free lane instead of
-    head-of-line blocking. Executors never touch a socket; the main
-    loop never simulates. *)
+    time, on their own resident worker fleet (fleets are keyed by the
+    coordinating domain) or on the shared resident domain pool, with the
+    shared outcome cache resident between campaigns. Lanes and main loop
+    meet through three structures guarded by one mutex — the backlog,
+    the done queue and the [running] list — plus per-request atomics
+    ([abort], [progress]) that the campaign machinery reads without any
+    lock. A lane picks the {e smallest} queued grid first (ties by
+    ticket), so a 1-cell campaign submitted behind a hundred-cell one
+    starts on the next free lane instead of head-of-line blocking.
+    Executors never touch a socket; the main loop never simulates. *)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
@@ -555,7 +556,7 @@ let gc_store s =
         Obs.Metrics.set g_store_bytes (float_of_int !remaining)
       end
 
-let run_request s ~lane (r : req) =
+let run_request s (r : req) =
   let t0 = Obs.Clock.now () in
   let retry =
     if r.spec.Wire.retries > 0 then
@@ -569,20 +570,20 @@ let run_request s ~lane (r : req) =
      cancel, orphaning) with the global drain stop; either aborts the
      campaign at the next cell boundary. *)
   let abort () = Atomic.get r.abort || Atomic.get s.stop in
-  (* Fleet-share scheduling: with [concurrent = k] lanes, each lane
-     leases a 1/k share of the configured worker fleet under its own
-     label — disjoint resident worker processes per lane, so one
-     campaign's crash/abort recovery never touches a neighbour's
-     workers. With one lane the anonymous full-size fleet is used, so
-     [concurrent = 1] is byte- and fleet-identical to the old daemon. *)
-  let k = max 1 s.cfg.concurrent in
-  let fleet = if k > 1 then Some (Printf.sprintf "lane%d" lane) else None in
-  let share n = max 1 (n / k) in
-  let shards = Option.map share s.cfg.shards in
-  let domains = if k > 1 then Option.map share s.cfg.domains else s.cfg.domains in
+  (* Fleet-share scheduling: with [concurrent = k] lanes, a sharded lane
+     runs on a 1/k share of the configured worker fleet. Fleets are keyed
+     by the coordinating domain, so each lane's share is its own resident
+     worker processes and one campaign's crash/abort recovery never
+     touches a neighbour's workers. [domains] is passed whole: unsharded
+     lanes share the resident pool of that size through its lease ring,
+     and each sharded lane's workers run that many domains. *)
+  let shards =
+    Option.map (fun n -> max 1 (n / max 1 s.cfg.concurrent)) s.cfg.shards
+  in
   Obs.Metrics.incr m_slot_leases;
   match
-    Scenarios.Campaign.run ?fleet ?domains ?shards ?window:r.spec.Wire.window
+    Scenarios.Campaign.run ?domains:s.cfg.domains ?shards
+      ?window:r.spec.Wire.window
       ~journal:(cells_path s.cfg r.digest)
       ~resume:true ?retry
       ~on_cell:(fun _cell -> Atomic.incr r.progress)
@@ -606,7 +607,7 @@ let run_request s ~lane (r : req) =
    the next free lane immediately — the head-of-line block the
    concurrent daemon exists to remove. Entries settled while queued
    (kill, drain) are pruned on the way. *)
-let executor s ~lane =
+let executor s =
   let rec next () =
     Mutex.lock s.m;
     let rec pick () =
@@ -641,7 +642,7 @@ let executor s ~lane =
     | None -> ()
     | Some r ->
         Obs.Metrics.observe h_queue_wait (Obs.Clock.now () -. r.submitted_at);
-        let outcome = run_request s ~lane r in
+        let outcome = run_request s r in
         Mutex.lock s.m;
         s.running <- List.filter (fun r' -> r' != r) s.running;
         Obs.Metrics.set g_concurrent (float_of_int (List.length s.running));
@@ -986,8 +987,7 @@ let run cfg =
   let ltcp = Option.map listen_tcp cfg.tcp_port in
   let listeners = lunix :: Option.to_list ltcp in
   let lanes =
-    List.init (max 1 cfg.concurrent) (fun lane ->
-        Domain.spawn (fun () -> executor s ~lane))
+    List.init (max 1 cfg.concurrent) (fun _ -> Domain.spawn (fun () -> executor s))
   in
   main_loop s listeners;
   final_flush s;

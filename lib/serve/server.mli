@@ -19,8 +19,10 @@
       quotas bound what any one client can hold.
     - {e Fleet-share scheduling}: [concurrent] executor lanes (domains)
       run admitted campaigns in parallel, each leasing a [1/concurrent]
-      share of the configured shard fleet under its own label —
-      disjoint resident worker processes per lane
+      share of the configured shard fleet — disjoint resident worker
+      processes per lane, because fleets are keyed by the coordinating
+      domain — while unsharded lanes share the resident domain pool's
+      fair-share lease ring
       ([serve.concurrent] gauge, [serve.slot_leases] counter). A free
       lane picks the {e smallest} queued grid first (FIFO among
       equals), so a 1-cell probe submitted behind a long grid completes

@@ -50,23 +50,43 @@ let test_exception_isolated () =
     results
 
 let test_pool_survives_failure () =
-  (* A failing batch must not take down the workers: the same pool runs a
-     clean batch afterwards. *)
-  let pool = Exec.Pool.create ~domains:3 () in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown pool)
-    (fun () ->
-      let first =
-        Exec.Pool.try_map_pool pool
-          (fun i -> if i mod 2 = 0 then failwith "even" else i)
-          (List.init 6 Fun.id)
-      in
-      Alcotest.(check int) "3 failures reported" 3
-        (List.length (List.filter Result.is_error first));
-      Alcotest.(check (list int))
-        "pool usable after failures"
-        [ 0; 10; 20 ]
-        (Exec.Pool.map_pool pool (fun i -> i * 10) [ 0; 1; 2 ]))
+  (* A failing batch must not take down the workers: the same resident
+     pool runs a clean batch afterwards. *)
+  let first =
+    Exec.Pool.try_map ~domains:3
+      (fun i -> if i mod 2 = 0 then failwith "even" else i)
+      (List.init 6 Fun.id)
+  in
+  Alcotest.(check int) "3 failures reported" 3
+    (List.length (List.filter Result.is_error first));
+  Alcotest.(check (list int))
+    "pool usable after failures"
+    [ 0; 10; 20 ]
+    (Exec.Pool.map ~domains:3 (fun i -> i * 10) [ 0; 1; 2 ])
+
+let test_pool_resident () =
+  (* Every batch of one size runs on the same resident workers: twenty
+     batches on three domains see at most three distinct domains, and
+     never the caller's (a pool built per batch would show a fresh set
+     each time). *)
+  let seen = ref [] in
+  let lock = Mutex.create () in
+  for _ = 1 to 20 do
+    ignore
+      (Exec.Pool.map ~domains:3
+         (fun () ->
+           let self = Domain.self () in
+           Mutex.protect lock (fun () ->
+               if not (List.mem self !seen) then seen := self :: !seen))
+         (List.init 6 (fun _ -> ()))
+        : unit list)
+  done;
+  Alcotest.(check bool)
+    (Fmt.str "at most 3 worker domains (saw %d)" (List.length !seen))
+    true
+    (List.length !seen <= 3);
+  Alcotest.(check bool) "tasks never ran on the caller" false
+    (List.mem (Domain.self ()) !seen)
 
 let test_map_reraises () =
   match Exec.Pool.map ~domains:2 (fun i -> if i = 1 then raise (Boom 1) else i) [ 0; 1 ] with
@@ -86,38 +106,35 @@ let test_backtrace_preserved () =
   Alcotest.(check bool) "backtrace recording enabled" true (Printexc.backtrace_status ())
 
 let test_reentrant_submission () =
-  (* A task submitting to its own pool is a guaranteed deadlock; it must
-     be refused with [Reentrant_submission] — captured as that task's
-     error — while an inner batch on a *different* pool stays legal. *)
-  let pool = Exec.Pool.create ~domains:2 () in
-  Fun.protect
-    ~finally:(fun () -> Exec.Pool.shutdown pool)
-    (fun () ->
-      let results =
-        Exec.Pool.try_map_pool pool
-          (fun i ->
-            if i = 0 then
-              (* would deadlock if accepted *)
-              List.length (Exec.Pool.map_pool pool Fun.id [ 1; 2; 3 ])
-            else i)
-          [ 0; 1 ]
-      in
-      (match results with
-      | [ Error e; Ok 1 ] ->
-          Alcotest.(check bool) "refused as Reentrant_submission" true
-            (e.Exec.Pool.exn = Exec.Pool.Reentrant_submission)
-      | _ -> Alcotest.fail "expected task 0 refused, task 1 fine");
-      (* the refusal must not poison the pool *)
-      Alcotest.(check (list int))
-        "pool usable afterwards" [ 0; 2; 4 ]
-        (Exec.Pool.map_pool pool (fun i -> 2 * i) [ 0; 1; 2 ]);
-      (* a nested batch on another pool is not re-entrant *)
-      let inner =
-        Exec.Pool.map_pool pool
-          (fun i -> List.fold_left ( + ) 0 (Exec.Pool.map ~domains:1 Fun.id [ i; i ]))
-          [ 3 ]
-      in
-      Alcotest.(check (list int)) "different pool allowed" [ 6 ] inner)
+  (* A task submitting to its own pool — a batch of its pool's size — is a
+     guaranteed deadlock; it must be refused with [Reentrant_submission]
+     — captured as that task's error — while an inner batch of another
+     size, on another pool, stays legal. *)
+  let results =
+    Exec.Pool.try_map ~domains:2
+      (fun i ->
+        if i = 0 then
+          (* would deadlock if accepted *)
+          List.length (Exec.Pool.map ~domains:2 Fun.id [ 1; 2; 3 ])
+        else i)
+      [ 0; 1 ]
+  in
+  (match results with
+  | [ Error e; Ok 1 ] ->
+      Alcotest.(check bool) "refused as Reentrant_submission" true
+        (e.Exec.Pool.exn = Exec.Pool.Reentrant_submission)
+  | _ -> Alcotest.fail "expected task 0 refused, task 1 fine");
+  (* the refusal must not poison the pool *)
+  Alcotest.(check (list int))
+    "pool usable afterwards" [ 0; 2; 4 ]
+    (Exec.Pool.map ~domains:2 (fun i -> 2 * i) [ 0; 1; 2 ]);
+  (* a nested batch on another pool is not re-entrant *)
+  let inner =
+    Exec.Pool.map ~domains:2
+      (fun i -> List.fold_left ( + ) 0 (Exec.Pool.map ~domains:1 Fun.id [ i; i ]))
+      [ 3 ]
+  in
+  Alcotest.(check (list int)) "different pool allowed" [ 6 ] inner
 
 (* ------------------------------------------------------------------ *)
 (* Fleet equivalence: parallel run_all is bit-for-bit the sequential run *)
@@ -287,6 +304,7 @@ let () =
           Alcotest.test_case "submission-order determinism" `Quick test_submission_order;
           Alcotest.test_case "per-task exception capture" `Quick test_exception_isolated;
           Alcotest.test_case "pool survives task failure" `Quick test_pool_survives_failure;
+          Alcotest.test_case "pools are resident" `Quick test_pool_resident;
           Alcotest.test_case "map re-raises" `Quick test_map_reraises;
           Alcotest.test_case "worker backtrace preserved" `Quick test_backtrace_preserved;
           Alcotest.test_case "re-entrant submission refused" `Quick

@@ -581,8 +581,8 @@ let test_interleaved_identical () =
 (* Aborting one concurrent request (here: by orphaning — its only
    client disconnects) must leave the neighbour lane's fleet lease
    untouched: the survivor completes byte-identical. [shards=2] with
-   two lanes exercises the labelled per-lane fleet split (one worker
-   process each). *)
+   two lanes exercises the per-lane fleet split (each lane's domain
+   coordinates its own fleet of one worker process). *)
 let test_abort_leaves_other () =
   let d = start_daemon ~args:[ "concurrent=2"; "shards=2" ] () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->

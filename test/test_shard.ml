@@ -316,6 +316,30 @@ let test_fleet_persists_across_jobs () =
   Alcotest.(check int) "no respawns between jobs" 0
     (counter "shard.respawns" - respawns0)
 
+let test_coordinators_get_disjoint_fleets () =
+  (* Fleets are keyed by the coordinating domain: two domains sharding at
+     the same time each drive their own worker processes instead of
+     racing one fleet's sockets, and the main domain's fleet is reused
+     from one job to the next. *)
+  let job () =
+    Exec.Shard.try_map ~shards:1
+      (fun _ ->
+        Unix.sleepf 0.05;
+        Unix.getpid ())
+      (List.init 8 Fun.id)
+  in
+  let pids results = List.sort_uniq compare (List.map get_done results) in
+  let a = Domain.spawn job in
+  let b = Domain.spawn job in
+  let pids_a = pids (Domain.join a) in
+  let pids_b = pids (Domain.join b) in
+  Alcotest.(check bool) "disjoint worker processes" true
+    (List.for_all (fun p -> not (List.mem p pids_b)) pids_a);
+  let main1 = pids (job ()) in
+  let main2 = pids (job ()) in
+  Alcotest.(check (list int)) "main domain's fleet reused" main1 main2;
+  Exec.Shard.shutdown_fleets ()
+
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                       *)
 
@@ -741,6 +765,8 @@ let () =
             test_batched_execution;
           Alcotest.test_case "fleet persists across jobs" `Quick
             test_fleet_persists_across_jobs;
+          Alcotest.test_case "concurrent coordinators get disjoint fleets" `Quick
+            test_coordinators_get_disjoint_fleets;
         ] );
       ( "crash",
         [
