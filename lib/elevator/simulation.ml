@@ -30,47 +30,58 @@ let at_floor pos f = Float.abs (pos -. floor_pos f) < 0.02
 let door_motor () =
   Sim.Component.make ~name:"DoorMotor"
     ~outputs:[ ("door_position", Value.Float 0.) ]
-    (fun ctx ->
-      let p = Sim.Component.read_float ctx "door_position" in
-      let blocked = Sim.Component.read_bool ctx "passenger_blocking" in
-      let cmd = Sim.Component.read_sym ctx "dmc" in
-      let p' =
-        match cmd with
-        | "CLOSE" when not blocked -> Float.min 1. (p +. (door_rate *. ctx.Sim.Component.dt))
-        | "CLOSE" -> p (* an obstruction physically prevents closing *)
-        | _ -> Float.max 0. (p -. (door_rate *. ctx.Sim.Component.dt))
-      in
-      [ ("door_position", Value.Float p') ])
+    (fun slot ->
+      let door_position = slot "door_position" in
+      let passenger_blocking = slot "passenger_blocking" and dmc = slot "dmc" in
+      fun ctx ->
+        let open Sim.Component in
+        let p = float ctx door_position in
+        let blocked = bool ctx passenger_blocking in
+        let cmd = sym ctx dmc in
+        let p' =
+          match cmd with
+          | "CLOSE" when not blocked -> Float.min 1. (p +. (door_rate *. ctx.dt))
+          | "CLOSE" -> p (* an obstruction physically prevents closing *)
+          | _ -> Float.max 0. (p -. (door_rate *. ctx.dt))
+        in
+        set_float ctx door_position p')
 
-let drive ~target_of () =
+(** The drive moves the cab toward [target_of]'s position (bound once per
+    world, read every tick). *)
+let drive ~(target_of : Sim.Component.binder -> Sim.Component.context -> float) () =
   Sim.Component.make ~name:"Drive"
     ~outputs:
       [ ("drive_speed", Value.Float 0.); ("elevator_position", Value.Float 0.) ]
-    (fun ctx ->
-      let v = Sim.Component.read_float ctx "drive_speed" in
-      let pos = Sim.Component.read_float ctx "elevator_position" in
-      let cmd = Sim.Component.read_sym ctx "drc" in
-      let eb = Sim.Component.read_bool ctx "eb_applied" in
-      let target = target_of ctx in
-      let want =
-        (* approach profile: cap speed so the cab can stop at the target
-           with the available deceleration (v = sqrt(2·a·d)) *)
-        let dist = Float.abs (target -. pos) in
-        let cap = Float.min drive_speed_max (Float.sqrt (2. *. drive_accel *. dist)) in
-        if eb || cmd = "STOP" then 0.
-        else if target > pos +. 0.01 then cap
-        else if target < pos -. 0.01 then -.cap
-        else 0.
-      in
-      let accel = if eb then 4. *. drive_accel else drive_accel in
-      let dv = accel *. ctx.Sim.Component.dt in
-      let v' =
-        if Float.abs (want -. v) <= dv then want else v +. Float.copy_sign dv (want -. v)
-      in
-      [
-        ("drive_speed", Value.Float v');
-        ("elevator_position", Value.Float (pos +. (v' *. ctx.Sim.Component.dt)));
-      ])
+    (fun slot ->
+      let drive_speed = slot "drive_speed" in
+      let elevator_position = slot "elevator_position" in
+      let drc = slot "drc" and eb_applied = slot "eb_applied" in
+      let target_of = target_of slot in
+      fun ctx ->
+        let open Sim.Component in
+        let v = float ctx drive_speed in
+        let pos = float ctx elevator_position in
+        let cmd = sym ctx drc in
+        let eb = bool ctx eb_applied in
+        let target = target_of ctx in
+        let want =
+          (* approach profile: cap speed so the cab can stop at the target
+             with the available deceleration (v = sqrt(2·a·d)) *)
+          let dist = Float.abs (target -. pos) in
+          let cap = Float.min drive_speed_max (Float.sqrt (2. *. drive_accel *. dist)) in
+          if eb || cmd = "STOP" then 0.
+          else if target > pos +. 0.01 then cap
+          else if target < pos -. 0.01 then -.cap
+          else 0.
+        in
+        let accel = if eb then 4. *. drive_accel else drive_accel in
+        let dv = accel *. ctx.dt in
+        let v' =
+          if Float.abs (want -. v) <= dv then want
+          else v +. Float.copy_sign dv (want -. v)
+        in
+        set_float ctx drive_speed v';
+        set_float ctx elevator_position (pos +. (v' *. ctx.dt)))
 
 (** Sensors derive the sensed variables of the goal formulas from physical
     quantities (the sensor stage of Fig. 4.4). *)
@@ -85,23 +96,32 @@ let sensors () =
         ("etp", Value.Float 0.);
         ("ew", Value.Float 0.);
       ]
-    (fun ctx ->
-      let doorp = Sim.Component.read_float ctx "door_position" in
-      let speed = Sim.Component.read_float ctx "drive_speed" in
-      let pos = Sim.Component.read_float ctx "elevator_position" in
-      let blocking = Sim.Component.read_bool ctx "passenger_blocking" in
-      let load = Sim.Component.read_float ctx "passenger_load" in
-      [
-        ("dc", Value.Bool (doorp >= 0.999));
-        ("db", Value.Bool (blocking && doorp < 0.999));
-        ("es_stopped", Value.Bool (Float.abs speed < 1e-3));
-        ("drs_stopped", Value.Bool (Float.abs speed < 1e-3));
-        ("etp", Value.Float pos);
-        ("ew", Value.Float load);
-      ])
+    (fun slot ->
+      let door_position = slot "door_position" and drive_speed = slot "drive_speed" in
+      let elevator_position = slot "elevator_position" in
+      let passenger_blocking = slot "passenger_blocking" in
+      let passenger_load = slot "passenger_load" in
+      let dc = slot "dc" and db = slot "db" and es_stopped = slot "es_stopped" in
+      let drs_stopped = slot "drs_stopped" and etp = slot "etp" and ew = slot "ew" in
+      fun ctx ->
+        let open Sim.Component in
+        let doorp = float ctx door_position in
+        let speed = float ctx drive_speed in
+        let pos = float ctx elevator_position in
+        let blocking = bool ctx passenger_blocking in
+        let load = float ctx passenger_load in
+        set_bool ctx dc (doorp >= 0.999);
+        set_bool ctx db (blocking && doorp < 0.999);
+        set_bool ctx es_stopped (Float.abs speed < 1e-3);
+        set_bool ctx drs_stopped (Float.abs speed < 1e-3);
+        set_float ctx etp pos;
+        set_float ctx ew load)
 
 (* ------------------------------------------------------------------ *)
 (* Software agents                                                      *)
+
+(* The floor of a ["dispatch_request"] value. *)
+let requested_floor = function Value.Int f -> f | _ -> 1
 
 (** The dispatch controller serves latched hall and car calls
     (Fig. 4.5's DispatchController): it keeps the current destination until
@@ -111,95 +131,112 @@ let sensors () =
 let dispatch_controller () =
   Sim.Component.make ~name:"DispatchController"
     ~outputs:[ ("dispatch_request", Value.Int 1); ("served_floor", Value.Int 0) ]
-    (fun ctx ->
-      let open Sim.Component in
-      let pos = read_float ctx "elevator_position" in
-      let door_open = read_float ctx "door_position" < 0.5 in
-      let stopped = read_bool ctx "es_stopped" in
-      let target = match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1 in
-      let serving_now = at_floor pos target && stopped && door_open in
-      let served = if serving_now then target else 0 in
-      let target' =
-        if serving_now then target
-        else
-          match Buttons.outstanding ~floors ctx.state ~from:(nearest_floor pos) with
-          | [] -> target
-          | f :: _ ->
-              (* keep the current destination until served, unless no call
-                 remains for it *)
-              let target_called = List.mem target (Buttons.outstanding ~floors ctx.state ~from:target) in
-              if target_called && not (at_floor pos target) then target else f
-      in
-      [ ("dispatch_request", Value.Int target'); ("served_floor", Value.Int served) ])
+    (fun slot ->
+      let elevator_position = slot "elevator_position" in
+      let door_position = slot "door_position" and es_stopped = slot "es_stopped" in
+      let dispatch_request = slot "dispatch_request" in
+      let served_floor = slot "served_floor" in
+      let called = Buttons.called slot ~floors in
+      fun ctx ->
+        let open Sim.Component in
+        let pos = float ctx elevator_position in
+        let door_open = float ctx door_position < 0.5 in
+        let stopped = bool ctx es_stopped in
+        let target = requested_floor (get ctx dispatch_request) in
+        let serving_now = at_floor pos target && stopped && door_open in
+        let served = if serving_now then target else 0 in
+        let outstanding = Buttons.outstanding ~floors ~called:(called ctx) in
+        let target' =
+          if serving_now then target
+          else
+            match outstanding ~from:(nearest_floor pos) with
+            | [] -> target
+            | f :: _ ->
+                (* keep the current destination until served, unless no call
+                   remains for it *)
+                let target_called = List.mem target (outstanding ~from:target) in
+                if target_called && not (at_floor pos target) then target else f
+        in
+        set ctx dispatch_request (Value.Int target');
+        set ctx served_floor (Value.Int served))
 
 let door_controller () =
   let dwell_left = ref 0. in
   Sim.Component.make ~name:"DoorController"
     ~outputs:[ ("dmc", Value.Sym "OPEN") ]
-    (fun ctx ->
-      let open Sim.Component in
-      let moving = not (read_bool ctx "es_stopped") in
-      let commanded_go = read_sym ctx "drc" = "GO" in
-      let blocked = read_bool ctx "db" in
-      let pos = read_float ctx "elevator_position" in
-      let target =
-        match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1
-      in
-      if blocked then begin
-        (* door-reversal goal (priority over the running example) *)
-        dwell_left := dwell_time;
-        [ ("dmc", Value.Sym "OPEN") ]
-      end
-      else if moving || commanded_go then
-        (* Table 4.4 subgoal: close when moving or commanded to move *)
-        [ ("dmc", Value.Sym "CLOSE") ]
-      else if at_floor pos target then begin
-        if read_sym ctx "dmc" = "CLOSE" && read_bool ctx "dc" then
-          (* arrived with door closed: begin the dwell *)
-          dwell_left := dwell_time
-        else dwell_left := !dwell_left -. ctx.dt;
-        if !dwell_left > 0. then [ ("dmc", Value.Sym "OPEN") ]
-        else [ ("dmc", Value.Sym "CLOSE") ]
-      end
-      else [ ("dmc", Value.Sym "CLOSE") ])
+    (fun slot ->
+      let es_stopped = slot "es_stopped" and drc = slot "drc" and db = slot "db" in
+      let elevator_position = slot "elevator_position" in
+      let dispatch_request = slot "dispatch_request" in
+      let dmc = slot "dmc" and dc = slot "dc" in
+      let opened = Value.Sym "OPEN" and closed = Value.Sym "CLOSE" in
+      fun ctx ->
+        let open Sim.Component in
+        let moving = not (bool ctx es_stopped) in
+        let commanded_go = sym ctx drc = "GO" in
+        let blocked = bool ctx db in
+        let pos = float ctx elevator_position in
+        let target = requested_floor (get ctx dispatch_request) in
+        if blocked then begin
+          (* door-reversal goal (priority over the running example) *)
+          dwell_left := dwell_time;
+          set ctx dmc opened
+        end
+        else if moving || commanded_go then
+          (* Table 4.4 subgoal: close when moving or commanded to move *)
+          set ctx dmc closed
+        else if at_floor pos target then begin
+          if sym ctx dmc = "CLOSE" && bool ctx dc then
+            (* arrived with door closed: begin the dwell *)
+            dwell_left := dwell_time
+          else dwell_left := !dwell_left -. ctx.dt;
+          set ctx dmc (if !dwell_left > 0. then opened else closed)
+        end
+        else set ctx dmc closed)
 
 let drive_controller () =
   Sim.Component.make ~name:"DriveController"
     ~outputs:[ ("drc", Value.Sym "STOP") ]
-    (fun ctx ->
-      let open Sim.Component in
-      let door_open = not (read_bool ctx "dc") in
-      let door_commanded_open = read_sym ctx "dmc" = "OPEN" in
-      let pos = read_float ctx "elevator_position" in
-      let target =
-        match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1
-      in
-      let near_limit =
-        pos
-        >= Icpa_tables.hoistway_upper_limit
-           -. (Icpa_tables.max_stopping_distance +. Icpa_tables.safety_margin)
-      in
-      let overweight = read_float ctx "ew" > 600. in
-      if door_open || door_commanded_open || near_limit || overweight then
-        (* Table 4.4 subgoal + hoistway primary subgoal *)
-        [ ("drc", Value.Sym "STOP") ]
-      else if not (at_floor pos target) then [ ("drc", Value.Sym "GO") ]
-      else [ ("drc", Value.Sym "STOP") ])
+    (fun slot ->
+      let dc = slot "dc" and dmc = slot "dmc" and drc = slot "drc" and ew = slot "ew" in
+      let elevator_position = slot "elevator_position" in
+      let dispatch_request = slot "dispatch_request" in
+      let stop = Value.Sym "STOP" and go = Value.Sym "GO" in
+      fun ctx ->
+        let open Sim.Component in
+        let door_open = not (bool ctx dc) in
+        let door_commanded_open = sym ctx dmc = "OPEN" in
+        let pos = float ctx elevator_position in
+        let target = requested_floor (get ctx dispatch_request) in
+        let near_limit =
+          pos
+          >= Icpa_tables.hoistway_upper_limit
+             -. (Icpa_tables.max_stopping_distance +. Icpa_tables.safety_margin)
+        in
+        let overweight = float ctx ew > 600. in
+        if door_open || door_commanded_open || near_limit || overweight then
+          (* Table 4.4 subgoal + hoistway primary subgoal *)
+          set ctx drc stop
+        else if not (at_floor pos target) then set ctx drc go
+        else set ctx drc stop)
 
 let emergency_brake () =
   Sim.Component.make ~name:"EmergencyBrake"
     ~outputs:[ ("eb_applied", Value.Bool false) ]
-    (fun ctx ->
-      let pos = Sim.Component.read_float ctx "etp" in
-      let applied = Sim.Component.read_bool ctx "eb_applied" in
-      (* latches once applied: hoistway secondary subgoal *)
-      let fire =
-        applied
-        || pos
-           >= Icpa_tables.hoistway_upper_limit
-              -. Icpa_tables.max_emergency_braking_distance
-      in
-      [ ("eb_applied", Value.Bool fire) ])
+    (fun slot ->
+      let etp = slot "etp" and eb_applied = slot "eb_applied" in
+      fun ctx ->
+        let open Sim.Component in
+        let pos = float ctx etp in
+        let applied = bool ctx eb_applied in
+        (* latches once applied: hoistway secondary subgoal *)
+        let fire =
+          applied
+          || pos
+             >= Icpa_tables.hoistway_upper_limit
+                -. Icpa_tables.max_emergency_braking_distance
+        in
+        set_bool ctx eb_applied fire)
 
 (* ------------------------------------------------------------------ *)
 (* Assembled system                                                     *)
@@ -237,10 +274,12 @@ let passenger events =
     events
 
 let world config =
-  let target_of ctx =
-    match Sim.Component.read ctx "dispatch_request" with
-    | Value.Int f -> floor_pos f
-    | _ -> 0.
+  let target_of slot =
+    let dispatch_request = slot "dispatch_request" in
+    fun ctx ->
+      match Sim.Component.get ctx dispatch_request with
+      | Value.Int f -> floor_pos f
+      | _ -> 0.
   in
   Sim.World.make ~dt
     (passenger config.passenger_events

@@ -26,15 +26,21 @@ type stats = {
   evictions : int;  (** entries dropped to stay under [capacity] *)
 }
 
-val create : ?size:int -> ?capacity:int -> ?name:string -> unit -> ('k, 'v) t
+val create :
+  ?size:int -> ?capacity:int -> ?weight:('v -> int) -> ?name:string -> unit -> ('k, 'v) t
 (** [size] is the initial hash-table size (a hint, {e not} a bound).
-    [capacity] (default: unbounded) is a hard bound on the number of live
-    entries: when an insertion exceeds it the oldest entries (FIFO over
-    insertion order) are evicted and counted in [stats.evictions], so
-    long-running campaigns cannot grow memory without limit. Must be
-    [>= 1]. [name] additionally mirrors the three counters into the
-    process-wide metrics registry as [cache.<name>.hits] / [.misses] /
-    [.evictions], so snapshots ([--metrics]) report this table. *)
+    [capacity] (default: unbounded) is a hard bound on the summed
+    [weight] of the live entries (default weight 1, so by default it
+    bounds their number): when an insertion exceeds it the oldest entries
+    (FIFO over insertion order) are evicted and counted in
+    [stats.evictions], so long-running campaigns cannot grow memory
+    without limit. The newest entry is never evicted, even when its
+    weight alone exceeds the capacity. Must be [>= 1]; weights must be
+    [>= 0], and [weight] runs outside the lock like the supplier (an
+    exception from it is a supplier exception). [name] additionally
+    mirrors the three counters into the process-wide metrics registry as
+    [cache.<name>.hits] / [.misses] / [.evictions], so snapshots
+    ([--metrics]) report this table. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Serve [key] from the table, or run the supplier (single-flight, see
@@ -46,7 +52,8 @@ val clear : ('k, 'v) t -> unit
 (** Drop every entry and reset the counters. *)
 
 val length : ('k, 'v) t -> int
-(** Number of live entries (always [<= capacity] when one was given). *)
+(** Number of live entries (with unit weights, always [<= capacity]
+    when one was given). *)
 
 val stats : ('k, 'v) t -> stats
 (** Cumulative hit/miss/eviction counters since creation (or the last

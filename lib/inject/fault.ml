@@ -112,58 +112,59 @@ let perturb v f =
 
 let hold_last rt v = match rt.last with Some l -> l | None -> v
 
-(** [apply rt ~dt ~now state] — interpose one fault on one freshly computed
-    snapshot. A target absent from the state is a no-op, so a plan written
-    for the vehicle world is harmless on a mini-world that lacks the
-    signal. *)
+(** [interpose rt ~dt ~now v] — the value-level core of every fault model:
+    the value to record for the target's freshly computed value [v] at time
+    [now] ([v] itself when the fault leaves it alone). Called on every tick
+    the target has a value, window or not: the delay line, hold value and
+    drift track the signal outside the window too. *)
+let interpose rt ~dt ~now v =
+  (* The delay line is fed unconditionally so that a window-activated
+     delay has history to serve from its first active tick. *)
+  let delayed k =
+    Queue.push v rt.queue;
+    if Queue.length rt.queue > k then Queue.pop rt.queue else Queue.peek rt.queue
+  in
+  if not (active rt.fault now) then begin
+    (match rt.fault.model with Delay k -> ignore (delayed k) | _ -> ());
+    rt.last <- Some v;
+    rt.drift <- 0.;
+    v
+  end
+  else
+    match rt.fault.model with
+    | Stuck_at x -> x
+    | Dropout_hold -> hold_last rt v
+    | Dropout_missing -> (
+        match v with
+        | Value.Float _ | Value.Int _ -> Value.Float Float.nan
+        | _ -> hold_last rt v)
+    | Delay k -> delayed k
+    | Noise sigma -> perturb v (sigma *. Prng.gaussian rt.gen)
+    | Drift rate ->
+        rt.drift <- rt.drift +. (rate *. dt);
+        perturb v rt.drift
+    | Spike (mag, rate) -> if Prng.float rt.gen < rate *. dt then perturb v mag else v
+    | Intermittent period ->
+        rt.gate_left <- rt.gate_left -. dt;
+        if rt.gate_left <= 0. then begin
+          rt.gate_passing <- not rt.gate_passing;
+          (* exponentially distributed gate duration, mean [period] *)
+          rt.gate_left <-
+            -.period *. Float.log (Float.max (1. -. Prng.float rt.gen) 0x1p-53)
+        end;
+        if rt.gate_passing then begin
+          rt.last <- Some v;
+          v
+        end
+        else hold_last rt v
+
+(** [apply rt ~dt ~now state] — {!interpose} on one freshly computed
+    [State.t] snapshot. A target absent from the state is a no-op, so a
+    plan written for the vehicle world is harmless on a mini-world that
+    lacks the signal. *)
 let apply rt ~dt ~now state =
   match State.find_opt rt.fault.target state with
   | None -> state
   | Some v ->
-      (* The delay line is fed unconditionally so that a window-activated
-         delay has history to serve from its first active tick. *)
-      let delayed k =
-        Queue.push v rt.queue;
-        if Queue.length rt.queue > k then Queue.pop rt.queue
-        else Queue.peek rt.queue
-      in
-      let faulted =
-        if not (active rt.fault now) then begin
-          (match rt.fault.model with Delay k -> ignore (delayed k) | _ -> ());
-          rt.last <- Some v;
-          rt.drift <- 0.;
-          None
-        end
-        else
-          match rt.fault.model with
-          | Stuck_at x -> Some x
-          | Dropout_hold -> Some (hold_last rt v)
-          | Dropout_missing -> (
-              match v with
-              | Value.Float _ | Value.Int _ -> Some (Value.Float Float.nan)
-              | _ -> Some (hold_last rt v))
-          | Delay k -> Some (delayed k)
-          | Noise sigma -> Some (perturb v (sigma *. Prng.gaussian rt.gen))
-          | Drift rate ->
-              rt.drift <- rt.drift +. (rate *. dt);
-              Some (perturb v rt.drift)
-          | Spike (mag, rate) ->
-              if Prng.float rt.gen < rate *. dt then Some (perturb v mag)
-              else None
-          | Intermittent period ->
-              rt.gate_left <- rt.gate_left -. dt;
-              if rt.gate_left <= 0. then begin
-                rt.gate_passing <- not rt.gate_passing;
-                (* exponentially distributed gate duration, mean [period] *)
-                rt.gate_left <-
-                  -.period *. Float.log (Float.max (1. -. Prng.float rt.gen) 0x1p-53)
-              end;
-              if rt.gate_passing then begin
-                rt.last <- Some v;
-                None
-              end
-              else Some (hold_last rt v)
-      in
-      match faulted with
-      | None -> state
-      | Some v' -> State.set rt.fault.target v' state
+      let v' = interpose rt ~dt ~now v in
+      if v' == v then state else State.set rt.fault.target v' state

@@ -1,7 +1,10 @@
 (** Runtime fault models applied as signal interposers on component
     outputs. A fault is pure data (target, model, activation window); all
     per-run mutable state lives in a {!runtime} created fresh per
-    simulation, keeping same-seed campaigns deterministic. *)
+    simulation, keeping same-seed campaigns deterministic. Every model is
+    one value-level function ({!interpose}); the kernel applies it to the
+    target's frame slot ({!Plan.frame_interposer}) and {!apply} to a
+    [State.t]. *)
 
 open Tl
 
@@ -44,6 +47,12 @@ type runtime
 val runtime : seed:int -> t -> runtime
 (** Fresh per-run interposer state (delay line, PRNG, hold/drift/gate). *)
 
+val interpose : runtime -> dt:float -> now:float -> Value.t -> Value.t
+(** The value-level core of every fault model: the value to record for the
+    target's freshly computed value (the value itself when unfaulted). Call
+    it on every tick the target has a value, inside the activation window
+    or not. *)
+
 val apply : runtime -> dt:float -> now:float -> State.t -> State.t
-(** Interpose the fault on one freshly computed snapshot. A target absent
-    from the state is a no-op. *)
+(** {!interpose} on one freshly computed [State.t] snapshot. A target
+    absent from the state is a no-op. *)

@@ -16,14 +16,33 @@ let make ?(seed = 0) faults = { seed; faults }
 let empty = { seed = 0; faults = [] }
 let is_empty p = p.faults = []
 
+(* Fresh per-run fault state; fault [i] owns a PRNG seeded [derive seed i]. *)
+let runtimes plan =
+  List.mapi (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f) plan.faults
+
 (** [interposer ~dt plan] — a stateful snapshot transform for one run.
-    Faults are applied in plan order; each owns a derived PRNG. *)
+    Faults are applied in plan order. *)
 let interposer ~dt plan =
-  let rts =
-    List.mapi (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f) plan.faults
+  let rts = runtimes plan in
+  fun ~now state -> List.fold_left (fun st rt -> Fault.apply rt ~dt ~now st) state rts
+
+(** [frame_interposer ~dt plan ~slot] — the same faults on the kernel's
+    frames: each target is resolved to its slot once, and every tick
+    rewrites the slot's cell through {!Fault.interpose}. A target with no
+    slot, or not yet written, is a no-op, as in {!interposer}. *)
+let frame_interposer ~dt plan ~slot =
+  let bound =
+    Array.of_list
+      (List.filter_map
+         (fun (f, rt) -> Option.map (fun s -> (s, rt)) (slot f.Fault.target))
+         (List.combine plan.faults (runtimes plan)))
   in
-  fun ~now state ->
-    List.fold_left (fun st rt -> Fault.apply rt ~dt ~now st) state rts
+  fun ~now (frame : Tl.Frame.t) ->
+    Array.iter
+      (fun (s, rt) ->
+        let v = frame.(s) in
+        if v != Tl.Frame.absent then frame.(s) <- Fault.interpose rt ~dt ~now v)
+      bound
 
 let pp ppf p =
   Fmt.pf ppf "@[<h>seed=%d %a@]" p.seed

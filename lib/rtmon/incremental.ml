@@ -178,6 +178,7 @@ let step (t : t) (state : State.t) : bool * t =
    present. *)
 let cell col i =
   match col with
+  | Trace.CCol v -> v
   | Trace.FCol a -> Value.Float (Float.Array.get a i)
   | Trace.ICol a -> Value.Int a.(i)
   | Trace.BCol b -> Value.Bool (Bytes.get b i = '\001')
@@ -206,6 +207,12 @@ let rec typed_term ~strict tr (t : Term.t) : tterm option =
       match Trace.column tr v with
       | Some (col, pres) when (not strict) || pres = None -> (
           match col with
+          | Trace.CCol (Value.Float f) -> Some (TNum (fun _ -> f))
+          | Trace.CCol (Value.Int n) ->
+              let f = float_of_int n in
+              Some (TNum (fun _ -> f))
+          | Trace.CCol (Value.Bool b) -> Some (TBool (fun _ -> b))
+          | Trace.CCol (Value.Sym s) -> Some (TSym (fun _ -> s))
           | Trace.FCol a -> Some (TNum (fun i -> Float.Array.get a i))
           | Trace.ICol a -> Some (TNum (fun i -> float_of_int a.(i)))
           | Trace.BCol b -> Some (TBool (fun i -> Bytes.get b i = '\001'))
@@ -262,6 +269,8 @@ let compile_atom ~strict tr (a : Formula.atom) : (int -> bool) option =
       match Trace.column tr v with
       | Some (Trace.BCol b, pres) when (not strict) || pres = None ->
           Some (fun i -> Bytes.get b i = '\001')
+      | Some (Trace.CCol (Value.Bool b), pres) when (not strict) || pres = None ->
+          Some (fun _ -> b)
       | _ -> None)
   | Formula.Eq (x, y) -> equality x y
   | Formula.Ne (x, y) ->
@@ -399,8 +408,8 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
       (* Compiled inhibition check, one closure per monitored variable:
          missing column is always-inhibited, a presence mask marks
          per-state absence, and only float-bearing columns can carry a
-         degraded (NaN) cell. Padding cells are never read: [absent]
-         short-circuits first. *)
+         degraded (NaN) cell — a constant NaN column inhibits every state.
+         Padding cells are never read: [absent] short-circuits first. *)
       let inh_checks =
         List.map
           (fun var ->
@@ -413,6 +422,7 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
                   | Some p -> fun i -> Bytes.get p i <> '\001'
                 in
                 match col with
+                | Trace.CCol x when degraded x -> fun _ -> true
                 | Trace.FCol a ->
                     fun i -> absent i || Float.is_nan (Float.Array.get a i)
                 | Trace.VCol a -> fun i -> absent i || degraded a.(i)
@@ -503,8 +513,8 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
 
 (** Violation intervals of a status series (maximal [Fail] runs). *)
 let fails ~dt status =
-  Violation.of_series ~dt (Array.map (fun s -> s <> Fail) status)
+  Violation.runs ~dt (Array.length status) (fun i -> status.(i) = Fail)
 
 (** Inhibition intervals of a status series (maximal [Inhibited] runs). *)
 let inhibitions ~dt status =
-  Violation.of_series ~dt (Array.map (fun s -> s <> Inhibited) status)
+  Violation.runs ~dt (Array.length status) (fun i -> status.(i) = Inhibited)

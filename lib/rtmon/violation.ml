@@ -12,16 +12,15 @@ type interval = {
 let pp_interval ppf iv =
   Fmt.pf ppf "[t=%.3fs for %gms]" iv.start_time (iv.duration *. 1000.)
 
-(** [of_series ~dt ok] — maximal false runs of the per-state satisfaction
-    series [ok]. *)
-let of_series ~dt (ok : bool array) : interval list =
-  let n = Array.length ok in
+(** [runs ~dt n bad] — maximal runs of the states [0 .. n-1] where
+    [bad i] holds. *)
+let runs ~dt n bad : interval list =
   let rec go i acc =
     if i >= n then List.rev acc
-    else if ok.(i) then go (i + 1) acc
+    else if not (bad i) then go (i + 1) acc
     else
       let j = ref i in
-      while !j < n && not ok.(!j) do
+      while !j < n && bad !j do
         incr j
       done;
       let len = !j - i in
@@ -36,6 +35,10 @@ let of_series ~dt (ok : bool array) : interval list =
       go !j (iv :: acc)
   in
   go 0 []
+
+(** [of_series ~dt ok] — maximal false runs of the per-state satisfaction
+    series [ok]. *)
+let of_series ~dt (ok : bool array) = runs ~dt (Array.length ok) (fun i -> not ok.(i))
 
 let count = List.length
 let total_duration ivs = List.fold_left (fun acc iv -> acc +. iv.duration) 0. ivs

@@ -11,6 +11,10 @@ type interval = {
 
 val pp_interval : Format.formatter -> interval -> unit
 
+val runs : dt:float -> int -> (int -> bool) -> interval list
+(** [runs ~dt n bad] — maximal runs of the states [0 .. n-1] where [bad i]
+    holds. *)
+
 val of_series : dt:float -> bool array -> interval list
 (** Maximal false runs of a per-state satisfaction series. *)
 

@@ -15,8 +15,12 @@ let value_to_csv = function
   | Value.Sym s -> escape s
 
 (** [trace_csv ?signals ?stride trace] — one row per (strided) state, one
-    column per signal (default: every variable of the first state, sorted). *)
+    column per signal (default: every variable of the first state, sorted).
+    Only the strided states (indices divisible by [stride]) are
+    materialized. @raise Invalid_argument when [stride = 0]. *)
 let trace_csv ?signals ?(stride = 1) (trace : Trace.t) : string =
+  if stride = 0 then invalid_arg "Export.trace_csv: stride must be non-zero";
+  let step = abs stride in
   let signals =
     match signals with
     | Some s -> s
@@ -24,21 +28,21 @@ let trace_csv ?signals ?(stride = 1) (trace : Trace.t) : string =
   in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf ("time," ^ String.concat "," (List.map escape signals) ^ "\n");
-  Trace.iteri
-    (fun i s ->
-      if i mod stride = 0 then begin
-        Buffer.add_string buf (Fmt.str "%g" (Trace.time trace i));
-        List.iter
-          (fun v ->
-            Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (match State.find_opt v s with
-              | Some x -> value_to_csv x
-              | None -> ""))
-          signals;
-        Buffer.add_char buf '\n'
-      end)
-    trace;
+  let rec rows i =
+    if i < Trace.length trace then begin
+      let s = Trace.get trace i in
+      Buffer.add_string buf (Fmt.str "%g" (Trace.time trace i));
+      List.iter
+        (fun v ->
+          Buffer.add_char buf ',';
+          Buffer.add_string buf
+            (match State.find_opt v s with Some x -> value_to_csv x | None -> ""))
+        signals;
+      Buffer.add_char buf '\n';
+      rows (i + step)
+    end
+  in
+  rows 0;
   Buffer.contents buf
 
 (** [figure_csv fig outcome] — the figure's signals over its window, one row

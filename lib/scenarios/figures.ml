@@ -39,19 +39,12 @@ let extract ?(max_points = 60) (trace : Trace.t) (lo, hi) var label =
 
 (** Times at which a boolean signal changes value. *)
 let transitions (trace : Trace.t) var =
-  let out = ref [] in
-  let prev = ref None in
-  Trace.iteri
-    (fun i s ->
-      let b = State.bool s var in
-      (match !prev with
-      | Some p when p <> b ->
-          out := (Trace.time trace i, Fmt.str "%s -> %b" var b) :: !out
-      | None -> ()
-      | Some _ -> ());
-      prev := Some b)
-    trace;
-  List.rev !out
+  let rec go acc prev = function
+    | [] -> List.rev acc
+    | (t, b) :: rest ->
+        go (if b <> prev then (t, Fmt.str "%s -> %b" var b) :: acc else acc) b rest
+  in
+  match Trace.bool_signal trace var with [] -> [] | (_, b) :: rest -> go [] b rest
 
 let end_window ~before (o : Runner.outcome) =
   (Float.max 0. (o.Runner.end_time -. before), o.Runner.end_time)

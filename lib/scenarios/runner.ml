@@ -36,15 +36,21 @@ let classify ~window (s : Defs.t) trace results : outcome =
     end_time = Trace.time trace (Trace.length trace - 1);
   }
 
+(* Simulate and monitor one scenario. Faults go straight onto the
+   kernel's frames: each target is resolved to its slot once. *)
 let monitored ~defects ~timing ~dynamics ~inject (s : Defs.t) =
-  let interpose =
+  let world =
+    Vehicle.System.world ~defects ~timing ~dynamics ~objects:s.Defs.objects
+      ~events:s.Defs.events ()
+  in
+  let transform =
     if Inject.Plan.is_empty inject then None
-    else Some (Inject.Plan.interposer ~dt:Vehicle.System.dt inject)
+    else
+      Some
+        (Inject.Plan.frame_interposer ~dt:Vehicle.System.dt inject
+           ~slot:(Sim.World.slot world))
   in
-  let trace =
-    Vehicle.System.run ~defects ~timing ~dynamics ?interpose
-      ~duration:s.Defs.duration ~objects:s.Defs.objects ~events:s.Defs.events ()
-  in
+  let trace = Vehicle.System.simulate ?transform ~duration:s.Defs.duration world in
   (trace, Vehicle.Monitors.run trace)
 
 (* ------------------------------------------------------------------ *)
@@ -58,16 +64,18 @@ let monitored ~defects ~timing ~dynamics ~inject (s : Defs.t) =
    classified outcome by the same key plus the window — so a window sweep
    re-simulates nothing. *)
 
-(* Both levels are capacity-bounded (FIFO eviction, counted in
-   [stats.evictions]): a week-long campaign sweeping thousands of faults
-   must not accumulate every 20 k-state trace it ever simulated. The
-   sim level is {!Trace_store} — the shared-trace store, holding full
-   traces (heavy — bound tightly, with [trace_store.*] telemetry); the
-   outcome level additionally varies per classification window (lighter
-   per entry, so a larger bound keeps window sweeps warm, mirrored as
-   cache.runner.outcome). *)
+(* Both levels are bounded by the same trace bytes (FIFO eviction,
+   counted in [stats.evictions]): a week-long campaign or a long-lived
+   daemon sweeping thousands of faults must not accumulate every
+   20 k-state trace it ever simulated. The sim level is {!Trace_store} —
+   the shared-trace store, with [trace_store.*] telemetry; the outcome
+   level additionally varies per classification window (mirrored as
+   cache.runner.outcome). An outcome holds its trace, so it weighs that
+   trace's bytes: a lighter bound would keep traces the store has
+   already let go. *)
 let outcome_cache : (string, outcome) Exec.Memo.t =
-  Exec.Memo.create ~size:64 ~capacity:1024 ~name:"runner.outcome" ()
+  let weight o = Trace.approx_bytes o.trace in
+  Exec.Memo.create ~capacity:Trace_store.budget_bytes ~weight ~name:"runner.outcome" ()
 
 let cache_stats () = Exec.Memo.stats outcome_cache
 

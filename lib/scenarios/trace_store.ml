@@ -6,13 +6,20 @@ let m_hits = Obs.Metrics.counter "trace_store.hits"
 let m_misses = Obs.Metrics.counter "trace_store.misses"
 let m_bytes = Obs.Metrics.counter "trace_store.bytes"
 
-(* The underlying memo table: single-flight, FIFO-bounded. Traces are
-   heavy (a 20 s run is ~13 k states of ~60 columns), so the capacity is
-   tight; the store's own [trace_store.*] counters are maintained here
-   rather than via [Memo]'s [~name] mirror because a byte count must ride
-   along with each miss. *)
+(* The bound is in bytes, not entries: a packed trace of one 20 s run
+   takes from 0.2 to 3 MB depending on how many of its columns hold one
+   value, so a count of traces would leave the store's memory, and a
+   long-lived daemon's peak RSS, to the scenarios it happens to be asked
+   for. *)
+let budget_bytes = 64 * 1024 * 1024
+
+(* The underlying memo table: single-flight, FIFO-bounded by the summed
+   [Trace.approx_bytes] of its traces. The store's own [trace_store.*]
+   counters are maintained here rather than via [Memo]'s [~name] mirror
+   because a byte count must ride along with each miss. *)
 let store : (string, Trace.t * Vehicle.Monitors.result list) Exec.Memo.t =
-  Exec.Memo.create ~size:64 ~capacity:256 ()
+  let weight (trace, _) = Trace.approx_bytes trace in
+  Exec.Memo.create ~size:64 ~capacity:budget_bytes ~weight ()
 
 let find_or_simulate key supply =
   let ran = ref false in

@@ -11,12 +11,13 @@
     other evaluation — window sweeps, fault classification, exports —
     reads the shared copy.
 
-    Storage is single-flight and capacity-bounded (FIFO eviction) via
-    {!Exec.Memo}. Telemetry: [trace_store.hits] / [trace_store.misses]
-    count lookups, [trace_store.bytes] accumulates the approximate packed
-    size ({!Tl.Trace.approx_bytes}) of every trace the store simulated —
-    the resident-memory budget the campaign actually paid, as opposed to
-    the work it avoided. *)
+    Storage is single-flight and bounded by {!budget_bytes} (FIFO
+    eviction) via {!Exec.Memo}. Telemetry: [trace_store.hits] /
+    [trace_store.misses] count lookups, [trace_store.bytes] accumulates
+    the approximate packed size ({!Tl.Trace.approx_bytes}) of every trace
+    the store simulated — the trace memory the campaign paid for, as
+    opposed to the work it avoided; at most {!budget_bytes} of it stays
+    resident. *)
 
 val find_or_simulate :
   string ->
@@ -26,6 +27,10 @@ val find_or_simulate :
     the configuration digested as [key], simulating via [supply] only on
     a cold key. The key must digest every input the simulation reads
     (see {!Runner.run} for the canonical construction). *)
+
+val budget_bytes : int
+(** The most trace bytes ({!Tl.Trace.approx_bytes}) the store keeps
+    (64 MiB); the oldest traces are evicted past it. *)
 
 val length : unit -> int
 (** Live entries. *)

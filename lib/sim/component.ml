@@ -1,37 +1,64 @@
 (** Simulation components: the agents of the simulated system.
 
     Each component declares the state variables it directly controls (with
-    their initial values) and a step function computing the next values of
-    those variables from the *previous* snapshot. The kernel is double
-    buffered, so a component can never observe another component's output
-    before the subsequent state — the thesis's core timing assumption
-    (§4.1.3, "updates to a state variable cannot be observed by agents that
-    monitor the variable until the subsequent state"). *)
+    their initial values) and a binding function that resolves the names
+    it reads and writes to frame slots once per world, returning the step
+    that computes the next values of its variables from the *previous*
+    frame. The kernel is double buffered, so a component can never observe
+    another component's output before the subsequent state — the thesis's
+    core timing assumption (§4.1.3, "updates to a state variable cannot be
+    observed by agents that monitor the variable until the subsequent
+    state"). *)
 
 open Tl
+
+type slot = int
+type binder = string -> slot
 
 type context = {
   now : float;  (** simulation time of the state being computed *)
   dt : float;
-  state : State.t;  (** the previous snapshot *)
+  prev : Frame.t;  (** the previous state: every read *)
+  next : Frame.t;  (** the state being computed: every write *)
+  names : string array;  (** slot → variable name, for error messages *)
 }
 
-let read ctx v = State.get ctx.state v
-let read_float ctx v = State.float ctx.state v
-let read_bool ctx v = State.bool ctx.state v
-let read_sym ctx v = State.sym ctx.state v
+let get ctx s = Frame.get ctx.names ctx.prev s
+
+(* The typed readers mirror [State.float]/[bool]/[sym], errors included;
+   the common case reads the cell without the absence check. *)
+let float ctx s =
+  match ctx.prev.(s) with
+  | Value.Float f -> f
+  | Value.Int i -> float_of_int i
+  | _ -> Value.to_float (get ctx s)
+
+let bool ctx s = match ctx.prev.(s) with Value.Bool b -> b | _ -> Value.to_bool (get ctx s)
+
+let sym ctx s =
+  match get ctx s with
+  | Value.Sym x -> x
+  | v -> Value.type_error "variable %s: expected a symbol, got %a" ctx.names.(s) Value.pp v
+
+let set ctx s v = ctx.next.(s) <- v
+let set_float ctx s x = ctx.next.(s) <- Value.Float x
+
+(* Shared booleans: writing a flag allocates nothing. *)
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+let set_bool ctx s b = ctx.next.(s) <- (if b then vtrue else vfalse)
 
 type t = {
   name : string;
   outputs : (string * Value.t) list;  (** directly controlled variables, with initial values *)
-  step : context -> (string * Value.t) list;
+  bind : binder -> context -> unit;
 }
 
-let make ~name ~outputs step = { name; outputs; step }
+let make ~name ~outputs bind = { name; outputs; bind }
 
 (** A component with no behaviour: holds constants (useful for parameters
     and for disabling a subsystem in ablation runs). *)
-let constant ~name outputs = { name; outputs; step = (fun _ -> []) }
+let constant ~name outputs = { name; outputs; bind = (fun _ _ -> ()) }
 
 (** Controlled-variable names, used to detect output conflicts. *)
 let controlled t = List.map fst t.outputs

@@ -1,36 +1,72 @@
 (** Simulation components: the agents of the simulated system.
 
-    Each component declares the state variables it directly controls (with
-    their initial values) and a step function computing the next values of
-    those variables from the {e previous} snapshot. The kernel is double
-    buffered, so a component can never observe another component's output
-    before the subsequent state — the thesis's core timing assumption
-    (§4.1.3). *)
+    A component declares the state variables it directly controls, with
+    their initial values, and a binding function. {!World.make} calls the
+    binding function once, with a {!binder} that resolves every variable
+    name the component reads or writes to an integer {!slot}; the binding
+    returns the component's per-tick step. The step reads the previous
+    state's frame and writes the next one through those slots, so no
+    variable name is looked up while the world runs.
+
+    The kernel is double buffered: every step of a tick reads the same
+    previous frame, so a component can never observe another component's
+    output before the subsequent state — the thesis's core timing
+    assumption (§4.1.3). *)
 
 open Tl
+
+type slot = int
+(** A variable's cell in the world's frames. *)
+
+type binder = string -> slot
+(** Resolves a variable name to its slot. A name no component controls
+    and no initial value binds gets a fresh slot that stays absent until
+    first written (reading it before then raises [State.Unbound], as a
+    [State.t] lookup would). *)
 
 type context = {
   now : float;  (** simulation time of the state being computed *)
   dt : float;
-  state : State.t;  (** the previous snapshot *)
+  prev : Frame.t;  (** the previous state: every read *)
+  next : Frame.t;  (** the state being computed: every write *)
+  names : string array;  (** slot → variable name, for error messages *)
 }
 
-val read : context -> string -> Value.t
-val read_float : context -> string -> float
-val read_bool : context -> string -> bool
-val read_sym : context -> string -> string
+(** {1 Reading the previous state} *)
+
+val get : context -> slot -> Value.t
+(** @raise State.Unbound when the variable has no value yet. *)
+
+val float : context -> slot -> float
+(** A numeric variable as a float ([Int] coerces).
+    @raise Value.Type_error on a non-numeric value. *)
+
+val bool : context -> slot -> bool
+val sym : context -> slot -> string
+
+(** {1 Writing the next state}
+
+    Later writes win, within a component and across components (in world
+    order). A variable no component writes keeps its previous value. *)
+
+val set : context -> slot -> Value.t -> unit
+val set_float : context -> slot -> float -> unit
+val set_bool : context -> slot -> bool -> unit
+
+(** {1 Components} *)
 
 type t = {
   name : string;
   outputs : (string * Value.t) list;
       (** directly controlled variables, with initial values *)
-  step : context -> (string * Value.t) list;
+  bind : binder -> context -> unit;
+      (** resolve slots once per world, return the per-tick step *)
 }
 
 val make :
   name:string ->
   outputs:(string * Value.t) list ->
-  (context -> (string * Value.t) list) ->
+  (binder -> context -> unit) ->
   t
 
 val constant : name:string -> (string * Value.t) list -> t

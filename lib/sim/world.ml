@@ -1,7 +1,7 @@
 (** The simulation kernel: synchronous, discrete-time, double-buffered.
 
-    At each tick every component reads the snapshot of tick [i−1] and writes
-    its outputs into the snapshot of tick [i]; variables not written keep
+    At each tick every component reads the frame of tick [i−1] and writes
+    its outputs into the frame of tick [i]; variables not written keep
     their previous values. The recorded trace therefore has exactly the
     one-state observation delay assumed by the thesis's goal semantics. *)
 
@@ -12,7 +12,13 @@ exception Conflict of string
     relaxes KAOS's strict single-controller rule (§4.2), so conflicts are
     only rejected when [check_conflicts] is requested. *)
 
-type t = { dt : float; components : Component.t list; initial : State.t }
+type t = {
+  dt : float;
+  names : string array;  (** slot → variable *)
+  slots : (string, int) Hashtbl.t;  (** variable → slot *)
+  initial : Frame.t;
+  steps : (Component.context -> unit) array;  (** bound, in world order *)
+}
 
 let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
   if check_conflicts then begin
@@ -31,50 +37,73 @@ let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
           (Component.controlled c))
       components
   end;
-  let initial =
-    State.of_list
-      (extra_init @ List.concat_map (fun c -> c.Component.outputs) components)
+  let slots = Hashtbl.create 64 and names = ref [] and n = ref 0 in
+  let bound = ref false in
+  let intern name =
+    match Hashtbl.find_opt slots name with
+    | Some s -> s
+    | None ->
+        if !bound then invalid_arg ("Sim.World: slot bound after make: " ^ name);
+        let s = !n in
+        Hashtbl.add slots name s;
+        names := name :: !names;
+        incr n;
+        s
   in
-  { dt; components; initial }
+  let init = extra_init @ List.concat_map (fun c -> c.Component.outputs) components in
+  List.iter (fun (name, _) -> ignore (intern name)) init;
+  let steps = Array.of_list (List.map (fun c -> c.Component.bind intern) components) in
+  bound := true;
+  let names = Array.of_list (List.rev !names) in
+  let initial = Frame.make !n in
+  List.iter (fun (name, v) -> initial.(Hashtbl.find slots name) <- v) init;
+  { dt; names; slots; initial; steps }
 
-(** [step world now prev] — compute the snapshot at time [now] from the
-    previous snapshot. *)
-let step world now prev =
-  let ctx = { Component.now; dt = world.dt; state = prev } in
-  List.fold_left
-    (fun next c -> State.update (c.Component.step ctx) next)
-    prev world.components
+let slot world name = Hashtbl.find_opt world.slots name
 
-(** [run world ~until ?stop ?transform ()] — simulate from time 0 to
-    [until] seconds, recording every snapshot (the initial state is state 0
-    at time 0). [stop] terminates the run early when it returns true on a
-    freshly computed snapshot (the thesis's runs end early on collision);
-    the terminating snapshot is included.
+(* One tick: [next] starts as [prev]; every component reads [prev] and
+   writes [next]. *)
+let tick world now prev next =
+  Array.blit prev 0 next 0 (Array.length prev);
+  let ctx = { Component.now; dt = world.dt; prev; next; names = world.names } in
+  Array.iter (fun step -> step ctx) world.steps
 
-    [transform] interposes on every freshly computed snapshot before it is
-    recorded or tested by [stop] — the hook behind runtime fault injection
-    ({!Inject}): because the kernel is double buffered, an interposed value
-    is exactly what every component and monitor observes on the following
-    tick. The initial state is not transformed (no component has produced
-    an output yet). *)
+let step world now prev_state =
+  let prev = Frame.of_state world.names prev_state in
+  let next = Array.copy prev in
+  tick world now prev next;
+  let st = ref prev_state in
+  Array.iteri
+    (fun s v -> if v != prev.(s) then st := State.set world.names.(s) v !st)
+    next;
+  !st
+
+let state_transform world f ~now frame =
+  let st = Frame.to_state world.names frame in
+  let st' = f ~now st in
+  if st' != st then Frame.load world.names st' frame
+
 let run ?stop ?transform ~until world : Trace.t =
   let n_max = int_of_float (Float.ceil (until /. world.dt)) in
-  (* Snapshots stream straight into typed trace columns: the run never
-     retains one [State.t] map per tick. *)
-  let buf = Trace.Builder.create ~hint:(n_max + 1) ~dt:world.dt () in
-  Trace.Builder.add buf world.initial;
-  let apply now next =
-    match transform with None -> next | Some f -> f ~now next
+  let stop =
+    Option.map
+      (fun v ->
+        match slot world v with Some s -> s | None -> raise (State.Unbound v))
+      stop
   in
-  let rec go i prev =
-    if i > n_max then ()
-    else
+  let stopped frame =
+    match stop with None -> false | Some s -> Value.to_bool (Frame.get world.names frame s)
+  in
+  let buf = Trace.Builder.of_slots ~hint:(n_max + 1) ~dt:world.dt world.names in
+  Trace.Builder.add_frame buf world.initial;
+  let rec go i prev next =
+    if i <= n_max then begin
       let now = float_of_int i *. world.dt in
-      let next = apply now (step world now prev) in
-      Trace.Builder.add buf next;
-      match stop with
-      | Some f when f next -> ()
-      | _ -> go (i + 1) next
+      tick world now prev next;
+      Option.iter (fun f -> f ~now next) transform;
+      Trace.Builder.add_frame buf next;
+      if not (stopped next) then go (i + 1) next prev
+    end
   in
-  go 1 world.initial;
+  go 1 (Array.copy world.initial) (Frame.make (Array.length world.names));
   Trace.Builder.finish buf

@@ -1,10 +1,18 @@
 (** The simulation kernel: synchronous, discrete-time, double-buffered.
 
-    At each tick every component reads the snapshot of tick [i−1] and
-    writes its outputs into the snapshot of tick [i]; variables not written
-    keep their previous values. The recorded trace therefore has exactly
-    the one-state observation delay assumed by the thesis's goal
-    semantics. *)
+    {!make} interns every variable of the world — initial values, each
+    component's outputs, and every name a component binds — to an integer
+    slot, and binds every component once. A run then keeps two frames
+    ({!Tl.Frame}), the previous and the next state. At each tick the next
+    frame starts as a copy of the previous one (so variables not written
+    keep their values), every component reads the previous frame and
+    writes the next one, and the two are swapped. The recorded trace
+    therefore has exactly the one-state observation delay assumed by the
+    thesis's goal semantics, and a tick performs no string, hash-table or
+    map operation.
+
+    {!step} and {!state_transform} are [State.t] adapters over the same
+    kernel, for callers that hold states rather than frames. *)
 
 open Tl
 
@@ -21,25 +29,40 @@ val make :
   dt:float ->
   Component.t list ->
   t
-(** @raise Conflict per [check_conflicts]. *)
+(** Intern the variables and bind every component, in list order (later
+    initial values and later writers win).
+    @raise Conflict per [check_conflicts]. *)
 
-val step : t -> float -> State.t -> State.t
-(** [step world now prev] — the snapshot at time [now] from the previous
-    snapshot. *)
+val slot : t -> string -> Component.slot option
+(** The slot of a variable of the world, if it has one. *)
 
 val run :
-  ?stop:(State.t -> bool) ->
-  ?transform:(now:float -> State.t -> State.t) ->
+  ?stop:string ->
+  ?transform:(now:float -> Frame.t -> unit) ->
   until:float ->
   t ->
   Trace.t
-(** Simulate from time 0 to [until] seconds, recording every snapshot (the
-    initial state is state 0 at time 0). [stop] terminates the run early
-    when it returns true on a freshly computed snapshot (the thesis's runs
-    end early on collision); the terminating snapshot is included.
+(** Simulate from time 0 to [until] seconds, recording every state (the
+    initial state is state 0 at time 0); frames go straight into the
+    trace's slot-bound columns. [stop] names a boolean variable: the run
+    ends early on the first freshly computed state where it is true (the
+    thesis's runs end early on collision); that state is included.
 
-    [transform] interposes on every freshly computed snapshot before it is
-    recorded or tested by [stop] — the runtime fault-injection hook: with
-    the double-buffered kernel, an interposed value is exactly what every
-    component and monitor observes on the following tick. The initial state
-    is not transformed. *)
+    [transform] rewrites every freshly computed frame in place before it
+    is recorded or tested by [stop] — the runtime fault-injection hook
+    ({!Inject.Plan.frame_interposer}): with the double-buffered kernel, an
+    interposed value is exactly what every component and monitor observes
+    on the following tick. The initial state is not transformed.
+    @raise Tl.State.Unbound when [stop] names no variable of the world. *)
+
+val step : t -> float -> State.t -> State.t
+(** [step world now prev] — the state at time [now] from the previous
+    state: [prev] with every variable the components write rebound. A
+    [State.t] adapter over one kernel tick. *)
+
+val state_transform :
+  t -> (now:float -> State.t -> State.t) -> now:float -> Frame.t -> unit
+(** [state_transform world f] — [f] as a [transform] for {!run}: each frame
+    is viewed as a state, passed through [f], and loaded back. Variables
+    [f] removes become absent; variables it adds outside the world's
+    slots are dropped. *)

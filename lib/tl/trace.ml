@@ -6,24 +6,30 @@
 
     Storage is columnar: one typed column per state variable (unboxed
     [floatarray] for numeric signals, packed bytes for booleans, interned
-    ids for symbols), rather than one [State.t] map per tick. A 20-second
-    vehicle run is then a handful of flat, pointer-free blobs — the GC never
-    traverses it, [Marshal] is effectively a memcpy, and monitors can read
-    one signal across all states without a single map lookup. [get] and the
+    ids for symbols, a single cell for a signal that never changes),
+    rather than one [State.t] map per tick. A 20-second vehicle run is
+    then a handful of flat, pointer-free blobs — the GC never traverses
+    it, [Marshal] is effectively a memcpy, and monitors can read one
+    signal across all states without a single map lookup. [get] and the
     iterators materialize classic [State.t] rows on demand, so every
     consumer of the old row-oriented representation behaves identically. *)
 
 (* A column's cells, one per state. The constructor is chosen canonically
-   from the cell values alone (see [Builder]), so structurally equal traces
-   have structurally equal — and therefore Marshal-equal — columns:
+   from the cell values alone (see [Builder.finish]), so structurally
+   equal traces have structurally equal — and therefore Marshal-equal —
+   columns:
+   - [CCol]  : every present cell holds one value (same constructor, same
+               payload; floats compared bit for bit);
    - [FCol]  : every present cell is [Value.Float] (NaN included);
    - [ICol]  : every present cell is [Value.Int];
    - [BCol]  : every present cell is [Value.Bool], packed as 0/1 bytes;
    - [SCol]  : every present cell is [Value.Sym] with at most 256 distinct
                symbols; [values] is the intern table in first-occurrence
                order and [ids] one table index per state;
-   - [VCol]  : anything else (mixed-type signals), stored exactly. *)
+   - [VCol]  : anything else (mixed-type signals), stored exactly.
+   The first matching kind wins. *)
 type col =
+  | CCol of Value.t
   | FCol of floatarray
   | ICol of int array
   | BCol of Bytes.t
@@ -50,6 +56,7 @@ let vfalse = Value.Bool false
 
 let cell_value col i =
   match col with
+  | CCol v -> v
   | FCol a -> Value.Float (Float.Array.get a i)
   | ICol a -> Value.Int a.(i)
   | BCol b -> if Bytes.get b i = '\001' then vtrue else vfalse
@@ -99,11 +106,15 @@ let duration_to_states ~dt d =
 (* Builder                                                              *)
 
 module Builder = struct
-  (* Growable typed stores. A column starts in the narrowest store its
-     first value fits and is promoted to [GV] (exact [Value.t] cells) on
-     the first type conflict, so [finish] emits the canonical column kind
-     for the cells actually seen. *)
+  (* A column holds one value ([GK]) until a present cell differs; it is
+     then materialized into the narrowest typed store its first value
+     fits, and promoted to [GV] (exact [Value.t] cells) on the first type
+     conflict. Most vehicle signals never leave [GK], so most columns
+     never allocate a store. [finish] packs each store into the canonical
+     column kind: [GK] is exactly [CCol], and a typed store always holds
+     at least two different values. *)
   type store =
+    | GK of Value.t
     | GF of floatarray
     | GI of int array
     | GB of Bytes.t
@@ -118,8 +129,12 @@ module Builder = struct
   type bcolumn = {
     cname : string;
     mutable store : store;
-    mutable pres : Bytes.t;  (* 0/1 per row, sized like the stores *)
-    mutable last : int;  (* last row this column was written at *)
+    first : int;  (* first present row *)
+    mutable last : int;  (* last present row *)
+    mutable pres : Bytes.t option;
+        (* [None]: present in exactly the rows [first..last]; [Some p]:
+           present where [p] has byte 1 (allocated on the first gap, grown
+           lazily, missing tail bytes absent) *)
   }
 
   type b = {
@@ -128,21 +143,48 @@ module Builder = struct
     mutable cap : int;
     mutable bcols : bcolumn list;  (* creation order; sorted at finish *)
     index : (string, bcolumn) Hashtbl.t;
+    names : string array;  (* slot -> variable, for [add_frame] *)
+    slots : bcolumn option array;  (* slot -> its column, once opened *)
   }
 
-  let create ?(hint = 1024) ~dt () =
-    if dt <= 0. then invalid_arg "Trace.Builder.create: dt must be positive";
+  let make ~hint ~dt names =
     {
       bdt = dt;
       rows = 0;
       cap = max 16 hint;
       bcols = [];
       index = Hashtbl.create 64;
+      names;
+      slots = Array.make (Array.length names) None;
     }
+
+  let create ?(hint = 1024) ~dt () =
+    if dt <= 0. then invalid_arg "Trace.Builder.create: dt must be positive";
+    make ~hint ~dt [||]
+
+  let of_slots ?(hint = 1024) ~dt names =
+    if dt <= 0. then invalid_arg "Trace.Builder.of_slots: dt must be positive";
+    make ~hint ~dt names
 
   let length b = b.rows
 
+  (* The one-value test of [CCol]: same constructor, same payload, floats
+     bit for bit. *)
+  let same a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Value.Int x, Value.Int y -> x = y
+    | Value.Bool x, Value.Bool y -> x = y
+    | Value.Sym x, Value.Sym y -> String.equal x y
+    | _ -> false
+
+  let is_present c i =
+    i >= c.first && i <= c.last
+    && match c.pres with None -> true | Some p -> Bytes.get p i = '\001'
+
   let grow_store cap = function
+    | GK _ as s -> s
     | GF a ->
         let a' = Float.Array.make cap 0. in
         Float.Array.blit a 0 a' 0 (Float.Array.length a);
@@ -174,17 +216,11 @@ module Builder = struct
     | GV a when Array.length a < b.cap -> c.store <- grow_store b.cap c.store
     | _ -> ()
 
-  let ensure_pres b c =
-    if Bytes.length c.pres < b.cap then begin
-      let p = Bytes.make b.cap '\000' in
-      Bytes.blit c.pres 0 p 0 (Bytes.length c.pres);
-      c.pres <- p
-    end
-
   (* Rebuild the first [n] cells of a store as exact values — the promotion
      path when a column stops being monomorphic. Only present cells are ever
      read back, so reconstructing padding cells as typed zeros is sound. *)
   let promote cap n = function
+    | GK v -> Array.init cap (fun i -> if i < n then v else vfalse)
     | GF a -> Array.init cap (fun i -> if i < n then Value.Float (Float.Array.get a i) else vfalse)
     | GI a -> Array.init cap (fun i -> if i < n then Value.Int a.(i) else vfalse)
     | GB s ->
@@ -196,50 +232,21 @@ module Builder = struct
             if i < n then values.(Char.code (Bytes.get ids i)) else vfalse)
     | GV a -> Array.init cap (fun i -> if i < Array.length a && i < n then a.(i) else vfalse)
 
-  let fresh_store cap (v : Value.t) =
+  (* An empty typed store for the kind of [v] (padding cells are zero). *)
+  let typed_store cap (v : Value.t) =
     match v with
-    | Value.Float f ->
-        let a = Float.Array.make cap 0. in
-        Float.Array.set a 0 f;
-        GF a
-    | Value.Int i ->
-        let a = Array.make cap 0 in
-        a.(0) <- i;
-        GI a
-    | Value.Bool bv ->
-        let s = Bytes.make cap '\000' in
-        if bv then Bytes.set s 0 '\001';
-        GB s
+    | Value.Float _ -> GF (Float.Array.make cap 0.)
+    | Value.Int _ -> GI (Array.make cap 0)
+    | Value.Bool _ -> GB (Bytes.make cap '\000')
     | Value.Sym s ->
         let tbl = Hashtbl.create 8 in
         Hashtbl.add tbl s 0;
-        GS { values = Array.make 8 (Value.Sym s); nvalues = 1; tbl; ids = Bytes.make cap '\000' }
+        GS { values = Array.make 8 v; nvalues = 1; tbl; ids = Bytes.make cap '\000' }
 
-  (* The fresh store writes row 0; shift the first value to [row] when the
-     column first appears later in the trace. *)
-  let fresh_store_at cap row v =
-    let s = fresh_store cap v in
-    if row > 0 then begin
-      (match (s, v) with
-      | GF a, Value.Float f ->
-          Float.Array.set a 0 0.;
-          Float.Array.set a row f
-      | GI a, Value.Int i ->
-          a.(0) <- 0;
-          a.(row) <- i
-      | GB b, Value.Bool bv ->
-          Bytes.set b 0 '\000';
-          if bv then Bytes.set b row '\001'
-      | GS g, Value.Sym _ -> Bytes.set g.ids row '\000'
-      | _ -> assert false);
-      ()
-    end;
-    s
-
-  let write b c row (v : Value.t) =
+  (* Write [v] at [row] of the column's store. *)
+  let store_cell b c row (v : Value.t) =
     ensure b c;
-    ensure_pres b c;
-    (match (c.store, v) with
+    match (c.store, v) with
     | GF a, Value.Float f -> Float.Array.set a row f
     | GI a, Value.Int i -> a.(row) <- i
     | GB s, Value.Bool bv -> Bytes.set s row (if bv then '\001' else '\000')
@@ -266,65 +273,138 @@ module Builder = struct
     | store, v ->
         let a = promote b.cap row store in
         a.(row) <- v;
-        c.store <- GV a);
-    Bytes.set c.pres row '\001';
+        c.store <- GV a
+
+  (* A one-value column meets a second value: give it a typed store holding
+     the one value in every present row so far. *)
+  let materialize b c k =
+    c.store <- typed_store b.cap k;
+    for i = c.first to c.last do
+      if is_present c i then store_cell b c i k
+    done
+
+  (* Record the column present at [row], later than every earlier row. *)
+  let mark_present b c row =
+    (match c.pres with
+    | None when row = c.last + 1 -> ()
+    | None ->
+        let p = Bytes.make b.cap '\000' in
+        Bytes.fill p c.first (c.last - c.first + 1) '\001';
+        Bytes.set p row '\001';
+        c.pres <- Some p
+    | Some p ->
+        let p =
+          if Bytes.length p > row then p
+          else begin
+            let p' = Bytes.make b.cap '\000' in
+            Bytes.blit p 0 p' 0 (Bytes.length p);
+            c.pres <- Some p';
+            p'
+          end
+        in
+        Bytes.set p row '\001');
     c.last <- row
 
+  let write b c row (v : Value.t) =
+    (match c.store with
+    | GK k when same k v -> ()
+    | GK k ->
+        materialize b c k;
+        store_cell b c row v
+    | _ -> store_cell b c row v);
+    mark_present b c row
+
+  (* A column first seen at [row] (absent in every earlier state). *)
+  let open_column b name row v =
+    let c = { cname = name; store = GK v; first = row; last = row; pres = None } in
+    Hashtbl.add b.index name c;
+    b.bcols <- c :: b.bcols;
+    c
+
+  let column_of b name row v =
+    match Hashtbl.find_opt b.index name with
+    | Some c ->
+        write b c row v;
+        c
+    | None -> open_column b name row v
+
+  (* Columns absent from a state record nothing: their presence is
+     derived from [first], [last] and the gap bytes. *)
   let add b (st : State.t) =
     let row = b.rows in
     if row >= b.cap then b.cap <- b.cap * 2;
-    State.iter
-      (fun name v ->
-        match Hashtbl.find_opt b.index name with
-        | Some c -> write b c row v
-        | None ->
-            let c =
-              {
-                cname = name;
-                store = fresh_store_at b.cap row v;
-                pres = Bytes.make b.cap '\000';
-                last = row;
-              }
-            in
-            Bytes.set c.pres row '\001';
-            Hashtbl.add b.index name c;
-            b.bcols <- c :: b.bcols)
-      st;
-    (* Columns absent from this state keep pad cells; their presence byte
-       stays 0 (the pres array is grown lazily on the next write, and
-       [finish] treats missing tail bytes as absent). *)
+    State.iter (fun name v -> ignore (column_of b name row v)) st;
     b.rows <- row + 1
+
+  let add_frame b (f : Frame.t) =
+    let row = b.rows in
+    if row >= b.cap then b.cap <- b.cap * 2;
+    let slots = b.slots in
+    for s = 0 to Array.length slots - 1 do
+      let v = f.(s) in
+      if v != Frame.absent then
+        match slots.(s) with
+        | Some c -> write b c row v
+        | None -> slots.(s) <- Some (column_of b b.names.(s) row v)
+    done;
+    b.rows <- row + 1
+
+  (* A copy of a cell that shares no block with its input. A packed trace
+     is built only from such copies and from unboxed cells, so its Marshal
+     bytes cannot depend on how the recorded values were shared. *)
+  let copy_value = function
+    | Value.Bool x -> Value.Bool x
+    | Value.Int i -> Value.Int i
+    | Value.Float f -> Value.Float (Int64.float_of_bits (Int64.bits_of_float f))
+    | Value.Sym s -> Value.Sym (String.sub s 0 (String.length s))
+
+  (* The presence mask of [len] rows: [None] when present in every row.
+     A gap ([Some _]) means some row is absent. *)
+  let presence c len =
+    match c.pres with
+    | None when c.first = 0 && c.last = len - 1 -> None
+    | None ->
+        let p = Bytes.make len '\000' in
+        Bytes.fill p c.first (c.last - c.first + 1) '\001';
+        Some p
+    | Some p ->
+        let q = Bytes.make len '\000' in
+        Bytes.blit p 0 q 0 (min len (Bytes.length p));
+        Some q
+
+  (* The canonical column for the first [len] cells of a column's store
+     (see [col]); absent cells are padding. A store of exactly [len] cells
+     becomes the column itself — the builder is spent after [finish]. *)
+  let pack c len =
+    let fit sub length a = if length a = len then a else sub a 0 len in
+    match c.store with
+    | GK v -> CCol (copy_value v)
+    | GF a -> FCol (fit Float.Array.sub Float.Array.length a)
+    | GI a -> ICol (fit Array.sub Array.length a)
+    | GB s -> BCol (fit Bytes.sub Bytes.length s)
+    | GS g ->
+        SCol
+          {
+            values = Array.init g.nvalues (fun i -> copy_value g.values.(i));
+            ids = fit Bytes.sub Bytes.length g.ids;
+          }
+    | GV a ->
+        (* mixed types: never one value *)
+        VCol
+          (Array.init len (fun i ->
+               copy_value (if is_present c i then a.(i) else vfalse)))
 
   let finish b : t =
     let len = b.rows in
     (* Columns that stopped being written early may hold stores shorter
        than the trace; grow every store to at least [len] so trimming is
-       total (the grown tail is padding under absent presence bytes). *)
+       total (the grown tail is padding under absent presence). *)
     b.cap <- max b.cap len;
     List.iter (fun c -> ensure b c) b.bcols;
-    let trim_pres c =
-      (* All-present columns collapse to [None]; otherwise emit the first
-         [len] presence bytes (absent tail bytes included). *)
-      let p = Bytes.make len '\000' in
-      let have = min len (Bytes.length c.pres) in
-      Bytes.blit c.pres 0 p 0 have;
-      let all = ref true in
-      for i = 0 to len - 1 do
-        if Bytes.get p i <> '\001' then all := false
-      done;
-      if !all then None else Some p
-    in
-    let trim_col c =
-      match c.store with
-      | GF a -> FCol (Float.Array.sub a 0 len)
-      | GI a -> ICol (Array.sub a 0 len)
-      | GB s -> BCol (Bytes.sub s 0 len)
-      | GS g ->
-          SCol { values = Array.sub g.values 0 g.nvalues; ids = Bytes.sub g.ids 0 len }
-      | GV a -> VCol (Array.sub a 0 len)
-    in
     let cols =
-      List.map (fun c -> { name = c.cname; col = trim_col c; presence = trim_pres c }) b.bcols
+      List.map
+        (fun c -> { name = c.cname; col = pack c len; presence = presence c len })
+        b.bcols
       |> List.sort (fun a b -> String.compare a.name b.name)
       |> Array.of_list
     in
@@ -394,6 +474,7 @@ let approx_bytes tr =
     (fun acc c ->
       let cells =
         match c.col with
+        | CCol _ -> 16
         | FCol a -> 8 * Float.Array.length a
         | ICol a -> 8 * Array.length a
         | BCol s -> Bytes.length s

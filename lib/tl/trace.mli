@@ -6,13 +6,16 @@
 
     Traces are stored {e columnar}: one typed column per state variable
     (unboxed [floatarray] for numeric signals, packed bytes for booleans,
-    interned ids for symbolic enumerations) instead of one [State.t] map
-    per tick. The flat, pointer-free columns cost the GC nothing to
-    retain, [Marshal] ships them as near-memcpy blobs across shard-worker
-    pipes, and {!Rtmon.Incremental} reads one signal across all states
-    without a map lookup per atom. The packed form is {e canonical} — a
-    function of [dt] and the cell values alone — so structurally equal
-    traces marshal to identical bytes regardless of how they were built.
+    interned ids for symbolic enumerations, one cell for a signal that
+    holds a single value all run) instead of one [State.t] map per tick.
+    The flat, pointer-free columns cost the GC nothing to retain,
+    [Marshal] ships them as near-memcpy blobs across shard-worker pipes,
+    and {!Rtmon.Incremental} reads one signal across all states without a
+    map lookup per atom. The packed form is {e canonical} — a function of
+    [dt] and the cell values alone, sharing no block with the recorded
+    values — so traces with equal cells marshal to identical bytes
+    whether they were built from [State.t] rows ({!make}) or from kernel
+    frames ({!Builder.add_frame}).
 
     [get], [fold] and [iteri] materialize classic [State.t] rows on
     demand; all row-oriented consumers behave exactly as before. *)
@@ -57,6 +60,12 @@ val iteri : (int -> State.t -> unit) -> t -> unit
     as read-only: they {e are} the trace. *)
 
 type col =
+  | CCol of Value.t
+      (** every present cell holds this one value: same constructor, same
+          payload, floats compared bit for bit (so [0.] and [-0.], or two
+          NaN payloads, are different values). Takes precedence over
+          every other kind; in the vehicle runs most columns are
+          constant. *)
   | FCol of floatarray  (** every present cell is [Value.Float] *)
   | ICol of int array  (** every present cell is [Value.Int] *)
   | BCol of Bytes.t  (** [Value.Bool] packed as 0/1 bytes *)
@@ -78,15 +87,24 @@ val approx_bytes : t -> int
 
 (** {1 Incremental construction}
 
-    The allocation-friendly way to record a simulation: append snapshots
-    as they are computed — cells go straight into typed columns, so the
-    run never retains one map per tick. *)
+    The allocation-friendly way to record a simulation: append states as
+    they are computed — cells go straight into typed columns, so the run
+    never retains one map per tick. The simulation kernel appends its
+    frames ({!Frame}) to slot-bound columns; [add] is the same builder
+    fed from [State.t] rows. Either way {!finish} packs the columns into
+    the same canonical form. *)
 
 module Builder : sig
   type b
 
   val create : ?hint:int -> dt:float -> unit -> b
-  (** [hint] — expected number of states (the initial column capacity).
+  (** A builder fed with {!add}. [hint] — expected number of states (the
+      initial column capacity).
+      @raise Invalid_argument when [dt <= 0]. *)
+
+  val of_slots : ?hint:int -> dt:float -> string array -> b
+  (** [of_slots ~dt names] — a builder fed with {!add_frame}: cell [s] of
+      every frame is recorded in the column of [names.(s)].
       @raise Invalid_argument when [dt <= 0]. *)
 
   val add : b -> State.t -> unit
@@ -94,6 +112,16 @@ module Builder : sig
       (absent in all earlier states); variables missing from this state
       are recorded as absent. *)
 
+  val add_frame : b -> Frame.t -> unit
+  (** Append one frame, exactly as [add (Frame.to_state names f)] would,
+      without building the state: {!Frame.absent} cells are recorded as
+      absent. *)
+
   val length : b -> int
+
   val finish : b -> t
+  (** The packed trace: each column becomes the first matching kind of
+      {!col}. The builder is spent: the trace may reuse its stores. A
+      column stays a single value until a second value is appended, so a
+      constant signal never allocates a column store. *)
 end

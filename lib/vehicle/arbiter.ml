@@ -42,38 +42,35 @@ let default_timing =
     latch_time = 0.15;
   }
 
-type state = {
-  mutable cur : string;  (** current acceleration source: feature or "Driver" *)
-  mutable pend : string option;
-  mutable pend_t : float;
-  mutable override_t : float;
-  mutable blocked : (string, unit) Hashtbl.t;  (** overridden while pedals applied *)
-  mutable was_overridden : (string, unit) Hashtbl.t;
-  mutable latch : (string * float) list;  (** (feature, time left) selected latches *)
-  mutable last_cmd : float;
-  mutable last_steer : float;
+(* A feature as the arbiter sees it: its slots and its per-feature
+   selection state, bound once per world. *)
+type feature = {
+  fname : string;
+  fsym : Value.t;  (** [Value.Sym fname] *)
+  io : Feature_io.t;
+  selected_slot : Sim.Component.slot;
+  mutable blocked : bool;  (** overridden while pedals applied *)
+  mutable was_overridden : bool;
+  mutable latched : bool;  (** 'selected' flag held past the source change *)
+  mutable latch_left : float;
 }
 
-let fresh () =
-  {
-    cur = "Driver";
-    pend = None;
-    pend_t = 0.;
-    override_t = 0.;
-    blocked = Hashtbl.create 4;
-    was_overridden = Hashtbl.create 4;
-    latch = [];
-    last_cmd = 0.;
-    last_steer = 0.;
-  }
+type state = {
+  mutable cur : feature option;  (** current acceleration source; [None] = the driver *)
+  mutable pend : feature option;
+  mutable pend_t : float;
+  mutable override_t : float;
+  mutable last_steer : float;
+}
 
 let hard_stop_request ~v request =
   (* an emergency stop the driver may not override (§5.2.3) *)
   if v >= 0. then request < hard_brake else request > -.hard_brake
 
+let driver = Value.Sym "Driver"
+
 let component ?(timing = default_timing) (defects : Defects.t) =
   let { select_debounce; reselect_debounce; override_debounce; latch_time } = timing in
-  let st = fresh () in
   Sim.Component.make ~name:"Arbiter"
     ~outputs:
       ([
@@ -86,178 +83,212 @@ let component ?(timing = default_timing) (defects : Defects.t) =
          (driver_selected, Value.Bool true);
        ]
       @ List.map (fun f -> (selected f, Value.Bool false)) features)
-    (fun ctx ->
-      let open Sim.Component in
-      let dt = ctx.dt in
-      let v = read_float ctx host_speed in
-      let throttle = read_float ctx throttle_pedal in
-      let brake = read_float ctx brake_pedal in
-      let pedals = throttle > 0.05 || brake > 0.05 in
-      let req_of f = read_float ctx (accel_req f) in
-      let requesting f = read_bool ctx (active f) && read_bool ctx (req_accel f) in
-      if not pedals then Hashtbl.reset st.blocked;
-      (* --- acceleration arbitration --- *)
-      let candidates = List.filter requesting accel_priority in
-      let top = match candidates with [] -> None | f :: _ -> Some f in
-      (* override evaluation of the currently selected feature *)
-      (match st.cur with
-      | "Driver" -> st.override_t <- 0.
-      | f ->
-          if requesting f then begin
-            if pedals && not (hard_stop_request ~v (req_of f)) then begin
-              st.override_t <- st.override_t +. dt;
-              if st.override_t >= override_debounce then begin
-                st.cur <- "Driver";
-                Hashtbl.replace st.blocked f ();
-                Hashtbl.replace st.was_overridden f ();
-                st.override_t <- 0.
+    (fun slot ->
+      let bind f =
+        {
+          fname = f;
+          fsym = Value.Sym f;
+          io = Feature_io.bind slot f;
+          selected_slot = slot (selected f);
+          blocked = false;
+          was_overridden = false;
+          latched = false;
+          latch_left = 0.;
+        }
+      in
+      let features = List.map bind features in
+      let feature f = List.find (fun x -> x.fname = f) features in
+      let accel_priority = List.map feature accel_priority in
+      let steer_priority =
+        if defects.Defects.arbiter_steering_priority_reversed then List.rev accel_priority
+        else accel_priority
+      in
+      let lca = feature "LCA" and pa = feature "PA" and acc = feature "ACC" in
+      let host_speed = slot host_speed and throttle_pedal = slot throttle_pedal in
+      let brake_pedal = slot brake_pedal and gear = slot gear in
+      let steering_wheel_active = slot steering_wheel_active in
+      let acc_engage = slot (engage_request "ACC") in
+      let acc_enabled = slot (enabled "ACC") in
+      let accel_cmd = slot accel_cmd and accel_source = slot accel_source in
+      let va_source = slot va_source and steer_cmd = slot steer_cmd in
+      let steer_source = slot steer_source and vst_source = slot vst_source in
+      let driver_selected = slot driver_selected in
+      let st =
+        { cur = None; pend = None; pend_t = 0.; override_t = 0.; last_steer = 0. }
+      in
+      let is_cur f = match st.cur with Some c -> c == f | None -> false in
+      fun ctx ->
+        let open Sim.Component in
+        let dt = ctx.dt in
+        let v = float ctx host_speed in
+        let throttle = float ctx throttle_pedal in
+        let brake = float ctx brake_pedal in
+        let pedals = throttle > 0.05 || brake > 0.05 in
+        let req_of f = float ctx f.io.accel_req in
+        let requesting f = bool ctx f.io.active && bool ctx f.io.req_accel in
+        if not pedals then List.iter (fun f -> f.blocked <- false) features;
+        (* --- acceleration arbitration --- *)
+        let candidates = List.filter requesting accel_priority in
+        let top = match candidates with [] -> None | f :: _ -> Some f in
+        (* override evaluation of the currently selected feature *)
+        (match st.cur with
+        | None -> st.override_t <- 0.
+        | Some f ->
+            if requesting f then begin
+              if pedals && not (hard_stop_request ~v (req_of f)) then begin
+                st.override_t <- st.override_t +. dt;
+                if st.override_t >= override_debounce then begin
+                  st.cur <- None;
+                  f.blocked <- true;
+                  f.was_overridden <- true;
+                  st.override_t <- 0.
+                end
+              end
+              else st.override_t <- 0.
+            end
+            else begin
+              (* the feature withdrew: fall back immediately *)
+              st.cur <- None;
+              st.override_t <- 0.
+            end);
+        (* selection of a new source. The repaired arbiter refuses to select
+           a feature while the pedals are applied unless it is demanding an
+           emergency stop; the evaluated arbiter checks the pedals only after
+           selection, via the override logic. *)
+        let pedal_gate f =
+          defects.Defects.arbiter_selects_under_pedals
+          || (not pedals)
+          || hard_stop_request ~v (req_of f)
+        in
+        let blocked_now f =
+          (* an overridden feature stays blocked while the pedals are applied —
+             but an emergency stop request is never blocked (§5.2.3) *)
+          f.blocked && pedals && not (hard_stop_request ~v (req_of f))
+        in
+        let pend_on f =
+          match st.pend with
+          | Some p when p == f -> st.pend_t <- st.pend_t +. dt
+          | _ ->
+              st.pend <- Some f;
+              st.pend_t <- dt
+        in
+        (match top with
+        | Some f when Option.is_none st.cur && (not (blocked_now f)) && pedal_gate f ->
+            (* defect-adjacent: LCA bypasses the debounce *)
+            if f == lca then st.cur <- Some f
+            else begin
+              let threshold =
+                if f.was_overridden then reselect_debounce else select_debounce
+              in
+              pend_on f;
+              if st.pend_t >= threshold then begin
+                st.cur <- Some f;
+                st.pend <- None;
+                st.pend_t <- 0.
               end
             end
-            else st.override_t <- 0.
-          end
-          else begin
-            (* the feature withdrew: fall back immediately *)
-            st.cur <- "Driver";
-            st.override_t <- 0.
-          end);
-      (* selection of a new source. The repaired arbiter refuses to select
-         a feature while the pedals are applied unless it is demanding an
-         emergency stop; the evaluated arbiter checks the pedals only after
-         selection, via the override logic. *)
-      let pedal_gate f =
-        defects.Defects.arbiter_selects_under_pedals
-        || (not pedals)
-        || hard_stop_request ~v (req_of f)
-      in
-      let blocked_now f =
-        (* an overridden feature stays blocked while the pedals are applied —
-           but an emergency stop request is never blocked (§5.2.3) *)
-        Hashtbl.mem st.blocked f && pedals && not (hard_stop_request ~v (req_of f))
-      in
-      (match top with
-      | Some f when st.cur = "Driver" && (not (blocked_now f)) && pedal_gate f ->
-          if f = "LCA" then st.cur <- f (* defect-adjacent: LCA bypasses the debounce *)
-          else begin
-            let threshold =
-              if Hashtbl.mem st.was_overridden f then reselect_debounce
-              else select_debounce
-            in
-            (match st.pend with
-            | Some p when p = f -> st.pend_t <- st.pend_t +. dt
-            | _ ->
-                st.pend <- Some f;
-                st.pend_t <- dt);
-            if st.pend_t >= threshold then begin
-              st.cur <- f;
+        | Some f when Option.is_some st.cur && not (is_cur f) ->
+            (* a higher-priority feature preempts after the debounce *)
+            pend_on f;
+            if st.pend_t >= select_debounce then begin
+              st.cur <- Some f;
               st.pend <- None;
               st.pend_t <- 0.
             end
-          end
-      | Some f when st.cur <> "Driver" && f <> st.cur ->
-          (* a higher-priority feature preempts after the debounce *)
-          (match st.pend with
-          | Some p when p = f -> st.pend_t <- st.pend_t +. dt
-          | _ ->
-              st.pend <- Some f;
-              st.pend_t <- dt);
-          if st.pend_t >= select_debounce then begin
-            st.cur <- f;
+        | _ ->
             st.pend <- None;
-            st.pend_t <- 0.
-          end
-      | _ ->
-          st.pend <- None;
-          st.pend_t <- 0.);
-      (* driver demand *)
-      let driver_demand =
-        if brake > 0.05 then
-          if v > 0.01 then -7. *. brake else if v < -0.01 then 7. *. brake else 0.
-        else
-          let dir = if read_sym ctx gear = "R" then -1. else 1. in
-          dir *. 2.5 *. throttle
-      in
-      let cmd = match st.cur with "Driver" -> driver_demand | f -> req_of f in
-      (* --- steering arbitration --- *)
-      let steer_candidates =
-        List.filter
-          (fun f -> read_bool ctx (active f) && read_bool ctx (req_steer f))
-          (if defects.Defects.arbiter_steering_priority_reversed then
-             List.rev accel_priority
-           else accel_priority)
-      in
-      let wheel = read_bool ctx steering_wheel_active in
-      let steer_winner =
-        if wheel then None else (match steer_candidates with [] -> None | f :: _ -> Some f)
-      in
-      let s_cmd, s_src =
-        match steer_winner with
-        | None -> ((if wheel then st.last_steer else st.last_steer), "Driver")
-        | Some f ->
-            let value =
-              if f = "LCA" && defects.Defects.lca_steering_ignored then st.last_steer
-              else read_float ctx (steer_req f)
-            in
-            (value, f)
-      in
-      st.last_steer <- s_cmd;
-      (* Defect: the steering stage determines which acceleration request
-         value is passed along (§5.4.2). *)
-      let cmd =
-        match steer_winner with
-        | Some f
-          when defects.Defects.arbiter_steering_priority_reversed && st.cur <> "Driver"
-          -> req_of f
-        | _ -> cmd
-      in
-      (* Defect: wrong slot routed when PA is the acceleration source. *)
-      let cmd =
-        if st.cur = "PA" && defects.Defects.pa_command_mismatch then
-          read_float ctx (steer_req "PA")
-        else cmd
-      in
-      st.last_cmd <- cmd;
-      (* --- selected flags, with the latch defect --- *)
-      let selected_now f = st.cur = f || s_src = f in
-      let selected_now f =
-        selected_now f
-        || (defects.Defects.arbiter_dual_selected && f = "ACC" && st.cur = "LCA")
-        (* Defect: the HMI engage request drives the 'selected' indicator
-           directly, even when the activation failed — the Fig. 5.15
-           phantom attribution. *)
-        || defects.Defects.arbiter_dual_selected
-           && f = "ACC"
-           && read_bool ctx (engage_request "ACC")
-           && read_bool ctx (enabled "ACC")
-           && not (read_bool ctx (active "ACC"))
-      in
-      st.latch <-
-        List.filter_map
+            st.pend_t <- 0.);
+        (* driver demand *)
+        let driver_demand =
+          if brake > 0.05 then
+            if v > 0.01 then -7. *. brake else if v < -0.01 then 7. *. brake else 0.
+          else
+            let dir = if sym ctx gear = "R" then -1. else 1. in
+            dir *. 2.5 *. throttle
+        in
+        let cmd = match st.cur with None -> driver_demand | Some f -> req_of f in
+        (* --- steering arbitration --- *)
+        let steer_candidates =
+          List.filter
+            (fun f -> bool ctx f.io.active && bool ctx f.io.req_steer)
+            steer_priority
+        in
+        let wheel = bool ctx steering_wheel_active in
+        let steer_winner =
+          if wheel then None
+          else match steer_candidates with [] -> None | f :: _ -> Some f
+        in
+        let s_cmd, s_src =
+          match steer_winner with
+          | None -> (st.last_steer, None)
+          | Some f ->
+              let value =
+                if f == lca && defects.Defects.lca_steering_ignored then st.last_steer
+                else float ctx f.io.steer_req
+              in
+              (value, Some f)
+        in
+        st.last_steer <- s_cmd;
+        (* Defect: the steering stage determines which acceleration request
+           value is passed along (§5.4.2). *)
+        let cmd =
+          match steer_winner with
+          | Some f
+            when defects.Defects.arbiter_steering_priority_reversed
+                 && Option.is_some st.cur ->
+              req_of f
+          | _ -> cmd
+        in
+        (* Defect: wrong slot routed when PA is the acceleration source. *)
+        let cmd =
+          if is_cur pa && defects.Defects.pa_command_mismatch then
+            float ctx pa.io.steer_req
+          else cmd
+        in
+        (* --- selected flags, with the latch defect --- *)
+        let selected_now f =
+          is_cur f
+          || (match s_src with Some g -> g == f | None -> false)
+          || (defects.Defects.arbiter_dual_selected && f == acc && is_cur lca)
+          (* Defect: the HMI engage request drives the 'selected' indicator
+             directly, even when the activation failed — the Fig. 5.15
+             phantom attribution. *)
+          || defects.Defects.arbiter_dual_selected
+             && f == acc
+             && bool ctx acc_engage
+             && bool ctx acc_enabled
+             && not (bool ctx acc.io.active)
+        in
+        List.iter
           (fun f ->
-            if selected_now f then Some (f, latch_time)
-            else
-              match List.assoc_opt f st.latch with
-              | Some left when left -. dt > 0. && defects.Defects.arbiter_selected_latch ->
-                  Some (f, left -. dt)
-              | _ -> None)
+            if selected_now f then begin
+              f.latched <- true;
+              f.latch_left <- latch_time
+            end
+            else if
+              f.latched
+              && f.latch_left -. dt > 0.
+              && defects.Defects.arbiter_selected_latch
+            then f.latch_left <- f.latch_left -. dt
+            else f.latched <- false)
           features;
-      let flag f = List.mem_assoc f st.latch in
-      (* The flag-derived attribution (the only attribution visible outside
-         the arbiter) follows the latched 'selected' flags: during the latch
-         window a transient is still attributed to the subsystem (§5.4.1). *)
-      let flag_attribution =
-        if st.cur <> "Driver" then st.cur
-        else
-          match List.find_opt (fun f -> flag f) accel_priority with
-          | Some f when defects.Defects.arbiter_selected_latch -> f
-          | _ -> "Driver"
-      in
-      [
-        (accel_cmd, Value.Float cmd);
-        (accel_source, Value.Sym st.cur);
-        (va_source, Value.Sym flag_attribution);
-        (steer_cmd, Value.Float s_cmd);
-        (steer_source, Value.Sym s_src);
-        (vst_source, Value.Sym s_src);
-        (driver_selected, Value.Bool (st.cur = "Driver"));
-      ]
-      @ List.map (fun f -> (selected f, Value.Bool (flag f))) features)
+        (* The flag-derived attribution (the only attribution visible outside
+           the arbiter) follows the latched 'selected' flags: during the latch
+           window a transient is still attributed to the subsystem (§5.4.1). *)
+        let flag_attribution =
+          match st.cur with
+          | Some f -> f.fsym
+          | None -> (
+              match List.find_opt (fun f -> f.latched) accel_priority with
+              | Some f when defects.Defects.arbiter_selected_latch -> f.fsym
+              | _ -> driver)
+        in
+        let source = function Some f -> f.fsym | None -> driver in
+        set_float ctx accel_cmd cmd;
+        set ctx accel_source (source st.cur);
+        set ctx va_source flag_attribution;
+        set_float ctx steer_cmd s_cmd;
+        set ctx steer_source (source s_src);
+        set ctx vst_source (source s_src);
+        set_bool ctx driver_selected (Option.is_none st.cur);
+        List.iter (fun f -> set_bool ctx f.selected_slot f.latched) features)

@@ -14,7 +14,6 @@
     - no standstill clamp: gap control can command the vehicle through zero
       speed (Fig. 5.11). *)
 
-open Tl
 open Signals
 
 let kp = 0.8
@@ -30,78 +29,75 @@ let component (defects : Defects.t) =
   let integ = ref 0. in
   let prev_req = ref 0. in
   let prev_engage = ref false in
-  Sim.Component.make ~name:"ACC"
-    ~outputs:
-      [
-        (active "ACC", Value.Bool false);
-        (accel_req "ACC", Value.Float 0.);
-        (req_accel "ACC", Value.Bool false);
-        (steer_req "ACC", Value.Float 0.);
-        (req_steer "ACC", Value.Bool false);
-      ]
-    (fun ctx ->
-      let open Sim.Component in
-      let dt = ctx.dt in
-      let enabled = read_bool ctx (enabled "ACC") in
-      let engage = read_bool ctx (engage_request "ACC") in
-      let v = read_float ctx host_speed in
-      let in_drive = read_sym ctx gear = "D" in
-      (* Engagement on the rising edge of the HMI request. *)
-      (if engage && not !prev_engage then
-         let gear_ok = defects.Defects.acc_no_gear_check || in_drive in
-         if enabled && gear_ok && Float.abs v >= min_engage_speed then begin
-           active_state := true;
-           integ := 0.
-         end);
-      prev_engage := engage;
-      if not enabled then active_state := false;
-      let set = read_float ctx acc_set_speed in
-      let detected = read_bool ctx object_detected in
-      let range = read_float ctx object_range in
-      let lead_v = read_float ctx lead_speed in
-      let target_of set_speed =
-        if detected && range < Float.max 10. (2.0 *. Float.abs v *. 1.5) then
-          Float.min set_speed (lead_v +. (0.25 *. (range -. desired_gap)))
-        else set_speed
-      in
-      let control set_speed =
-        let target = target_of set_speed in
-        let target =
-          if (not defects.Defects.acc_no_standstill_clamp) && target < 0. then 0.
-          else target
+  Sim.Component.make ~name:"ACC" ~outputs:(Feature_io.outputs "ACC") (fun slot ->
+      let out = Feature_io.bind slot "ACC" in
+      let enabled = slot (enabled "ACC") in
+      let engage_request = slot (engage_request "ACC") in
+      let host_speed = slot host_speed in
+      let gear = slot gear in
+      let acc_set_speed = slot acc_set_speed in
+      let object_detected = slot object_detected in
+      let object_range = slot object_range in
+      let lead_speed = slot lead_speed in
+      let accel_source = slot accel_source in
+      fun ctx ->
+        let open Sim.Component in
+        let dt = ctx.dt in
+        let enabled = bool ctx enabled in
+        let engage = bool ctx engage_request in
+        let v = float ctx host_speed in
+        let in_drive = sym ctx gear = "D" in
+        (* Engagement on the rising edge of the HMI request. *)
+        (if engage && not !prev_engage then
+           let gear_ok = defects.Defects.acc_no_gear_check || in_drive in
+           if enabled && gear_ok && Float.abs v >= min_engage_speed then begin
+             active_state := true;
+             integ := 0.
+           end);
+        prev_engage := engage;
+        if not enabled then active_state := false;
+        let set = float ctx acc_set_speed in
+        let detected = bool ctx object_detected in
+        let range = float ctx object_range in
+        let lead_v = float ctx lead_speed in
+        let target_of set_speed =
+          if detected && range < Float.max 10. (2.0 *. Float.abs v *. 1.5) then
+            Float.min set_speed (lead_v +. (0.25 *. (range -. desired_gap)))
+          else set_speed
         in
-        let err = target -. v in
-        let selected = read_sym ctx accel_source = "ACC" || read_sym ctx accel_source = "LCA" in
-        if selected || defects.Defects.acc_integrator_windup then
-          integ := !integ +. (err *. dt);
-        let raw = (kp *. err) +. (ki *. !integ) in
-        let raw = Float.max request_min (Float.min request_max raw) in
-        let raw =
-          if (not defects.Defects.acc_no_standstill_clamp) && v <= 0.01 then
-            Float.max 0. raw
-          else raw
+        let control set_speed =
+          let target = target_of set_speed in
+          let target =
+            if (not defects.Defects.acc_no_standstill_clamp) && target < 0. then 0.
+            else target
+          in
+          let err = target -. v in
+          let selected = sym ctx accel_source = "ACC" || sym ctx accel_source = "LCA" in
+          if selected || defects.Defects.acc_integrator_windup then
+            integ := !integ +. (err *. dt);
+          let raw = (kp *. err) +. (ki *. !integ) in
+          let raw = Float.max request_min (Float.min request_max raw) in
+          let raw =
+            if (not defects.Defects.acc_no_standstill_clamp) && v <= 0.01 then
+              Float.max 0. raw
+            else raw
+          in
+          (* jerk limiter *)
+          let step = jerk_rate *. dt in
+          let r = !prev_req +. Float.max (-.step) (Float.min step (raw -. !prev_req)) in
+          prev_req := r;
+          r
         in
-        (* jerk limiter *)
-        let step = jerk_rate *. dt in
-        let r = !prev_req +. Float.max (-.step) (Float.min step (raw -. !prev_req)) in
-        prev_req := r;
-        r
-      in
-      let request =
-        if !active_state then control set
-        else if enabled && defects.Defects.acc_controls_when_disengaged then
-          (* uninitialized set speed: controls the vehicle toward 0 m/s *)
-          control 0.
-        else begin
-          prev_req := 0.;
-          integ := 0.;
-          0.
-        end
-      in
-      [
-        (active "ACC", Value.Bool !active_state);
-        (accel_req "ACC", Value.Float request);
-        (req_accel "ACC", Value.Bool !active_state);
-        (steer_req "ACC", Value.Float 0.);
-        (req_steer "ACC", Value.Bool false);
-      ])
+        let request =
+          if !active_state then control set
+          else if enabled && defects.Defects.acc_controls_when_disengaged then
+            (* uninitialized set speed: controls the vehicle toward 0 m/s *)
+            control 0.
+          else begin
+            prev_req := 0.;
+            integ := 0.;
+            0.
+          end
+        in
+        Feature_io.write ctx out ~active:!active_state ~accel_req:request
+          ~req_accel:!active_state ~steer_req:0. ~req_steer:false)

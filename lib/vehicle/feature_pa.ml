@@ -11,7 +11,6 @@
     When genuinely engaged, PA aligns (steering + zero acceleration) while
     the vehicle moves and creeps (+0.3 m/s²) from standstill. *)
 
-open Tl
 open Signals
 
 let ghost_profile now =
@@ -23,58 +22,42 @@ let component (defects : Defects.t) =
   let active_state = ref false in
   let prev_engage = ref false in
   let prev_req = ref 0. in
-  Sim.Component.make ~name:"PA"
-    ~outputs:
-      [
-        (active "PA", Value.Bool false);
-        (accel_req "PA", Value.Float 0.);
-        (req_accel "PA", Value.Bool false);
-        (steer_req "PA", Value.Float 0.);
-        (req_steer "PA", Value.Bool false);
-      ]
-    (fun ctx ->
-      let open Sim.Component in
-      let enabled = read_bool ctx (enabled "PA") in
-      let engage = read_bool ctx (engage_request "PA") in
-      if engage && not !prev_engage && enabled then active_state := true;
-      prev_engage := engage;
-      if not enabled then active_state := false;
-      let v = read_float ctx host_speed in
-      let ramp target =
-        let step = request_jerk_limit *. ctx.Sim.Component.dt in
-        let r = !prev_req +. Float.max (-.step) (Float.min step (target -. !prev_req)) in
-        prev_req := r;
-        r
-      in
-      if !active_state then
-        if Float.abs v > 0.3 then
-          (* align phase: searching for a space — steering authority is
-             claimed but the request is still neutral, and speed is held *)
-          [
-            (active "PA", Value.Bool true);
-            (accel_req "PA", Value.Float (ramp 0.));
-            (req_accel "PA", Value.Bool true);
-            (steer_req "PA", Value.Float 0.);
-            (req_steer "PA", Value.Bool true);
-          ]
-        else
-          (* creep phase from standstill *)
-          [
-            (active "PA", Value.Bool true);
-            (accel_req "PA", Value.Float (ramp 0.3));
-            (req_accel "PA", Value.Bool true);
-            (steer_req "PA", Value.Float 0.);
-            (req_steer "PA", Value.Bool false);
-          ]
-      else
-        [
-          (active "PA", Value.Bool false);
-          ( accel_req "PA",
-            Value.Float
-              (let g = if defects.Defects.pa_ghost_requests then ghost_profile ctx.now else 0. in
-               prev_req := g;
-               g) );
-          (req_accel "PA", Value.Bool false);
-          (steer_req "PA", Value.Float 0.);
-          (req_steer "PA", Value.Bool false);
-        ])
+  Sim.Component.make ~name:"PA" ~outputs:(Feature_io.outputs "PA") (fun slot ->
+      let out = Feature_io.bind slot "PA" in
+      let enabled = slot (enabled "PA") in
+      let engage_request = slot (engage_request "PA") in
+      let host_speed = slot host_speed in
+      fun ctx ->
+        let open Sim.Component in
+        let enabled = bool ctx enabled in
+        let engage = bool ctx engage_request in
+        if engage && (not !prev_engage) && enabled then active_state := true;
+        prev_engage := engage;
+        if not enabled then active_state := false;
+        let v = float ctx host_speed in
+        let ramp target =
+          let step = request_jerk_limit *. ctx.dt in
+          let r =
+            !prev_req +. Float.max (-.step) (Float.min step (target -. !prev_req))
+          in
+          prev_req := r;
+          r
+        in
+        if !active_state then
+          if Float.abs v > 0.3 then
+            (* align phase: searching for a space — steering authority is
+               claimed but the request is still neutral, and speed is held *)
+            Feature_io.write ctx out ~active:true ~accel_req:(ramp 0.) ~req_accel:true
+              ~steer_req:0. ~req_steer:true
+          else
+            (* creep phase from standstill *)
+            Feature_io.write ctx out ~active:true ~accel_req:(ramp 0.3) ~req_accel:true
+              ~steer_req:0. ~req_steer:false
+        else begin
+          let g =
+            if defects.Defects.pa_ghost_requests then ghost_profile ctx.now else 0.
+          in
+          prev_req := g;
+          Feature_io.write ctx out ~active:false ~accel_req:g ~req_accel:false
+            ~steer_req:0. ~req_steer:false
+        end)

@@ -7,7 +7,6 @@
     the hazard corresponds to a *missing* goal, the first emergence problem
     of §3.1 that monitoring cannot detect. *)
 
-open Tl
 open Signals
 
 let engage_ttc = 2.5
@@ -15,33 +14,27 @@ let brake_request = 6.0
 (* Braking while reversing is a positive acceleration. *)
 
 let component (defects : Defects.t) =
-  Sim.Component.make ~name:"RCA"
-    ~outputs:
-      [
-        (active "RCA", Value.Bool false);
-        (accel_req "RCA", Value.Float 0.);
-        (req_accel "RCA", Value.Bool false);
-        (steer_req "RCA", Value.Float 0.);
-        (req_steer "RCA", Value.Bool false);
-      ]
-    (fun ctx ->
-      let open Sim.Component in
-      let enabled = read_bool ctx (enabled "RCA") in
-      let detected = read_bool ctx rear_object_detected in
-      let range = read_float ctx rear_range in
-      let v = read_float ctx host_speed in
-      let gear_now = read_sym ctx gear in
-      let gear_ok =
-        if defects.Defects.rca_never_engages then gear_now = "D" (* wrong gear *)
-        else gear_now = "R"
-      in
-      let closing = -.v in
-      let ttc = if closing > 0.05 then range /. closing else Float.infinity in
-      let engaged = enabled && gear_ok && detected && ttc < engage_ttc in
-      [
-        (active "RCA", Value.Bool engaged);
-        (accel_req "RCA", Value.Float (if engaged then brake_request else 0.));
-        (req_accel "RCA", Value.Bool engaged);
-        (steer_req "RCA", Value.Float 0.);
-        (req_steer "RCA", Value.Bool false);
-      ])
+  Sim.Component.make ~name:"RCA" ~outputs:(Feature_io.outputs "RCA") (fun slot ->
+      let out = Feature_io.bind slot "RCA" in
+      let enabled = slot (enabled "RCA") in
+      let rear_object_detected = slot rear_object_detected in
+      let rear_range = slot rear_range in
+      let host_speed = slot host_speed in
+      let gear = slot gear in
+      fun ctx ->
+        let open Sim.Component in
+        let enabled = bool ctx enabled in
+        let detected = bool ctx rear_object_detected in
+        let range = float ctx rear_range in
+        let v = float ctx host_speed in
+        let gear_now = sym ctx gear in
+        let gear_ok =
+          if defects.Defects.rca_never_engages then gear_now = "D" (* wrong gear *)
+          else gear_now = "R"
+        in
+        let closing = -.v in
+        let ttc = if closing > 0.05 then range /. closing else Float.infinity in
+        let engaged = enabled && gear_ok && detected && ttc < engage_ttc in
+        Feature_io.write ctx out ~active:engaged
+          ~accel_req:(if engaged then brake_request else 0.)
+          ~req_accel:engaged ~steer_req:0. ~req_steer:false)

@@ -33,13 +33,14 @@ let lead_vehicle objects =
         (lead_speed, Value.Float (objects.lead_profile 0.));
         (rear_pos, Value.Float objects.rear_start);
       ]
-    (fun ctx ->
-      let p = Sim.Component.read_float ctx lead_pos in
-      let v = objects.lead_profile ctx.Sim.Component.now in
-      [
-        (lead_pos, Value.Float (p +. (v *. ctx.Sim.Component.dt)));
-        (lead_speed, Value.Float v);
-      ])
+    (fun slot ->
+      let lead_pos = slot lead_pos and lead_speed = slot lead_speed in
+      fun ctx ->
+        let open Sim.Component in
+        let p = float ctx lead_pos in
+        let v = objects.lead_profile ctx.now in
+        set_float ctx lead_pos (p +. (v *. ctx.dt));
+        set_float ctx lead_speed v)
 
 (** Host longitudinal dynamics, including the engage-creep defect
     (Fig. 5.15) and collision detection (the thesis's early-termination
@@ -57,69 +58,74 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
         (host_jerk, Value.Float 0.);
         (collision, Value.Bool false);
       ]
-    (fun ctx ->
-      let open Sim.Component in
-      let dt = ctx.dt in
-      let a = read_float ctx host_accel in
-      let v = read_float ctx host_speed in
-      let p = read_float ctx host_pos in
-      let u = read_float ctx accel_cmd in
-      (* Defect: a failed ACC engage attempt at standstill leaks a creep
-         torque into the powertrain for a few seconds. *)
-      if
-        defects.Defects.powertrain_creep_on_engage
-        && read_bool ctx (engage_request "ACC")
-        && Float.abs v < 0.05
-        && not (read_bool ctx (active "ACC"))
-      then creep_left := 3.0;
-      let creep =
-        if !creep_left > 0. then begin
-          creep_left := !creep_left -. dt;
-          0.8
-        end
-        else 0.
-      in
-      let u = u +. creep in
-      (* Second-order response; [jerk_state] is da/dt. *)
-      let s = !jerk_state in
-      let s' = s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt in
-      jerk_state := s';
-      let a' = a +. (s' *. dt) in
-      (* Standing still with no drive torque (or with the brake applied
-         against the direction of travel): friction holds the vehicle. *)
-      let v' = v +. (a' *. dt) in
-      (* The brake controller holds the vehicle at standstill against
-         commands opposing the direction of travel — except that autonomous
-         torque requests bypass the standstill hold (the plant-side face of
-         the no-standstill-clamp defect): a subsystem commanding negative
-         acceleration at standstill pushes the vehicle backward through
-         zero, the Fig. 5.11 negative speed. *)
-      let braking_demand =
-        if read_sym ctx gear = "R" then u >= -0.05 else u <= 0.05
-      in
-      let hold_bypassed =
-        defects.Defects.acc_no_standstill_clamp
-        && read_sym ctx accel_source <> "Driver"
-        && Float.abs u >= 0.05
-      in
-      (* The capture band must exceed the largest per-step Δv (hard braking
-         changes v by ~9 mm/s per millisecond state). *)
-      let held =
-        Float.abs v' < 0.02
-        && (Float.abs u < 0.05 || (braking_demand && not hold_bypassed))
-      in
-      let v' = if held then 0. else v' in
-      let p' = p +. (v' *. dt) in
-      let lead = read_float ctx lead_pos in
-      let rear = read_float ctx rear_pos in
-      let hit = p' >= lead || p' <= rear in
-      [
-        (host_pos, Value.Float p');
-        (host_speed, Value.Float v');
-        (host_accel, Value.Float a');
-        (host_jerk, Value.Float s');
-        (collision, Value.Bool hit);
-      ])
+    (fun slot ->
+      let host_pos = slot host_pos and host_speed = slot host_speed in
+      let host_accel = slot host_accel and host_jerk = slot host_jerk in
+      let collision = slot collision and accel_cmd = slot accel_cmd in
+      let acc_engage = slot (engage_request "ACC") and acc_active = slot (active "ACC") in
+      let gear = slot gear and accel_source = slot accel_source in
+      let lead_pos = slot lead_pos and rear_pos = slot rear_pos in
+      fun ctx ->
+        let open Sim.Component in
+        let dt = ctx.dt in
+        let a = float ctx host_accel in
+        let v = float ctx host_speed in
+        let p = float ctx host_pos in
+        let u = float ctx accel_cmd in
+        (* Defect: a failed ACC engage attempt at standstill leaks a creep
+           torque into the powertrain for a few seconds. *)
+        if
+          defects.Defects.powertrain_creep_on_engage
+          && bool ctx acc_engage
+          && Float.abs v < 0.05
+          && not (bool ctx acc_active)
+        then creep_left := 3.0;
+        let creep =
+          if !creep_left > 0. then begin
+            creep_left := !creep_left -. dt;
+            0.8
+          end
+          else 0.
+        in
+        let u = u +. creep in
+        (* Second-order response; [jerk_state] is da/dt. *)
+        let s = !jerk_state in
+        let s' =
+          s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt
+        in
+        jerk_state := s';
+        let a' = a +. (s' *. dt) in
+        (* Standing still with no drive torque (or with the brake applied
+           against the direction of travel): friction holds the vehicle. *)
+        let v' = v +. (a' *. dt) in
+        (* The brake controller holds the vehicle at standstill against
+           commands opposing the direction of travel — except that autonomous
+           torque requests bypass the standstill hold (the plant-side face of
+           the no-standstill-clamp defect): a subsystem commanding negative
+           acceleration at standstill pushes the vehicle backward through
+           zero, the Fig. 5.11 negative speed. *)
+        let braking_demand = if sym ctx gear = "R" then u >= -0.05 else u <= 0.05 in
+        let hold_bypassed =
+          defects.Defects.acc_no_standstill_clamp
+          && sym ctx accel_source <> "Driver"
+          && Float.abs u >= 0.05
+        in
+        (* The capture band must exceed the largest per-step Δv (hard braking
+           changes v by ~9 mm/s per millisecond state). *)
+        let held =
+          Float.abs v' < 0.02
+          && (Float.abs u < 0.05 || (braking_demand && not hold_bypassed))
+        in
+        let v' = if held then 0. else v' in
+        let p' = p +. (v' *. dt) in
+        let lead = float ctx lead_pos in
+        let rear = float ctx rear_pos in
+        let hit = p' >= lead || p' <= rear in
+        set_float ctx host_pos p';
+        set_float ctx host_speed v';
+        set_float ctx host_accel a';
+        set_float ctx host_jerk s';
+        set_bool ctx collision hit)
 
 (** Forward and rear object sensors. The forward radar has a 2 m minimum
     range; with the dropout defect, objects closer than that vanish — the
@@ -135,35 +141,50 @@ let sensors (defects : Defects.t) =
         (rear_object_detected, Value.Bool false);
         (rear_range, Value.Float 1000.);
       ]
-    (fun ctx ->
-      let open Sim.Component in
-      let range = read_float ctx lead_pos -. read_float ctx host_pos in
-      let closing = read_float ctx host_speed -. read_float ctx lead_speed in
-      let min_range = if defects.Defects.radar_min_range_dropout then 2.0 else 0.0 in
-      let detected = range > min_range && range < 60. in
-      let rrange = read_float ctx host_pos -. read_float ctx rear_pos in
-      let rdetected = rrange > 0. && rrange < 30. in
-      [
-        (object_detected, Value.Bool detected);
-        (object_range, Value.Float range);
-        (object_closing_speed, Value.Float closing);
-        (rear_object_detected, Value.Bool rdetected);
-        (rear_range, Value.Float rrange);
-      ])
+    (fun slot ->
+      let object_detected = slot object_detected and object_range = slot object_range in
+      let object_closing_speed = slot object_closing_speed in
+      let rear_object_detected = slot rear_object_detected in
+      let rear_range = slot rear_range in
+      let lead_pos = slot lead_pos and host_pos = slot host_pos in
+      let host_speed = slot host_speed and lead_speed = slot lead_speed in
+      let rear_pos = slot rear_pos in
+      fun ctx ->
+        let open Sim.Component in
+        let range = float ctx lead_pos -. float ctx host_pos in
+        let closing = float ctx host_speed -. float ctx lead_speed in
+        let min_range = if defects.Defects.radar_min_range_dropout then 2.0 else 0.0 in
+        let detected = range > min_range && range < 60. in
+        let rrange = float ctx host_pos -. float ctx rear_pos in
+        let rdetected = rrange > 0. && rrange < 30. in
+        set_bool ctx object_detected detected;
+        set_float ctx object_range range;
+        set_float ctx object_closing_speed closing;
+        set_bool ctx rear_object_detected rdetected;
+        set_float ctx rear_range rrange)
 
 (** Jerk derivation for the acceleration command and every feature request
     (needed by subgoals 2A/2B). The derivative is one state delayed, like
     every monitored value. *)
 let jerk_derivation () =
-  let tracked = (accel_cmd, accel_cmd_jerk) :: List.map (fun f -> (accel_req f, accel_req_jerk f)) features in
-  let last : (string, float) Hashtbl.t = Hashtbl.create 8 in
+  let tracked =
+    (accel_cmd, accel_cmd_jerk)
+    :: List.map (fun f -> (accel_req f, accel_req_jerk f)) features
+  in
+  (* the previous sample of each source; none before the first tick *)
+  let last = Array.make (List.length tracked) 0. and primed = ref false in
   Sim.Component.make ~name:"JerkDerivation"
     ~outputs:(List.map (fun (_, out) -> (out, Value.Float 0.)) tracked)
-    (fun ctx ->
-      List.map
-        (fun (src, out) ->
-          let v = Sim.Component.read_float ctx src in
-          let prev = Option.value (Hashtbl.find_opt last src) ~default:v in
-          Hashtbl.replace last src v;
-          (out, Value.Float ((v -. prev) /. ctx.Sim.Component.dt)))
-        tracked)
+    (fun slot ->
+      let pairs =
+        Array.of_list (List.map (fun (src, out) -> (slot src, slot out)) tracked)
+      in
+      fun ctx ->
+        Array.iteri
+          (fun k (src, out) ->
+            let v = Sim.Component.float ctx src in
+            let prev = if !primed then last.(k) else v in
+            last.(k) <- v;
+            Sim.Component.set_float ctx out ((v -. prev) /. ctx.Sim.Component.dt))
+          pairs;
+        primed := true)

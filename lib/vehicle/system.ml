@@ -43,17 +43,23 @@ let world ?(defects = Defects.as_evaluated) ?timing ?dynamics ~objects ~events (
       Plant.jerk_derivation ();
     ]
 
-(** Run a scenario world; terminates early on collision, like the thesis's
-    runs. [interpose] is the runtime fault-injection hook: a stateful
+(** Simulate a scenario world for [duration] seconds; terminates early on
+    collision, like the thesis's runs. [transform] is the frame-level
+    fault-injection hook ({!Sim.World.run}), e.g.
+    [Inject.Plan.frame_interposer]. *)
+let simulate ?transform ?(duration = 20.0) world =
+  Sim.World.run ~stop:collision ?transform ~until:duration world
+
+(** Build and simulate a scenario world. [interpose] is a [State.t]
     snapshot transform (e.g. [Inject.Plan.interposer]) applied to every
-    freshly computed state, so faulted signals are what the features, the
-    arbiter and the monitors all observe one tick later. *)
-let run ?(defects = Defects.as_evaluated) ?timing ?dynamics ?interpose
-    ?(duration = 20.0) ~objects ~events () =
-  Sim.World.run
-    ~stop:(fun s -> State.bool s collision)
-    ?transform:interpose ~until:duration
-    (world ~defects ?timing ?dynamics ~objects ~events ())
+    freshly computed state through {!Sim.World.state_transform}, so faulted
+    signals are what the features, the arbiter and the monitors all observe
+    one tick later. It converts every frame to a state and back; hot paths
+    pass a frame-level transform to {!simulate} instead. *)
+let run ?(defects = Defects.as_evaluated) ?timing ?dynamics ?interpose ?duration ~objects
+    ~events () =
+  let w = world ~defects ?timing ?dynamics ~objects ~events () in
+  simulate ?transform:(Option.map (Sim.World.state_transform w) interpose) ?duration w
 
 (* ------------------------------------------------------------------ *)
 (* Control graph (Fig. 5.1) for the ICPA of Appendix C.                 *)

@@ -239,6 +239,29 @@ let test_memo_capacity () =
   Alcotest.(check int) "resident key hits" 1 s.Exec.Memo.hits;
   Alcotest.(check int) "second eviction for re-adding 1" 2 s.Exec.Memo.evictions
 
+let test_memo_weighted_capacity () =
+  (* Capacity bounds the summed weight: here each entry weighs its value. *)
+  let m : (int, int) Exec.Memo.t = Exec.Memo.create ~capacity:10 ~weight:Fun.id () in
+  let add k = ignore (Exec.Memo.find_or_add m k (fun () -> k)) in
+  add 4;
+  add 5;
+  Alcotest.(check int) "9 of 10: no evictions" 0 (Exec.Memo.stats m).Exec.Memo.evictions;
+  (* 4 + 5 + 3 = 12: the oldest (4) goes *)
+  add 3;
+  Alcotest.(check int) "over the weight: one eviction" 1
+    (Exec.Memo.stats m).Exec.Memo.evictions;
+  Alcotest.(check int) "5 and 3 stay" 2 (Exec.Memo.length m);
+  (* an entry heavier than the capacity evicts every other one and stays *)
+  add 20;
+  Alcotest.(check int) "5 and 3 evicted" 3 (Exec.Memo.stats m).Exec.Memo.evictions;
+  Alcotest.(check int) "the heavy entry stays" 1 (Exec.Memo.length m);
+  ignore (Exec.Memo.find_or_add m 20 (fun () -> Alcotest.fail "20 was evicted"));
+  (* and the next insertion evicts it *)
+  add 1;
+  Alcotest.(check int) "heavy entry evicted by the next" 4
+    (Exec.Memo.stats m).Exec.Memo.evictions;
+  Alcotest.(check int) "only 1 left" 1 (Exec.Memo.length m)
+
 let test_memo_contention () =
   (* N domains hammering one bounded memo: the hit/miss split must add up
      exactly (single-flight turns every concurrent duplicate lookup into
@@ -322,6 +345,8 @@ let () =
           Alcotest.test_case "hit is physically equal; counters move" `Slow
             test_cache_hit_and_counters;
           Alcotest.test_case "capacity bound evicts FIFO" `Quick test_memo_capacity;
+          Alcotest.test_case "weighted capacity bounds summed weight" `Quick
+            test_memo_weighted_capacity;
           Alcotest.test_case "bounded memo under contention" `Quick
             test_memo_contention;
           Alcotest.test_case "single-flight: one supplier run per key" `Quick

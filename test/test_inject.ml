@@ -104,12 +104,92 @@ let test_noise_determinism () =
     (with_seed 1 <> with_seed 2);
   Alcotest.(check bool) "noise actually perturbs" true (feed f xs <> xs)
 
+let repaired = Vehicle.Defects.repaired
+
 let test_absent_target () =
   let f = Inject.Fault.make ~target:"nonexistent" (Stuck_at (Value.Float 9.)) in
   let rt = Inject.Fault.runtime ~seed:0 f in
   let s = snap 1. in
   Alcotest.(check bool) "absent target is a no-op" true
     (State.equal s (Inject.Fault.apply rt ~dt ~now:0. s))
+
+(* ------------------------------------------------------------------ *)
+(* Frame path = State.t adapter                                        *)
+
+(* Seeded plans over every fault model, some on a target the world lacks:
+   the frame interposer the runner uses and the [State.t] interposer of
+   [Vehicle.System.run ~interpose] must record the same trace. *)
+let gen_plan =
+  let open QCheck.Gen in
+  let model =
+    oneof
+      [
+        map (fun x -> Inject.Fault.Stuck_at (Value.Float x)) (float_range (-5.) 5.);
+        map (fun x -> Inject.Fault.Stuck_at (Value.Bool x)) bool;
+        return Inject.Fault.Dropout_hold;
+        return Inject.Fault.Dropout_missing;
+        map (fun k -> Inject.Fault.Delay k) (int_range 1 300);
+        map (fun x -> Inject.Fault.Noise x) (float_range 0.01 1.);
+        map (fun x -> Inject.Fault.Drift x) (float_range (-1.) 1.);
+        map2
+          (fun m r -> Inject.Fault.Spike (m, r))
+          (float_range (-5.) 5.) (float_range 0.5 20.);
+        map (fun x -> Inject.Fault.Intermittent x) (float_range 0.01 0.5);
+      ]
+  in
+  let target =
+    oneofl
+      Vehicle.Signals.
+        [
+          host_speed; host_accel; host_jerk; object_range; object_detected;
+          object_closing_speed; accel_cmd; accel_source; gear; accel_req "CA";
+          "nonexistent";
+        ]
+  in
+  let fault =
+    map3
+      (fun model target (from_t, len) ->
+        Inject.Fault.make ~from_t ~until_t:(from_t +. len) ~target model)
+      model target
+      (pair (float_range 0. 1.5) (float_range 0. 2.))
+  in
+  map3
+    (fun seed faults n -> (Inject.Plan.make ~seed faults, n))
+    (int_range 0 1000) (list_size (int_range 1 3) fault) (int_range 1 10)
+
+let prop_frame_path_matches_adapter =
+  QCheck.Test.make ~count:40 ~name:"frame interposer = State.t interposer"
+    (QCheck.make
+       ~print:(fun (p, n) -> Printf.sprintf "scenario %d, %s" n (Inject.Plan.to_string p))
+       gen_plan)
+    (fun (plan, n) ->
+      let s = Scenarios.Defs.get n in
+      let duration = 2.0 and dt = Vehicle.System.dt in
+      let world () =
+        Vehicle.System.world ~defects:repaired ~objects:s.Scenarios.Defs.objects
+          ~events:s.Scenarios.Defs.events ()
+      in
+      (* a type-changing fault may make a component raise: then both must *)
+      let outcome f =
+        match f () with
+        | tr -> Ok (Marshal.to_string (tr : Trace.t) [])
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let frames =
+        outcome (fun () ->
+            let w = world () in
+            Vehicle.System.simulate ~duration
+              ~transform:(Inject.Plan.frame_interposer ~dt plan ~slot:(Sim.World.slot w))
+              w)
+      in
+      let states =
+        outcome (fun () ->
+            Vehicle.System.run ~defects:repaired ~duration
+              ~objects:s.Scenarios.Defs.objects ~events:s.Scenarios.Defs.events
+              ~interpose:(Inject.Plan.interposer ~dt plan)
+              ())
+      in
+      frames = states)
 
 (* ------------------------------------------------------------------ *)
 (* Spec round-trip                                                     *)
@@ -147,8 +227,6 @@ let test_spec_errors () =
 let nan_jerk =
   Inject.Fault.make ~from_t:2.0 ~until_t:8.0 ~target:Vehicle.Signals.host_jerk
     Dropout_missing
-
-let repaired = Vehicle.Defects.repaired
 
 let test_monitor_inhibition () =
   (* NaN on the jerk channel must inhibit the goal-2 jerk monitor — a
@@ -264,6 +342,7 @@ let () =
           Alcotest.test_case "delay line" `Quick test_delay;
           Alcotest.test_case "noise determinism" `Quick test_noise_determinism;
           Alcotest.test_case "absent target no-op" `Quick test_absent_target;
+          QCheck_alcotest.to_alcotest prop_frame_path_matches_adapter;
         ] );
       ( "spec",
         [

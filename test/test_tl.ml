@@ -255,9 +255,52 @@ let prop_entails_is_always_implies =
           (fun i -> Eval.eval tr i (Formula.implies p q))
           (List.init (Trace.length tr) Fun.id))
 
+(* Rows with gaps (a variable absent, then present again), type changes
+   and one-value runs: [Trace.get] returns every row exactly, and the same
+   rows fed as frames pack to the same bytes. *)
+let prop_trace_roundtrip =
+  let open QCheck.Gen in
+  let names = [| "x"; "y"; "z" |] in
+  let value =
+    oneofl
+      [
+        Value.Float 0.; Value.Float (-0.); Value.Float Float.nan; Value.Float 2.5;
+        Value.Int 0; Value.Bool true; Value.Bool false; Value.Sym "a"; Value.Sym "b";
+      ]
+  in
+  let row =
+    map
+      (fun cells ->
+        State.of_list
+          (List.filter_map Fun.id
+             (List.mapi (fun i c -> Option.map (fun v -> (names.(i), v)) c) cells)))
+      (list_repeat 3 (frequency [ (1, return None); (4, map Option.some value) ]))
+  in
+  let exact s s' =
+    let cell = function
+      | Value.Float x -> `F (Int64.bits_of_float x)
+      | Value.Int i -> `I i
+      | Value.Bool x -> `B x
+      | Value.Sym x -> `S x
+    in
+    List.map (fun (k, v) -> (k, cell v)) (State.to_list s)
+    = List.map (fun (k, v) -> (k, cell v)) (State.to_list s')
+  in
+  QCheck.Test.make ~name:"trace rows round-trip; frames pack like rows" ~count:500
+    (QCheck.make
+       ~print:(fun rows -> String.concat ";" (List.map (Fmt.str "%a" State.pp) rows))
+       (list_size (int_range 1 12) row))
+    (fun rows ->
+      let tr = Trace.make ~dt:1.0 rows in
+      let b = Trace.Builder.of_slots ~dt:1.0 names in
+      List.iter (fun r -> Trace.Builder.add_frame b (Frame.of_state names r)) rows;
+      List.for_all2 exact (List.init (Trace.length tr) (Trace.get tr)) rows
+      && Marshal.to_string tr [] = Marshal.to_string (Trace.Builder.finish b) [])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_trace_roundtrip;
       prop_negation_duality;
       prop_rose_definition;
       prop_prev_for_one;

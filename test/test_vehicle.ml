@@ -437,7 +437,7 @@ let test_collision_detection () =
       [ Vehicle.Plant.host Vehicle.Defects.repaired ]
   in
   let tr =
-    Sim.World.run ~stop:(fun s -> State.bool s collision) ~until:10. w
+    Sim.World.run ~stop:collision ~until:10. w
   in
   Alcotest.(check bool) "collision detected" true
     (State.bool (Trace.get tr (Trace.length tr - 1)) collision);
