@@ -207,9 +207,28 @@ let serve_roundtrip_row () =
   pp_estimate "serve_roundtrip (store hit)" (Some ns);
   ("serve_roundtrip", ns)
 
+(* Counters of the daemon's live obs/1 snapshot, in the order of
+   [names] (0 for a counter not registered yet). *)
+let serve_counters ~socket names =
+  match Serve.Client.stats ~socket with
+  | Error e -> failwith ("bench: serve stats failed: " ^ e)
+  | Ok s -> (
+      match Obs.Json.of_string s with
+      | Error e -> failwith ("bench: unreadable serve stats: " ^ e)
+      | Ok j ->
+          let counters = Obs.Json.member "counters" j in
+          List.map
+            (fun name ->
+              Option.value ~default:0.
+                (Option.bind
+                   (Option.bind counters (Obs.Json.member name))
+                   Obs.Json.to_float))
+            names)
+
 (* Fleet-share contention: a long grid occupies the daemon when a
-   1-cell store-miss request arrives. With one executor lane the probe
-   head-of-line blocks behind the whole grid; with two lanes it runs
+   1-cell store-miss request arrives. Each lane runs its campaign on
+   its own domain, so with one executor lane the probe head-of-line
+   blocks behind the rest of the grid; with two lanes it runs
    immediately on the free lane. The perf gate asserts
    [serve_concurrent < serve_roundtrip_blocked] — the daemon's reason
    to exist past one campaign at a time, measured. *)
@@ -222,6 +241,7 @@ let serve_contention_row ~concurrent ~name =
          ~state_dir:(Filename.concat dir "state"))
       with
       Serve.Server.concurrent;
+      domains = Some 1;
     }
   in
   let daemon = Domain.spawn (fun () -> Serve.Server.run cfg) in
@@ -236,16 +256,28 @@ let serve_contention_row ~concurrent ~name =
   in
   wait_ready 100;
   (* Occupy a lane: submit the long grid on a raw session that stays
-     open (an orphaned request would be cancelled, not block). *)
+     open (an orphaned request would be cancelled, not block). Each row
+     has a seed of its own: outcomes are cached process-wide, and a grid
+     an earlier row already ran would finish before the probe. *)
   let long =
     {
-      Serve.Wire.seed = 43;
+      Serve.Wire.seed = 42 + concurrent;
       faults = [ "stuck=3:ca_accel_req"; "delay=150:accel_cmd" ];
       scenarios = [ 1; 2; 3 ];
       window = None;
       retries = 0;
     }
   in
+  let long_cells =
+    float_of_int
+      (List.length long.Serve.Wire.faults * List.length long.Serve.Wire.scenarios)
+  in
+  (* The counters are process-wide: the daemon runs in this process. *)
+  let progress () =
+    serve_counters ~socket
+      [ "serve.slot_leases"; "campaign.cells_executed"; "serve.requests_completed" ]
+  in
+  let before = progress () in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let buf = Serve.Wire.Frame.create () in
@@ -264,8 +296,22 @@ let serve_contention_row ~concurrent ~name =
   (match recv () with
   | Serve.Wire.Accepted _ -> ()
   | _ -> failwith "bench: long grid not admitted");
-  (* Let the grid actually start on its lane before the probe. *)
-  Unix.sleepf 0.5;
+  (* Send the probe once the daemon's counters show the grid running on
+     its lane with cells left, and refuse to time a probe sent after the
+     grid finished: it would measure an idle daemon, not contention. *)
+  let rec wait_running polls =
+    match List.map2 ( -. ) (progress ()) before with
+    | [ leases; executed; completed ] ->
+        if completed > 0. || executed >= long_cells then
+          failwith "bench: the long grid finished before the contention probe was sent"
+        else if leases < 1. then begin
+          if polls = 0 then failwith "bench: the long grid never started";
+          Unix.sleepf 0.002;
+          wait_running (polls - 1)
+        end
+    | _ -> assert false
+  in
+  wait_running 5000;
   let quick =
     {
       Serve.Wire.seed = 42;
@@ -281,6 +327,18 @@ let serve_contention_row ~concurrent ~name =
         | Ok _ -> ()
         | Error e -> failwith ("bench: contention probe failed: " ^ e))
   in
+  (* Let the grid finish before the drain, which would abort its
+     remaining cells: the committed baseline pins [pool.tasks_failed]
+     at 0. *)
+  let rec wait_settled polls =
+    match List.map2 ( -. ) (progress ()) before with
+    | [ _; _; completed ] when completed >= 2. -> ()
+    | _ ->
+        if polls = 0 then failwith "bench: the long grid never finished";
+        Unix.sleepf 0.01;
+        wait_settled (polls - 1)
+  in
+  wait_settled 6000;
   (match Serve.Client.drain ~socket with
   | Ok _ -> ()
   | Error e -> failwith ("bench: serve drain failed: " ^ e));

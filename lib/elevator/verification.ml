@@ -34,39 +34,65 @@ let subgoal_formulas =
     Goals.stop_elevator_when_door_open_or_opened.Kaos.Goal.formal;
   ]
 
-(** The headline check: assumptions + subgoals ⊨ parent goal. *)
-let check ?(max_states = 2_000_000) () =
-  Mc.Checker.check_composition ~max_states kripke
-    ~assumptions:Relationships.formulas ~subgoals:subgoal_formulas
-    ~goal:Goals.door_closed_or_stopped.Kaos.Goal.formal
+(** A composition obligation: under the critical [assumptions], the
+    derived [subgoals] entail the parent [goal]. *)
+type composition = {
+  assumptions : Tl.Formula.t list;
+  subgoals : Tl.Formula.t list;
+  goal : Tl.Formula.t;
+}
 
-(** Dropping the domain assumption r22 (a closed door cannot be blocked)
-    leaves the claim valid: for a blocked closed door, relationships 02/04
-    (a closed door commanded CLOSE, or freshly commanded OPEN, stays closed)
-    and relationship 11 (a blocked door is not closed) are jointly
-    unsatisfiable, so no physical trace reaches that region — r22 makes the
-    implicit domain constraint explicit rather than adding proof power.
-    The mechanized check documents this insensitivity. *)
-let check_without_closed_door_assumption ?(max_states = 2_000_000) () =
-  let assumptions =
-    List.filter
-      (fun g -> g <> Relationships.r22.Icpa.Table.formal)
-      Relationships.formulas
-  in
-  Mc.Checker.check_composition ~max_states kripke ~assumptions
-    ~subgoals:subgoal_formulas
-    ~goal:Goals.door_closed_or_stopped.Kaos.Goal.formal
+(** The headline obligation: assumptions + subgoals ⊨ parent goal. *)
+let decomposition =
+  {
+    assumptions = Relationships.formulas;
+    subgoals = subgoal_formulas;
+    goal = Goals.door_closed_or_stopped.Kaos.Goal.formal;
+  }
+
+(** The decomposition without the domain assumption r22 (a closed door
+    cannot be blocked). It stays valid: for a blocked closed door,
+    relationships 02/04 (a closed door commanded CLOSE, or freshly
+    commanded OPEN, stays closed) and relationship 11 (a blocked door is
+    not closed) are jointly unsatisfiable, so no physical trace reaches
+    that region — r22 makes the implicit domain constraint explicit rather
+    than adding proof power. *)
+let without_closed_door_assumption =
+  {
+    decomposition with
+    assumptions =
+      List.filter
+        (fun g -> g <> Relationships.r22.Icpa.Table.formal)
+        Relationships.formulas;
+  }
 
 (** The naive single-agent decomposition (Figs. 4.12–4.13 without the
-    command-observation terms) does *not* compose the parent: both
+    command-observation terms). It does {e not} compose the parent: both
     controllers can actuate simultaneously from the safe initial state
     (§4.5.1). *)
-let check_naive ?(max_states = 2_000_000) () =
-  Mc.Checker.check_composition ~max_states kripke
-    ~assumptions:Relationships.formulas
-    ~subgoals:
+let naive =
+  {
+    decomposition with
+    subgoals =
       [
         Goals.close_door_when_moving.Kaos.Goal.formal;
         Goals.stop_elevator_when_door_open.Kaos.Goal.formal;
-      ]
-    ~goal:Goals.door_closed_or_stopped.Kaos.Goal.formal
+      ];
+  }
+
+(** Every obligation this module checks. *)
+let compositions = [ decomposition; without_closed_door_assumption; naive ]
+
+let check_composition ?(max_states = 2_000_000) c =
+  Mc.Checker.check_composition ~max_states kripke ~assumptions:c.assumptions
+    ~subgoals:c.subgoals ~goal:c.goal
+
+(** The headline check: assumptions + subgoals ⊨ parent goal. *)
+let check ?max_states () = check_composition ?max_states decomposition
+
+(** The claim is insensitive to r22; the mechanized check documents it. *)
+let check_without_closed_door_assumption ?max_states () =
+  check_composition ?max_states without_closed_door_assumption
+
+(** The naive decomposition has a counterexample. *)
+let check_naive ?max_states () = check_composition ?max_states naive

@@ -1,11 +1,11 @@
 (** Pure incremental monitors for the past-time fragment.
 
-    A formula is compiled once into a flat instruction array; the monitor's
-    dynamic state is a plain [int array] of memory slots (booleans as 0/1,
-    counters for the bounded-duration operators). Because the dynamic state is
-    a small comparable vector, the same monitor drives both online monitoring
-    during simulation ({!Rtmon.Online}) and the finite product construction of
-    the model checker ({!Mc.Checker}).
+    One compiler, {!plan}, hash-conses the invariant bodies of any number of
+    formulas into one topologically ordered op program with one memory slot
+    per distinct temporal subformula. The same program drives the fused
+    production runner ({!run}), the per-formula runners ({!run_trace},
+    {!run_trace_status}) and the finite product construction of the model
+    checker ({!Mc.Checker}, through {!create} and {!step}).
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established by
     the property tests in [test/test_rtmon.ml]. *)
@@ -15,7 +15,7 @@ open Tl
 type op =
   | OTrue
   | OFalse
-  | OAtom of Formula.atom
+  | OAtom of int  (** index into the plan's atom table *)
   | ONot of int
   | OAnd of int * int
   | OOr of int * int
@@ -28,15 +28,133 @@ type op =
   | OOnceWithin of int * int * int  (** child, k states, slot: age capped at k *)
   | ORose of int * int  (** child, slot: 2 = no previous state, else prev value *)
 
-type compiled = { ops : op array; init_mem : int array; root : int; dt : float }
+type plan = {
+  dt : float;
+  formulas : Formula.t array;
+  ops : op array;  (** every op follows its children *)
+  atoms : Formula.atom array;  (** the distinct atoms [OAtom] reads *)
+  init_mem : int array;  (** one slot per distinct temporal op *)
+  roots : int array;  (** the body op of each formula *)
+  deps : int array array;  (** per formula: the ops its root reads, ascending *)
+  vars : string array;  (** every state variable of the plan *)
+  fvars : int list array;  (** per formula: its variables, ascending indices *)
+}
 
 exception Not_monitorable of string
 
-(** [compile ~dt f] compiles the past-time formula [f]. A top-level [Always]
-    is stripped (invariant monitoring evaluates the body at every state).
+let children = function
+  | OTrue | OFalse | OAtom _ -> []
+  | ONot c
+  | OPrev (c, _)
+  | OOnce (c, _)
+  | OHist (c, _)
+  | OPrevFor (c, _, _)
+  | OOnceWithin (c, _, _)
+  | ORose (c, _) ->
+      [ c ]
+  | OAnd (a, b) | OOr (a, b) | OImplies (a, b) | OIff (a, b) -> [ a; b ]
+
+(* The ops reachable from [roots], in ascending (evaluation) order. *)
+let reachable ops roots =
+  let live = Array.make (Array.length ops) false in
+  let rec mark k =
+    if not live.(k) then begin
+      live.(k) <- true;
+      List.iter mark (children ops.(k))
+    end
+  in
+  List.iter mark roots;
+  let acc = ref [] in
+  for k = Array.length ops - 1 downto 0 do
+    if live.(k) then acc := k :: !acc
+  done;
+  Array.of_list !acc
+
+(** [plan ~dt fs] compiles the past-time formulas [fs] into one program. A
+    top-level [Always] is stripped (invariant monitoring evaluates the body
+    at every state). Equal subformulas share one op, equal temporal
+    subformulas one memory slot.
     @raise Not_monitorable if a future operator remains. *)
-let compile ~dt (f : Formula.t) : compiled =
-  let body =
+let plan ~dt (formulas : Formula.t list) : plan =
+  let ops = ref [] and nops = ref 0 and mem = ref [] and nmem = ref 0 in
+  let op_ids = Hashtbl.create 256 in
+  (* [shape] is the op with any slot set to -1; [make] builds the op the
+     first time the shape is seen. *)
+  let intern shape make =
+    match Hashtbl.find_opt op_ids shape with
+    | Some k -> k
+    | None ->
+        ops := make () :: !ops;
+        incr nops;
+        Hashtbl.add op_ids shape (!nops - 1);
+        !nops - 1
+  in
+  let node op = intern op (fun () -> op) in
+  let temporal shape init with_slot =
+    intern shape (fun () ->
+        mem := init :: !mem;
+        incr nmem;
+        with_slot (!nmem - 1))
+  in
+  (* Atoms are keyed by their exact bytes: structural equality would
+     merge the constants [0.] and [-0.]. *)
+  let atoms = ref [] and natoms = ref 0 and atom_ids = Hashtbl.create 64 in
+  let atom a =
+    let key = Marshal.to_string (a : Formula.atom) [ Marshal.No_sharing ] in
+    match Hashtbl.find_opt atom_ids key with
+    | Some id -> id
+    | None ->
+        atoms := a :: !atoms;
+        incr natoms;
+        Hashtbl.add atom_ids key (!natoms - 1);
+        !natoms - 1
+  in
+  let rec go (f : Formula.t) =
+    match f with
+    | True -> node OTrue
+    | False -> node OFalse
+    | Atom a -> node (OAtom (atom a))
+    | Not g -> node (ONot (go g))
+    | And (a, b) ->
+        let ca = go a in
+        let cb = go b in
+        node (OAnd (ca, cb))
+    | Or (a, b) ->
+        let ca = go a in
+        let cb = go b in
+        node (OOr (ca, cb))
+    | Implies (a, b) ->
+        let ca = go a in
+        let cb = go b in
+        node (OImplies (ca, cb))
+    | Iff (a, b) ->
+        let ca = go a in
+        let cb = go b in
+        node (OIff (ca, cb))
+    | Prev g ->
+        let c = go g in
+        temporal (OPrev (c, -1)) 0 (fun s -> OPrev (c, s))
+    | Once g ->
+        let c = go g in
+        temporal (OOnce (c, -1)) 0 (fun s -> OOnce (c, s))
+    | Hist g ->
+        let c = go g in
+        temporal (OHist (c, -1)) 1 (fun s -> OHist (c, s))
+    | PrevFor (d, g) ->
+        let k = Trace.duration_to_states ~dt d in
+        let c = go g in
+        temporal (OPrevFor (c, k, -1)) 0 (fun s -> OPrevFor (c, k, s))
+    | OnceWithin (d, g) ->
+        let k = Trace.duration_to_states ~dt d in
+        let c = go g in
+        temporal (OOnceWithin (c, k, -1)) k (fun s -> OOnceWithin (c, k, s))
+    | Rose g ->
+        let c = go g in
+        temporal (ORose (c, -1)) 2 (fun s -> ORose (c, s))
+    | Next _ | Eventually _ | Always _ ->
+        raise (Not_monitorable "nested future operator")
+  in
+  let body f =
     match Formula.invariant_body f with
     | Some b -> b
     | None ->
@@ -44,77 +162,83 @@ let compile ~dt (f : Formula.t) : compiled =
           (Not_monitorable
              (Fmt.str "formula contains future operators: %a" Formula.pp f))
   in
-  let ops = ref [] and nops = ref 0 and mem = ref [] and nmem = ref 0 in
-  let emit op =
-    ops := op :: !ops;
-    incr nops;
-    !nops - 1
+  let formulas = Array.of_list formulas in
+  let roots = Array.map (fun f -> go (body f)) formulas in
+  let ops = Array.of_list (List.rev !ops) in
+  let vars = ref [] and nvars = ref 0 and var_ids = Hashtbl.create 64 in
+  let var v =
+    match Hashtbl.find_opt var_ids v with
+    | Some x -> x
+    | None ->
+        vars := v :: !vars;
+        incr nvars;
+        Hashtbl.add var_ids v (!nvars - 1);
+        !nvars - 1
   in
-  let alloc init =
-    mem := init :: !mem;
-    incr nmem;
-    !nmem - 1
+  let fvars =
+    Array.map
+      (fun f -> List.sort_uniq Int.compare (List.map var (Formula.vars f)))
+      formulas
   in
-  let rec go (f : Formula.t) =
-    match f with
-    | True -> emit OTrue
-    | False -> emit OFalse
-    | Atom a -> emit (OAtom a)
-    | Not g ->
-        let c = go g in
-        emit (ONot c)
-    | And (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        emit (OAnd (ca, cb))
-    | Or (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        emit (OOr (ca, cb))
-    | Implies (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        emit (OImplies (ca, cb))
-    | Iff (a, b) ->
-        let ca = go a in
-        let cb = go b in
-        emit (OIff (ca, cb))
-    | Prev g ->
-        let c = go g in
-        emit (OPrev (c, alloc 0))
-    | Once g ->
-        let c = go g in
-        emit (OOnce (c, alloc 0))
-    | Hist g ->
-        let c = go g in
-        emit (OHist (c, alloc 1))
-    | PrevFor (d, g) ->
-        let k = Trace.duration_to_states ~dt d in
-        let c = go g in
-        emit (OPrevFor (c, k, alloc 0))
-    | OnceWithin (d, g) ->
-        let k = Trace.duration_to_states ~dt d in
-        let c = go g in
-        emit (OOnceWithin (c, k, alloc k))
-    | Rose g ->
-        let c = go g in
-        emit (ORose (c, alloc 2))
-    | Next _ | Eventually _ | Always _ ->
-        raise (Not_monitorable "nested future operator")
-  in
-  let root = go body in
   {
-    ops = Array.of_list (List.rev !ops);
-    init_mem = Array.of_list (List.rev !mem);
-    root;
     dt;
+    formulas;
+    ops;
+    atoms = Array.of_list (List.rev !atoms);
+    init_mem = Array.of_list (List.rev !mem);
+    roots;
+    deps = Array.map (fun r -> reachable ops [ r ]) roots;
+    vars = Array.of_list (List.rev !vars);
+    fvars;
   }
 
-type t = { c : compiled; mem : int array }
+let op_count p = Array.length p.ops
+let slot_count p = Array.length p.init_mem
+
+(* One transition of the ops listed in [code] at state [i], where
+   [afuns.(a) i] is atom [a]'s truth. Memory updates in place: a slot
+   belongs to one op, which reads it before overwriting it. *)
+let exec ops code afuns v mem i =
+  for j = 0 to Array.length code - 1 do
+    let k = code.(j) in
+    match ops.(k) with
+    | OTrue -> v.(k) <- true
+    | OFalse -> v.(k) <- false
+    | OAtom a -> v.(k) <- afuns.(a) i
+    | ONot c -> v.(k) <- not v.(c)
+    | OAnd (a, b) -> v.(k) <- v.(a) && v.(b)
+    | OOr (a, b) -> v.(k) <- v.(a) || v.(b)
+    | OImplies (a, b) -> v.(k) <- (not v.(a)) || v.(b)
+    | OIff (a, b) -> v.(k) <- v.(a) = v.(b)
+    | OPrev (c, s) ->
+        v.(k) <- mem.(s) = 1;
+        mem.(s) <- (if v.(c) then 1 else 0)
+    | OOnce (c, s) ->
+        v.(k) <- mem.(s) = 1;
+        if v.(c) then mem.(s) <- 1
+    | OHist (c, s) ->
+        v.(k) <- mem.(s) = 1;
+        if not v.(c) then mem.(s) <- 0
+    | OPrevFor (c, n, s) ->
+        v.(k) <- mem.(s) >= n;
+        mem.(s) <- (if v.(c) then min n (mem.(s) + 1) else 0)
+    | OOnceWithin (c, n, s) ->
+        v.(k) <- mem.(s) <= n - 1;
+        mem.(s) <- (if v.(c) then 0 else min n (mem.(s) + 1))
+    | ORose (c, s) ->
+        v.(k) <- v.(c) && mem.(s) = 0;
+        mem.(s) <- (if v.(c) then 1 else 0)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Stepping over [State.t]: a one-formula plan whose memory vector is the
+   model checker's product component. *)
+
+type t = { p : plan; mem : int array }
 
 let create ~dt f =
-  let c = compile ~dt f in
-  { c; mem = Array.copy c.init_mem }
+  let p = plan ~dt [ f ] in
+  { p; mem = Array.copy p.init_mem }
 
 (** Dynamic state alone, for use as a model-checking product component. *)
 let mem t = t.mem
@@ -125,65 +249,25 @@ let with_mem t mem = { t with mem }
     truth value in [state] and the successor monitor. The input monitor is not
     mutated. *)
 let step (t : t) (state : State.t) : bool * t =
-  let { ops; root; _ } = t.c in
-  let n = Array.length ops in
-  let v = Array.make n false in
-  let mem' = Array.copy t.mem in
-  for i = 0 to n - 1 do
-    (match ops.(i) with
-    | OTrue -> v.(i) <- true
-    | OFalse -> v.(i) <- false
-    | OAtom a -> v.(i) <- Eval.eval_atom state a
-    | ONot c -> v.(i) <- not v.(c)
-    | OAnd (a, b) -> v.(i) <- v.(a) && v.(b)
-    | OOr (a, b) -> v.(i) <- v.(a) || v.(b)
-    | OImplies (a, b) -> v.(i) <- (not v.(a)) || v.(b)
-    | OIff (a, b) -> v.(i) <- v.(a) = v.(b)
-    | OPrev (c, s) ->
-        v.(i) <- t.mem.(s) = 1;
-        mem'.(s) <- (if v.(c) then 1 else 0)
-    | OOnce (c, s) ->
-        v.(i) <- t.mem.(s) = 1;
-        mem'.(s) <- (if t.mem.(s) = 1 || v.(c) then 1 else 0)
-    | OHist (c, s) ->
-        v.(i) <- t.mem.(s) = 1;
-        mem'.(s) <- (if t.mem.(s) = 1 && v.(c) then 1 else 0)
-    | OPrevFor (c, k, s) ->
-        v.(i) <- t.mem.(s) >= k;
-        mem'.(s) <- (if v.(c) then min k (t.mem.(s) + 1) else 0)
-    | OOnceWithin (c, k, s) ->
-        v.(i) <- t.mem.(s) <= k - 1;
-        mem'.(s) <- (if v.(c) then 0 else min k (t.mem.(s) + 1))
-    | ORose (c, s) ->
-        v.(i) <- v.(c) && t.mem.(s) = 0;
-        mem'.(s) <- (if v.(c) then 1 else 0));
-    ()
-  done;
-  (v.(root), { t with mem = mem' })
+  let p = t.p in
+  let afuns = Array.map (fun a _ -> Eval.eval_atom state a) p.atoms in
+  let v = Array.make (Array.length p.ops) false in
+  let mem = Array.copy t.mem in
+  exec p.ops p.deps.(0) afuns v mem 0;
+  (v.(p.roots.(0)), { t with mem })
 
 (* ------------------------------------------------------------------ *)
-(* Columnar fast path: compile every atom of a formula against one
-   trace's typed columns ({!Tl.Trace.column}), so the per-state loop
-   reads unboxed cells directly instead of materializing a [State.t]
-   map per state and searching it per atom. Compilation refuses (returns
-   [None]) whenever the column types cannot {e prove} the compiled
-   reader equivalent to [Eval.eval_atom] over the materialized state —
-   mixed-type columns, ordered comparisons over non-numeric terms,
-   and (in [strict] mode, used where the slow path would raise
-   [State.Unbound]) partially-present columns. Refusal falls back to
-   the reference per-state path, never to different semantics; the
-   QCheck property tests against {!Tl.Eval} exercise both paths. *)
-
-(* Exact [Value.t] of a column cell — only sound where the cell is
-   present. *)
-let cell col i =
-  match col with
-  | Trace.CCol v -> v
-  | Trace.FCol a -> Value.Float (Float.Array.get a i)
-  | Trace.ICol a -> Value.Int a.(i)
-  | Trace.BCol b -> Value.Bool (Bytes.get b i = '\001')
-  | Trace.SCol { values; ids } -> values.(Char.code (Bytes.get ids i))
-  | Trace.VCol a -> a.(i)
+(* Columnar atoms: compile every atom against one trace's typed columns
+   ({!Tl.Trace.column}), so the per-state loop reads unboxed cells
+   directly instead of materializing a [State.t] map per state and
+   searching it per atom. Compilation refuses (returns [None]) whenever
+   the column types cannot {e prove} the compiled reader equivalent to
+   [Eval.eval_atom] over the materialized state — mixed-type columns,
+   ordered comparisons over non-numeric terms, and (in [strict] mode,
+   used where the slow path would raise [State.Unbound]) partially-present
+   columns. Refusal falls back to the reference per-state path, never to
+   different semantics; the QCheck property tests against {!Tl.Eval}
+   exercise both paths. *)
 
 (* A term compiled to a typed per-state reader. [TNum] readers return
    exactly [Value.to_float (Term.eval state t)]; likewise for the other
@@ -280,79 +364,30 @@ let compile_atom ~strict tr (a : Formula.atom) : (int -> bool) option =
   | Formula.Gt (x, y) -> ordered ( > ) x y
   | Formula.Ge (x, y) -> ordered ( >= ) x y
 
-(* One compiled reader per [OAtom] op; [None] if any atom refuses. *)
-let compile_atoms ~strict tr (c : compiled) : (int -> bool) array option =
-  let n = Array.length c.ops in
-  let afuns = Array.make n (fun _ -> false) in
-  let ok = ref true in
-  Array.iteri
-    (fun k op ->
-      match op with
-      | OAtom a -> (
-          match compile_atom ~strict tr a with
-          | Some f -> afuns.(k) <- f
-          | None -> ok := false)
-      | _ -> ())
-    c.ops;
-  if !ok then Some afuns else None
+(* Every atom of a one-formula plan bound to the trace, or [None] if any
+   refuses. *)
+let bind_all ~strict tr p =
+  let readers = Array.map (compile_atom ~strict tr) p.atoms in
+  if Array.for_all Option.is_some readers then Some (Array.map Option.get readers)
+  else None
 
-(* One transition of the op program at state [i], reading column-compiled
-   atoms: the loop body of {!step} with the per-state [v]/[mem'] arrays
-   preallocated by the caller (each memory slot has a unique owner op
-   that writes it on every step, so [mem]/[mem'] swap instead of copy). *)
-let fast_step ops afuns v mem mem' i =
-  let n = Array.length ops in
-  for k = 0 to n - 1 do
-    match ops.(k) with
-    | OTrue -> v.(k) <- true
-    | OFalse -> v.(k) <- false
-    | OAtom _ -> v.(k) <- afuns.(k) i
-    | ONot c -> v.(k) <- not v.(c)
-    | OAnd (a, b) -> v.(k) <- v.(a) && v.(b)
-    | OOr (a, b) -> v.(k) <- v.(a) || v.(b)
-    | OImplies (a, b) -> v.(k) <- (not v.(a)) || v.(b)
-    | OIff (a, b) -> v.(k) <- v.(a) = v.(b)
-    | OPrev (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        mem'.(s) <- (if v.(c) then 1 else 0)
-    | OOnce (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        mem'.(s) <- (if mem.(s) = 1 || v.(c) then 1 else 0)
-    | OHist (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        mem'.(s) <- (if mem.(s) = 1 && v.(c) then 1 else 0)
-    | OPrevFor (c, k', s) ->
-        v.(k) <- mem.(s) >= k';
-        mem'.(s) <- (if v.(c) then min k' (mem.(s) + 1) else 0)
-    | OOnceWithin (c, k', s) ->
-        v.(k) <- mem.(s) <= k' - 1;
-        mem'.(s) <- (if v.(c) then 0 else min k' (mem.(s) + 1))
-    | ORose (c, s) ->
-        v.(k) <- v.(c) && mem.(s) = 0;
-        mem'.(s) <- (if v.(c) then 1 else 0)
-  done
-
-(** [run_trace ~dt f trace] — truth value of [f]'s invariant body at every
+(** [run_trace f trace] — truth value of [f]'s invariant body at every
     state, computed incrementally. Agrees with
     [Tl.Eval.series trace (invariant_body f)]. *)
 let run_trace f (trace : Trace.t) : bool array =
-  let t0 = create ~dt:(Trace.dt trace) f in
+  let p = plan ~dt:(Trace.dt trace) [ f ] in
+  let root = p.roots.(0) in
   let n = Trace.length trace in
   let out = Array.make n true in
-  (* Strict compile: the reference path raises [State.Unbound] on a
+  (* Strict binding: the reference path raises [State.Unbound] on a
      missing variable, so only fully-present columns may fast-path. *)
-  (match compile_atoms ~strict:true trace t0.c with
+  (match bind_all ~strict:true trace p with
   | Some afuns ->
-      let ops = t0.c.ops in
-      let v = Array.make (Array.length ops) false in
-      let mem = ref (Array.copy t0.c.init_mem) in
-      let mem' = ref (Array.copy t0.c.init_mem) in
+      let v = Array.make (Array.length p.ops) false in
+      let mem = Array.copy p.init_mem in
       for i = 0 to n - 1 do
-        fast_step ops afuns v !mem !mem' i;
-        out.(i) <- v.(t0.c.root);
-        let m = !mem in
-        mem := !mem';
-        mem' := m
+        exec p.ops p.deps.(0) afuns v mem i;
+        out.(i) <- v.(root)
       done
   | None ->
       let rec go i t =
@@ -362,14 +397,14 @@ let run_trace f (trace : Trace.t) : bool array =
           go (i + 1) t'
         end
       in
-      go 0 t0);
+      go 0 { p; mem = Array.copy p.init_mem });
   out
 
 (* ------------------------------------------------------------------ *)
-(* Degradation-aware monitoring: under runtime faults (dropout, NaN,
-   frozen sensors) a monitor's inputs can be missing or garbage. Rather
-   than silently classifying over garbage, the three-valued runner reports
-   [Inhibited] for such states — the monitor knows it cannot judge. *)
+(* Degradation-aware monitoring: under runtime faults (dropout, NaN) a
+   monitor's inputs can be missing or garbage. Rather than silently
+   classifying over garbage, the three-valued runners report [Inhibited]
+   for such states — the monitor knows it cannot judge. *)
 
 type status = Pass | Fail | Inhibited
 
@@ -383,121 +418,66 @@ let inhibited state vars =
       match State.find_opt v state with None -> true | Some x -> degraded x)
     vars
 
-(** [run_trace_status ?stale f trace] — three-valued verdict per state.
+(* Where variable [v] is absent or NaN, or [None] when it never is. Only
+   float-bearing columns can hold a NaN, and a constant NaN column marks
+   every state; a cell is read only where it is present. *)
+let degraded_mask tr n v =
+  let of_pred bad =
+    let m = Bytes.make n '\000' and any = ref false in
+    for i = 0 to n - 1 do
+      if bad i then begin
+        Bytes.set m i '\001';
+        any := true
+      end
+    done;
+    if !any then Some m else None
+  in
+  match Trace.column tr v with
+  | None -> of_pred (fun _ -> true)
+  | Some (col, pres) -> (
+      let absent = Option.map (fun p i -> Bytes.get p i <> '\001') pres in
+      let nan =
+        match col with
+        | Trace.CCol x when degraded x -> Some (fun _ -> true)
+        | Trace.FCol a -> Some (fun i -> Float.is_nan (Float.Array.get a i))
+        | Trace.VCol a -> Some (fun i -> degraded a.(i))
+        | _ -> None
+      in
+      match (absent, nan) with
+      | None, None -> None
+      | Some a, None | None, Some a -> of_pred a
+      | Some a, Some b -> of_pred (fun i -> a i || b i))
+
+(** [run_trace_status f trace] — three-valued verdict per state: the
+    per-monitor reference for {!run}.
 
     A state is [Inhibited] when any state variable of [f] is missing or
-    NaN, or when a variable listed in [stale] has held the exact same value
-    for longer than its bound (opt-in, for signals with known activity:
-    hold-last dropout is otherwise indistinguishable from a legitimately
-    constant signal). The monitor's memory is {e frozen} across inhibited
-    states — it resumes from its pre-fault state rather than absorbing
-    garbage. *)
-let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
+    NaN. The monitor's memory is {e frozen} across inhibited states — it
+    resumes from its pre-fault state rather than absorbing garbage. *)
+let run_trace_status f (trace : Trace.t) : status array =
   let vars = Formula.vars f in
   let n = Trace.length trace in
   let out = Array.make n Pass in
-  let dt = Trace.dt trace in
-  (* per-stale-variable run length of the unchanged value *)
-  let stale_k =
-    List.map (fun (v, bound) -> (v, Trace.duration_to_states ~dt bound)) stale
-  in
-  let runs = Hashtbl.create 8 in
-  let t0 = create ~dt f in
-  (match compile_atoms ~strict:false trace t0.c with
+  let p = plan ~dt:(Trace.dt trace) [ f ] in
+  let root = p.roots.(0) in
+  (match bind_all ~strict:false trace p with
   | Some afuns ->
-      (* Compiled inhibition check, one closure per monitored variable:
-         missing column is always-inhibited, a presence mask marks
-         per-state absence, and only float-bearing columns can carry a
-         degraded (NaN) cell — a constant NaN column inhibits every state.
-         Padding cells are never read: [absent] short-circuits first. *)
-      let inh_checks =
-        List.map
-          (fun var ->
-            match Trace.column trace var with
-            | None -> fun _ -> true
-            | Some (col, pres) -> (
-                let absent =
-                  match pres with
-                  | None -> fun _ -> false
-                  | Some p -> fun i -> Bytes.get p i <> '\001'
-                in
-                match col with
-                | Trace.CCol x when degraded x -> fun _ -> true
-                | Trace.FCol a ->
-                    fun i -> absent i || Float.is_nan (Float.Array.get a i)
-                | Trace.VCol a -> fun i -> absent i || degraded a.(i)
-                | _ -> absent))
-          vars
-      in
-      let inh i = List.exists (fun c -> c i) inh_checks in
-      let stale_reads =
-        List.map
-          (fun (var, k) ->
-            let read =
-              match Trace.column trace var with
-              | None -> fun _ -> None
-              | Some (col, pres) -> (
-                  match pres with
-                  | None -> fun i -> Some (cell col i)
-                  | Some p ->
-                      fun i ->
-                        if Bytes.get p i = '\001' then Some (cell col i)
-                        else None)
-            in
-            (var, k, read))
-          stale_k
-      in
-      let stale_now i =
-        List.exists
-          (fun (var, k, read) ->
-            match read i with
-            | None -> false (* missing is the inhibition check's business *)
-            | Some x -> (
-                match Hashtbl.find_opt runs var with
-                | Some (prev, len) when Value.equal prev x ->
-                    Hashtbl.replace runs var (x, len + 1);
-                    len + 1 > k
-                | _ ->
-                    Hashtbl.replace runs var (x, 1);
-                    false))
-          stale_reads
-      in
-      let ops = t0.c.ops in
-      let v = Array.make (Array.length ops) false in
-      let mem = ref (Array.copy t0.c.init_mem) in
-      let mem' = ref (Array.copy t0.c.init_mem) in
+      let masks = List.filter_map (degraded_mask trace n) vars in
+      let inh i = List.exists (fun m -> Bytes.get m i <> '\000') masks in
+      let v = Array.make (Array.length p.ops) false in
+      let mem = Array.copy p.init_mem in
       for i = 0 to n - 1 do
-        let is_stale = stale_now i in
-        if inh i || is_stale then out.(i) <- Inhibited (* memory frozen *)
+        if inh i then out.(i) <- Inhibited (* memory frozen *)
         else begin
-          fast_step ops afuns v !mem !mem' i;
-          out.(i) <- (if v.(t0.c.root) then Pass else Fail);
-          let m = !mem in
-          mem := !mem';
-          mem' := m
+          exec p.ops p.deps.(0) afuns v mem i;
+          out.(i) <- (if v.(root) then Pass else Fail)
         end
       done
   | None ->
-      let stale_now state =
-        List.exists
-          (fun (var, k) ->
-            match State.find_opt var state with
-            | None -> false (* missing is the [inhibited] check's business *)
-            | Some x -> (
-                match Hashtbl.find_opt runs var with
-                | Some (prev, len) when Value.equal prev x ->
-                    Hashtbl.replace runs var (x, len + 1);
-                    len + 1 > k
-                | _ ->
-                    Hashtbl.replace runs var (x, 1);
-                    false))
-          stale_k
-      in
       let rec go i t =
         if i < n then begin
           let state = Trace.get trace i in
-          let is_stale = stale_now state in
-          if inhibited state vars || is_stale then begin
+          if inhibited state vars then begin
             out.(i) <- Inhibited;
             go (i + 1) t (* memory frozen *)
           end
@@ -508,7 +488,7 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
           end
         end
       in
-      go 0 t0);
+      go 0 { p; mem = Array.copy p.init_mem });
   out
 
 (** Violation intervals of a status series (maximal [Fail] runs). *)
@@ -518,3 +498,122 @@ let fails ~dt status =
 (** Inhibition intervals of a status series (maximal [Inhibited] runs). *)
 let inhibitions ~dt status =
   Violation.runs ~dt (Array.length status) (fun i -> status.(i) = Inhibited)
+
+(* ------------------------------------------------------------------ *)
+(* The fused runner. Per trace: bind each distinct atom once, compute one
+   absent-or-NaN mask per variable, and group the formulas by the set of
+   their variables that are ever degraded — a fault-free trace is one
+   group. Each group runs the ops its formulas read once per state, with
+   memory frozen on the group's inhibited states, and appends intervals
+   as it goes. A formula with an atom that refuses to bind runs alone
+   through [run_trace_status]. *)
+
+type verdict = {
+  violations : Violation.interval list;
+  inhibited : Violation.interval list;
+}
+
+(* Run the formulas [members] of one group over [n] states, inhibited
+   where [mask] is set, writing each one's verdict into [out]. *)
+let run_group p afuns ~dt ~n ~mask members out =
+  let members = Array.of_list members in
+  let roots = Array.map (fun j -> p.roots.(j)) members in
+  let code = reachable p.ops (Array.to_list roots) in
+  let m = Array.length members in
+  let v = Array.make (Array.length p.ops) false in
+  let mem = Array.copy p.init_mem in
+  let fail_from = Array.make m (-1) and fails = Array.make m [] in
+  let close_fail j i =
+    let s = fail_from.(j) in
+    if s >= 0 then begin
+      fails.(j) <- Violation.make ~dt s (i - s) :: fails.(j);
+      fail_from.(j) <- -1
+    end
+  in
+  let inh_from = ref (-1) and inhs = ref [] in
+  let close_inh i =
+    if !inh_from >= 0 then begin
+      inhs := (!inh_from, i - !inh_from) :: !inhs;
+      inh_from := -1
+    end
+  in
+  let inhibited =
+    match mask with
+    | None -> fun _ -> false
+    | Some b -> fun i -> Bytes.get b i <> '\000'
+  in
+  for i = 0 to n - 1 do
+    if inhibited i then begin
+      if !inh_from < 0 then begin
+        inh_from := i;
+        for j = 0 to m - 1 do
+          close_fail j i
+        done
+      end
+    end
+    else begin
+      close_inh i;
+      exec p.ops code afuns v mem i;
+      for j = 0 to m - 1 do
+        if v.(roots.(j)) then begin
+          if fail_from.(j) >= 0 then close_fail j i
+        end
+        else if fail_from.(j) < 0 then fail_from.(j) <- i
+      done
+    end
+  done;
+  close_inh n;
+  for j = 0 to m - 1 do
+    close_fail j n;
+    out.(members.(j)) <-
+      {
+        violations = List.rev fails.(j);
+        inhibited = List.rev_map (fun (s, len) -> Violation.make ~dt s len) !inhs;
+      }
+  done
+
+let rec run p (trace : Trace.t) : verdict array =
+  let dt = Trace.dt trace in
+  if not (Float.equal dt p.dt) then run (plan ~dt (Array.to_list p.formulas)) trace
+  else begin
+    let n = Trace.length trace in
+    let readers = Array.map (compile_atom ~strict:false trace) p.atoms in
+    let masks = Array.map (degraded_mask trace n) p.vars in
+    let bound j =
+      Array.for_all
+        (fun k -> match p.ops.(k) with OAtom a -> Option.is_some readers.(a) | _ -> true)
+        p.deps.(j)
+    in
+    let out = Array.make (Array.length p.formulas) { violations = []; inhibited = [] } in
+    let groups = Hashtbl.create 4 in
+    Array.iteri
+      (fun j f ->
+        if bound j then begin
+          let key = List.filter (fun x -> Option.is_some masks.(x)) p.fvars.(j) in
+          let members = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+          Hashtbl.replace groups key (j :: members)
+        end
+        else begin
+          let status = run_trace_status f trace in
+          out.(j) <- { violations = fails ~dt status; inhibited = inhibitions ~dt status }
+        end)
+      p.formulas;
+    let afuns =
+      Array.map (function Some f -> f | None -> fun _ -> assert false) readers
+    in
+    Hashtbl.iter
+      (fun key members ->
+        let mask =
+          match List.filter_map (fun x -> masks.(x)) key with
+          | [] -> None
+          | [ m ] -> Some m
+          | ms ->
+              Some
+                (Bytes.init n (fun i ->
+                     if List.exists (fun m -> Bytes.get m i <> '\000') ms then '\001'
+                     else '\000'))
+        in
+        run_group p afuns ~dt ~n ~mask (List.rev members) out)
+      groups;
+    out
+  end

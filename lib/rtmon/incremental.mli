@@ -1,11 +1,19 @@
 (** Pure incremental monitors for the past-time fragment.
 
-    A formula is compiled once into a flat instruction array; the monitor's
-    dynamic state is a plain [int array] of memory slots (booleans as 0/1,
-    counters for the bounded-duration operators). Because the dynamic state
-    is a small comparable vector, the same monitor drives both online
-    monitoring during simulation and the finite product construction of the
-    model checker ({!Mc.Checker}).
+    There is one compiler, {!plan}. It hash-conses the invariant bodies of
+    any number of formulas into one topologically ordered op program: one
+    op per distinct subformula, and one memory slot (an [int]: booleans as
+    0/1, counters for the bounded-duration operators) per distinct temporal
+    subformula. Every runner executes that program:
+    - {!run}, the production path, runs a whole plan over a trace once
+      per state per group of formulas with the same degraded inputs, and
+      builds violation and inhibition intervals as it goes;
+    - {!create} and {!step} run a one-formula plan over [State.t] values;
+      the monitor's dynamic state is a small comparable vector, so the
+      same program is the product component of the model checker
+      ({!Mc.Checker});
+    - {!run_trace} and {!run_trace_status} run a one-formula plan over a
+      trace; [run_trace_status] is the per-monitor reference for {!run}.
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established
     by the property tests in [test/test_rtmon.ml]. *)
@@ -16,13 +24,35 @@ exception Not_monitorable of string
 (** Raised when the formula contains future operators beneath the top-level
     □ — goals with ♦ are not realizable nor monitorable (§4.5.3). *)
 
+(** {1 Plans} *)
+
+type plan
+(** Compiled formulas: an immutable op program, safe to share between
+    domains. Every run allocates its own memory. *)
+
+val plan : dt:float -> Formula.t list -> plan
+(** [plan ~dt fs] compiles the past-time formulas [fs] into one program.
+    A top-level [Always] is stripped: invariant monitoring checks the body
+    at every state. Equal subformulas share one op, and equal temporal
+    subformulas one memory slot; [dt] converts the bounded-duration
+    operators' seconds into states. Atoms are shared when their bytes are
+    equal, so the constants [0.] and [-0.] stay apart.
+    @raise Not_monitorable if a future operator remains. *)
+
+val op_count : plan -> int
+(** Distinct subformulas: the length of the op program. *)
+
+val slot_count : plan -> int
+(** Distinct temporal subformulas: the length of the memory vector. *)
+
+(** {1 Stepping over states} *)
+
 type t
-(** A monitor: compiled formula plus current memory. Immutable — {!step}
+(** A monitor: a one-formula plan plus current memory. Immutable — {!step}
     returns the successor. *)
 
 val create : dt:float -> Formula.t -> t
-(** Compile a past-time formula. A top-level [Always] is stripped:
-    invariant monitoring checks the body at every state.
+(** [create ~dt f] is [f]'s one-formula plan with its initial memory.
     @raise Not_monitorable if a future operator remains. *)
 
 val mem : t -> int array
@@ -43,8 +73,11 @@ val run_trace : Formula.t -> Trace.t -> bool array
 (** {1 Degradation-aware monitoring}
 
     Under runtime faults (sensor dropout, NaN measurements) a monitor's
-    inputs can be missing or garbage; the three-valued runner reports
-    {!Inhibited} for such states instead of silently classifying. *)
+    inputs can be missing or garbage; the three-valued runners report
+    inhibition for such states instead of silently classifying. A state is
+    inhibited for a formula when any variable of the formula is missing or
+    NaN there. The formula's memory is frozen across inhibited states: it
+    resumes from its pre-fault state rather than absorbing garbage. *)
 
 type status = Pass | Fail | Inhibited
 
@@ -54,17 +87,35 @@ val degraded : Value.t -> bool
 val inhibited : State.t -> string list -> bool
 (** Is any of the given state variables missing or degraded? *)
 
-val run_trace_status :
-  ?stale:(string * float) list -> Formula.t -> Trace.t -> status array
-(** Three-valued verdict per state: [Inhibited] when any variable of the
-    formula is missing or NaN in that state, or when a variable listed in
-    [stale] has held the exact same value for longer than its bound
-    (seconds; opt-in, since hold-last dropout is indistinguishable from a
-    legitimately constant signal). The monitor's memory is frozen across
-    inhibited states. *)
+val run_trace_status : Formula.t -> Trace.t -> status array
+(** Three-valued verdict per state for one formula: the per-monitor
+    reference that {!run} is tested against. *)
 
 val fails : dt:float -> status array -> Violation.interval list
 (** Maximal [Fail] runs — the violation intervals. *)
 
 val inhibitions : dt:float -> status array -> Violation.interval list
 (** Maximal [Inhibited] runs. *)
+
+(** {1 Fused monitoring} *)
+
+type verdict = {
+  violations : Violation.interval list;  (** maximal [Fail] runs *)
+  inhibited : Violation.interval list;  (** maximal [Inhibited] runs *)
+}
+
+val run : plan -> Trace.t -> verdict array
+(** [run p trace] — one verdict per formula of [p], in plan order, equal to
+    {!fails} and {!inhibitions} of {!run_trace_status} on each formula.
+
+    Per trace, [run] binds each distinct atom to the trace's columns once
+    and computes one absent-or-NaN mask per variable. Formulas are grouped
+    by the set of their variables whose mask is non-empty, so a fault-free
+    trace is one group. Each group runs the ops its formulas read once per
+    state, skips the states where any of its degraded variables is absent
+    or NaN (memory frozen), and appends intervals as it goes: no status
+    array is built. A formula with an atom that cannot be bound to the
+    trace's columns (a mixed-type column, an ordered comparison of
+    non-numeric terms, a missing variable) runs alone through
+    {!run_trace_status}. A trace whose [dt] differs from the plan's is run
+    under a plan recompiled for its [dt]. *)

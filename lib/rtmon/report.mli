@@ -43,7 +43,7 @@ val classify :
 (** [classify ~window ?inhibitions ~goal:(name, location, intervals)
     ~subgoals ()] — classify every violation by temporal correspondence
     within [window]. [inhibitions] lists per-monitor intervals during which
-    the monitor could not judge (missing/NaN/stale inputs under runtime
+    the monitor could not judge (missing or NaN inputs under runtime
     faults); each becomes a [Monitor_inhibited] entry, counted separately
     from hits/FNs/FPs. *)
 

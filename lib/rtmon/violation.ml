@@ -12,6 +12,16 @@ type interval = {
 let pp_interval ppf iv =
   Fmt.pf ppf "[t=%.3fs for %gms]" iv.start_time (iv.duration *. 1000.)
 
+(** [make ~dt start length] — the interval of [length] states from state
+    [start]. *)
+let make ~dt start_index length =
+  {
+    start_index;
+    length;
+    start_time = float_of_int start_index *. dt;
+    duration = float_of_int length *. dt;
+  }
+
 (** [runs ~dt n bad] — maximal runs of the states [0 .. n-1] where
     [bad i] holds. *)
 let runs ~dt n bad : interval list =
@@ -23,16 +33,7 @@ let runs ~dt n bad : interval list =
       while !j < n && bad !j do
         incr j
       done;
-      let len = !j - i in
-      let iv =
-        {
-          start_index = i;
-          length = len;
-          start_time = float_of_int i *. dt;
-          duration = float_of_int len *. dt;
-        }
-      in
-      go !j (iv :: acc)
+      go !j (make ~dt i (!j - i) :: acc)
   in
   go 0 []
 

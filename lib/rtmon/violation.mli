@@ -11,6 +11,10 @@ type interval = {
 
 val pp_interval : Format.formatter -> interval -> unit
 
+val make : dt:float -> int -> int -> interval
+(** [make ~dt start length] — the interval of [length] states from state
+    [start]. *)
+
 val runs : dt:float -> int -> (int -> bool) -> interval list
 (** [runs ~dt n bad] — maximal runs of the states [0 .. n-1] where [bad i]
     holds. *)

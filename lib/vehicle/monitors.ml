@@ -73,21 +73,27 @@ type result = {
           refused to judge (degraded sensors under fault injection) *)
 }
 
-(** Run every monitor of the plan over a trace. Under fault injection a
-    monitored input can be missing or NaN; such states inhibit the monitor
-    (three-valued verdict) rather than silently classifying over garbage. *)
-let run ?stale (trace : Trace.t) : result list =
-  let dt = Trace.dt trace in
-  List.map
-    (fun entry ->
-      let status =
-        Rtmon.Incremental.run_trace_status ?stale entry.goal.Kaos.Goal.formal
-          trace
-      in
+(** The monitors of {!all} compiled into one fused program, once per
+    process at module initialisation: a module-level value, not a [lazy],
+    so domains that monitor their first trace at the same time cannot race
+    to force it. *)
+let plan =
+  Rtmon.Incremental.plan ~dt:System.dt
+    (List.map (fun e -> e.goal.Kaos.Goal.formal) all)
+
+(** Run every monitor of the plan over a trace, in the order of {!all}.
+    Under fault injection a monitored input can be missing or NaN; such
+    states inhibit the monitor (three-valued verdict) rather than silently
+    classifying over garbage. *)
+let run (trace : Trace.t) : result list =
+  let verdicts = Rtmon.Incremental.run plan trace in
+  List.mapi
+    (fun j entry ->
+      let v = verdicts.(j) in
       {
         entry;
-        violations = Rtmon.Incremental.fails ~dt status;
-        inhibited = Rtmon.Incremental.inhibitions ~dt status;
+        violations = v.Rtmon.Incremental.violations;
+        inhibited = v.Rtmon.Incremental.inhibited;
       })
     all
 

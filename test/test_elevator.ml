@@ -106,6 +106,108 @@ let test_table_verify_hook () =
   | o -> Alcotest.failf "table verify failed: %a" Mc.Checker.pp_outcome o
 
 (* ------------------------------------------------------------------ *)
+(* Checker ≡ run-time monitor: the model checker's verdicts replayed    *)
+(* through the fused plan that monitors simulated traces.               *)
+
+(* Premise and goal verdicts of one composition over a trace, from one
+   plan. *)
+let plan_verdicts (c : Elevator.Verification.composition) trace =
+  let premise = c.assumptions @ c.subgoals in
+  let plan = Rtmon.Incremental.plan ~dt:1.0 (premise @ [ c.goal ]) in
+  let vs = Array.to_list (Rtmon.Incremental.run plan trace) in
+  let n = List.length premise in
+  (List.filteri (fun i _ -> i < n) vs, List.nth vs n)
+
+let first_fail (v : Rtmon.Incremental.verdict) =
+  match v.Rtmon.Incremental.violations with
+  | [] -> None
+  | iv :: _ -> Some iv.Rtmon.Violation.start_index
+
+let test_counterexamples_replay () =
+  let replayed = ref 0 in
+  List.iter
+    (fun c ->
+      match Elevator.Verification.check_composition c with
+      | Mc.Checker.Counterexample { path } ->
+          incr replayed;
+          let trace = Trace.make ~dt:1.0 path in
+          let premise, goal = plan_verdicts c trace in
+          List.iter
+            (fun (v : Rtmon.Incremental.verdict) ->
+              Alcotest.(check bool) "premise passes at every state" true
+                (v.Rtmon.Incremental.violations = []
+                && v.Rtmon.Incremental.inhibited = []))
+            premise;
+          Alcotest.(check (option int)) "goal first fails at the final state"
+            (Some (Trace.length trace - 1))
+            (first_fail goal)
+      | Mc.Checker.Valid _ -> ()
+      | o -> Alcotest.failf "unexpected outcome: %a" Mc.Checker.pp_outcome o)
+    Elevator.Verification.compositions;
+  Alcotest.(check bool) "a counterexample was replayed" true (!replayed > 0)
+
+(* A seeded walk of [steps] states through the Kripke structure. It
+   prefers successors that keep every premise holding, checked with
+   stepped one-formula monitors, so the goal is judged under the premise
+   for long stretches; when no successor keeps it, it takes any. *)
+let guided_walk rng (c : Elevator.Verification.composition) steps =
+  let k = Elevator.Verification.kripke in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let step mons s =
+    let outs = List.map (fun m -> Rtmon.Incremental.step m s) mons in
+    (List.for_all fst outs, List.map snd outs)
+  in
+  let rec go i mons candidates acc =
+    if i = steps then List.rev acc
+    else
+      let shuffled =
+        List.map snd
+          (List.sort compare
+             (List.map (fun s -> (Random.State.bits rng, s)) candidates))
+      in
+      let keeps = List.find_map (fun s ->
+          let ok, mons' = step mons s in
+          if ok then Some (s, mons') else None) shuffled
+      in
+      let s, mons' =
+        match keeps with
+        | Some next -> next
+        | None ->
+            let s = pick candidates in
+            (s, snd (step mons s))
+      in
+      go (i + 1) mons' (k.Mc.Kripke.next s) (s :: acc)
+  in
+  let mons =
+    List.map (Rtmon.Incremental.create ~dt:1.0) (c.assumptions @ c.subgoals)
+  in
+  go 0 mons k.Mc.Kripke.init []
+
+let test_valid_random_walks () =
+  let rng = Random.State.make [| 2009 |] in
+  let steps = 200 and walks = 4 in
+  List.iter
+    (fun c ->
+      match Elevator.Verification.check_composition c with
+      | Mc.Checker.Valid _ ->
+          for _ = 1 to walks do
+            let trace = Trace.make ~dt:1.0 (guided_walk rng c steps) in
+            let premise, goal = plan_verdicts c trace in
+            let held_until =
+              List.fold_left
+                (fun acc v -> match first_fail v with Some i -> min acc i | None -> acc)
+                steps premise
+            in
+            Alcotest.(check bool) "the premise holds for a while" true (held_until > 20);
+            match first_fail goal with
+            | Some i when i < held_until ->
+                Alcotest.failf "goal fails at state %d under the premise" i
+            | _ -> ()
+          done
+      | _ -> ())
+    Elevator.Verification.compositions
+
+(* ------------------------------------------------------------------ *)
 (* Simulation                                                           *)
 
 let violations_of trace goal_name =
@@ -225,6 +327,10 @@ let () =
           Alcotest.test_case "insensitive to r22" `Quick test_composition_without_r22;
           Alcotest.test_case "naive counterexample" `Quick test_naive_counterexample;
           Alcotest.test_case "table verify hook" `Quick test_table_verify_hook;
+          Alcotest.test_case "counterexamples replay through the plan" `Quick
+            test_counterexamples_replay;
+          Alcotest.test_case "valid compositions hold on random walks" `Quick
+            test_valid_random_walks;
         ] );
       ( "simulation",
         [

@@ -27,6 +27,16 @@ let missing_socket =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "no-daemon-%d.sock" (Unix.getpid ()))
 
+(* A short run of scenario 1, built before the race: the race is over
+   the first use of the Table 5.3 plan, not over the simulation. *)
+let monitored_trace =
+  let s = Scenarios.Defs.get 1 in
+  Vehicle.System.run ~duration:2.0 ~objects:s.Scenarios.Defs.objects
+    ~events:s.Scenarios.Defs.events ()
+
+let monitor_outcomes =
+  race (fun () -> Marshal.to_string (Vehicle.Monitors.run monitored_trace) [])
+
 let crc_outcomes = race (fun () -> Exec.Crc32.digest "123456789")
 let stats_outcomes = race (fun () -> Serve.Client.stats ~socket:missing_socket)
 
@@ -36,6 +46,14 @@ let test_crc32 () =
       | Ok d -> Alcotest.(check int32) "CRC-32 check vector" 0xCBF43926l d
       | Error e -> Alcotest.failf "digest raised: %s" e)
     crc_outcomes
+
+let test_monitors () =
+  let expected = Marshal.to_string (Vehicle.Monitors.run monitored_trace) [] in
+  List.iter
+    (function
+      | Ok r -> Alcotest.(check bool) "same results as one domain" true (r = expected)
+      | Error e -> Alcotest.failf "Monitors.run raised: %s" e)
+    monitor_outcomes
 
 let test_client_stats () =
   List.iter
@@ -53,5 +71,7 @@ let () =
           Alcotest.test_case "crc32 from 8 domains at once" `Quick test_crc32;
           Alcotest.test_case "client on a missing socket from 8 domains" `Quick
             test_client_stats;
+          Alcotest.test_case "Table 5.3 monitors from 8 domains at once" `Quick
+            test_monitors;
         ] );
     ]

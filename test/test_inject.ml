@@ -257,6 +257,39 @@ let test_monitor_inhibition () =
   Alcotest.(check bool) "physics untouched by the NaN channel" true
     (baseline.Scenarios.Runner.end_time = o.Scenarios.Runner.end_time)
 
+(* The fused Table 5.3 plan against the per-monitor reference on runs
+   whose NaN faults split the monitors into several inhibition groups. *)
+let test_fused_plan_matches_reference () =
+  List.iter
+    (fun (faults, n) ->
+      let o =
+        Scenarios.Runner.run ~use_cache:false ~defects:repaired
+          ~inject:(Inject.Plan.make ~seed:7 (List.map Inject.Spec.parse_exn faults))
+          (Scenarios.Defs.get n)
+      in
+      let trace = o.Scenarios.Runner.trace in
+      let dt = Trace.dt trace in
+      List.iter
+        (fun (r : Vehicle.Monitors.result) ->
+          let st =
+            Rtmon.Incremental.run_trace_status
+              r.Vehicle.Monitors.entry.Vehicle.Monitors.goal.Kaos.Goal.formal trace
+          in
+          let id = r.Vehicle.Monitors.entry.Vehicle.Monitors.id in
+          Alcotest.(check bool) (id ^ " violations") true
+            (r.Vehicle.Monitors.violations = Rtmon.Incremental.fails ~dt st);
+          Alcotest.(check bool) (id ^ " inhibitions") true
+            (r.Vehicle.Monitors.inhibited = Rtmon.Incremental.inhibitions ~dt st))
+        o.Scenarios.Runner.results;
+      Alcotest.(check bool) "some monitor inhibited" true
+        (List.exists
+           (fun (r : Vehicle.Monitors.result) -> r.Vehicle.Monitors.inhibited <> [])
+           o.Scenarios.Runner.results))
+    [
+      ([ "nan:host_jerk@1..3"; "nan:host_accel@2..5" ], 2);
+      ([ "nan:host_accel@4..9"; "flicker=0.3:host_speed" ], 5);
+    ]
+
 let test_injected_runs_hit_cache () =
   let run () =
     Scenarios.Runner.run ~defects:repaired
@@ -355,6 +388,8 @@ let () =
             test_monitor_inhibition;
           Alcotest.test_case "injected runs hit the cache" `Slow
             test_injected_runs_hit_cache;
+          Alcotest.test_case "fused plan = per-monitor reference" `Slow
+            test_fused_plan_matches_reference;
         ] );
       ( "campaign",
         [

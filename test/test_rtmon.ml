@@ -89,6 +89,216 @@ let test_invariant_stripping () =
     (Array.to_list (Rtmon.Incremental.run_trace phi tr))
 
 (* ------------------------------------------------------------------ *)
+(* Three-valued oracle: fused plan ≡ per-monitor reference ≡ semantics  *)
+
+(* Typed columns: [f] floats with NaN cells, [i] ints, [s] symbols, [c]
+   one value for the whole trace (sometimes NaN), [g] floats with
+   presence gaps, [m] a mix of ints and floats (its atoms refuse to bind
+   to columns, so the per-formula fallback runs), [b] booleans. *)
+let gen_typed_trace =
+  let open QCheck.Gen in
+  let num = oneofl [ -1.; 0.; 1.; 2.5 ] in
+  let with_nan = frequency [ (5, num); (1, return Float.nan) ] in
+  let gen_state =
+    map
+      (fun ((f, i, s), (g, m, b)) ->
+        State.of_list
+          (List.filter_map Fun.id
+             [
+               Some ("f", Value.Float f);
+               Some ("i", Value.Int i);
+               Some ("s", Value.Sym s);
+               Option.map (fun g -> ("g", Value.Float g)) g;
+               Some ("m", m);
+               Some ("b", Value.Bool b);
+             ]))
+      (pair
+         (triple with_nan (int_range 0 3) (oneofl [ "A"; "B"; "C" ]))
+         (triple
+            (frequency [ (3, map Option.some num); (1, return None) ])
+            (frequency
+               [
+                 (2, map (fun k -> Value.Int k) (int_range 0 2));
+                 (2, map (fun x -> Value.Float x) num);
+                 (1, return (Value.Float Float.nan));
+               ])
+            bool))
+  in
+  map2
+    (fun c ss ->
+      Trace.make ~dt:1.0 (List.map (State.set "c" (Value.Float c)) ss))
+    (oneofl [ 1.; 2.5; Float.nan ])
+    (list_size (int_range 1 14) gen_state)
+
+let gen_term =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map Term.var (oneofl [ "f"; "i"; "c"; "g"; "m" ]);
+        map Term.float (oneofl [ 0.; 1.; 2.5 ]);
+        map Term.int (int_range 0 2);
+      ]
+  in
+  frequency
+    [
+      (4, leaf);
+      (1, map2 (fun a b -> Term.Add (a, b)) leaf leaf);
+      (1, map (fun a -> Term.Abs a) leaf);
+    ]
+
+(* Well-typed atoms only: an ill-typed one raises in the reference,
+   which is lazier than a monitor about which atoms it evaluates. *)
+let gen_atom =
+  let open QCheck.Gen in
+  let cmp =
+    oneofl [ Formula.lt; Formula.le; Formula.gt; Formula.ge; Formula.eq; Formula.ne ]
+  in
+  frequency
+    [
+      (4, map3 (fun op a b -> op a b) cmp gen_term gen_term);
+      (2, map (fun s -> Formula.var_is "s" s) (oneofl [ "A"; "B" ]));
+      (1, map (fun s -> Formula.ne (Term.var "s") (Term.sym s)) (oneofl [ "A"; "C" ]));
+      (2, return (Formula.bvar "b"));
+    ]
+
+let gen_body leaves =
+  let open QCheck.Gen in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         if n <= 0 then leaves
+         else
+           frequency
+             [
+               (2, leaves);
+               (1, map Formula.not_ (self (n - 1)));
+               (1, map2 (fun a b -> Formula.And (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a b -> Formula.Or (a, b)) (self (n / 2)) (self (n / 2)));
+               ( 1,
+                 map2 (fun a b -> Formula.Implies (a, b)) (self (n / 2)) (self (n / 2)) );
+               (1, map Formula.prev (self (n - 1)));
+               (1, map Formula.once (self (n - 1)));
+               (1, map Formula.hist (self (n - 1)));
+               (1, map Formula.rose (self (n - 1)));
+               ( 1,
+                 map2
+                   (fun k f -> Formula.prev_for (float_of_int (1 + (k mod 3))) f)
+                   small_nat (self (n - 1)) );
+               ( 1,
+                 map2
+                   (fun k f -> Formula.once_within (float_of_int (1 + (k mod 3))) f)
+                   small_nat (self (n - 1)) );
+             ])
+
+(* 2-8 formulas over a small shared pool of atoms and subformulas, so the
+   plan hash-conses across formulas; half are stated as invariants. *)
+let gen_formulas =
+  let open QCheck.Gen in
+  list_size (int_range 2 4) gen_atom >>= fun atoms ->
+  let atoms = oneofl atoms in
+  list_size (int_range 1 3) (gen_body atoms) >>= fun shared ->
+  let leaves = frequency [ (1, atoms); (1, oneofl shared) ] in
+  list_size (int_range 2 8)
+    (map2 (fun inv f -> if inv then Formula.always f else f) bool (gen_body leaves))
+
+(* The three-valued semantics, independent of the monitors: a state is
+   inhibited for [f] when any variable of [f] is absent or NaN there; the
+   other states take [Eval.series] of the body over the trace with the
+   inhibited states removed — which is what frozen memory means. *)
+let reference f tr =
+  let body = Option.get (Formula.invariant_body f) in
+  let n = Trace.length tr in
+  let inhibited =
+    Array.init n (fun i ->
+        let st = Trace.get tr i in
+        List.exists
+          (fun v ->
+            match State.find_opt v st with
+            | None -> true
+            | Some (Value.Float x) -> Float.is_nan x
+            | Some _ -> false)
+          (Formula.vars f))
+  in
+  let kept = List.filter (fun i -> not inhibited.(i)) (List.init n Fun.id) in
+  let series =
+    Eval.series (Trace.make ~dt:(Trace.dt tr) (List.map (Trace.get tr) kept)) body
+  in
+  let ok = Array.make n true in
+  List.iteri (fun pos i -> ok.(i) <- series.(pos)) kept;
+  let dt = Trace.dt tr in
+  ( Rtmon.Violation.runs ~dt n (fun i -> (not inhibited.(i)) && not ok.(i)),
+    Rtmon.Violation.runs ~dt n (fun i -> inhibited.(i)) )
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let prop_plan_equals_reference =
+  QCheck.Test.make ~name:"fused plan ≡ run_trace_status ≡ three-valued reference"
+    ~count:400
+    (QCheck.make
+       ~print:(fun (fs, tr) ->
+         Fmt.str "%a@ over %d states" (Fmt.list ~sep:Fmt.semi Formula.pp) fs
+           (Trace.length tr))
+       QCheck.Gen.(pair gen_formulas gen_typed_trace))
+    (fun (fs, tr) ->
+      let dt = Trace.dt tr in
+      let plan = Rtmon.Incremental.plan ~dt fs in
+      let fused =
+        outcome (fun () ->
+            Array.map
+              (fun (v : Rtmon.Incremental.verdict) ->
+                (v.Rtmon.Incremental.violations, v.Rtmon.Incremental.inhibited))
+              (Rtmon.Incremental.run plan tr))
+      in
+      let per_formula =
+        List.map
+          (fun f ->
+            outcome (fun () ->
+                let st = Rtmon.Incremental.run_trace_status f tr in
+                (Rtmon.Incremental.fails ~dt st, Rtmon.Incremental.inhibitions ~dt st)))
+          fs
+      in
+      List.for_all2 (fun f r -> outcome (fun () -> reference f tr) = r) fs per_formula
+      &&
+      match fused with
+      | Ok vs -> List.for_all2 (fun v r -> r = Ok v) (Array.to_list vs) per_formula
+      | Error e -> List.find_opt Result.is_error per_formula = Some (Error e))
+
+(* The fallback is exercised: an ordered comparison on the mixed column
+   cannot bind to columns, yet agrees with the reference. *)
+let test_plan_fallback () =
+  let tr =
+    Trace.make ~dt:1.0
+      (List.map
+         (fun (m, f) -> State.of_list [ ("m", m); ("f", Value.Float f) ])
+         [
+           (Value.Int 0, 1.);
+           (Value.Float 2.5, 1.);
+           (Value.Int 3, Float.nan);
+           (Value.Float 0.5, 0.);
+         ])
+  in
+  let on_m = Formula.gt (Term.var "m") (Term.int 1) in
+  let on_f = Formula.prev (Formula.gt (Term.var "f") (Term.float 0.5)) in
+  let fs = [ on_m; Formula.and_ on_m on_f; on_f ] in
+  let plan = Rtmon.Incremental.plan ~dt:1.0 fs in
+  Alcotest.(check int) "shared subformulas" 4 (Rtmon.Incremental.op_count plan);
+  let vs = Rtmon.Incremental.run plan tr in
+  List.iteri
+    (fun j f ->
+      let viol, inh = reference f tr in
+      let v = vs.(j) in
+      Alcotest.(check bool)
+        (Fmt.str "formula %d violations" j) true (v.Rtmon.Incremental.violations = viol);
+      Alcotest.(check bool)
+        (Fmt.str "formula %d inhibitions" j) true (v.Rtmon.Incremental.inhibited = inh))
+    fs;
+  let starts = List.map (fun iv -> iv.Rtmon.Violation.start_index) in
+  Alcotest.(check (list int)) "m > 1 fails at 0 and 3" [ 0; 3 ]
+    (starts vs.(0).Rtmon.Incremental.violations);
+  Alcotest.(check (list int)) "NaN inhibits state 2" [ 2 ]
+    (starts vs.(2).Rtmon.Incremental.inhibited)
+
+(* ------------------------------------------------------------------ *)
 (* Violations                                                           *)
 
 let test_violation_intervals () =
@@ -180,6 +390,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_purity;
           Alcotest.test_case "rejects future operators" `Quick test_rejects_future;
           Alcotest.test_case "invariant stripping" `Quick test_invariant_stripping;
+        ] );
+      ( "plan",
+        [
+          QCheck_alcotest.to_alcotest prop_plan_equals_reference;
+          Alcotest.test_case "per-formula fallback" `Quick test_plan_fallback;
         ] );
       ( "violations",
         [

@@ -382,10 +382,14 @@ let test_deadline_kills_without_stalling_others () =
   let d = start_daemon () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
   (* A slowloris-ish client: submits a long campaign with a short
-     deadline and then never reads another frame. *)
+     deadline and then never reads another frame. The campaign covers
+     all ten scenarios: [slow_spec]'s five run in about 0.8 s on 2
+     cores, so its last cell could start before the kill, which lands
+     up to one 0.2-s pass of the server loop after the deadline. *)
   let s = connect d in
   expect_welcome s;
-  submit s ~deadline_s:0.5 slow_spec;
+  submit s ~deadline_s:0.5
+    { slow_spec with Serve.Wire.scenarios = List.init 10 (fun i -> i + 1) };
   (match recv s with
   | Serve.Wire.Accepted _ -> ()
   | _ -> Alcotest.fail "slow submission must be admitted");

@@ -528,6 +528,14 @@ let prop_override_latency_bounded =
         tr;
       !ok)
 
+(* The 44 monitors hash-cons into one program: 727 body nodes are 277
+   distinct subformulas, of which 7 are temporal. *)
+let test_fused_plan_size () =
+  Alcotest.(check int) "one op per distinct subformula" 277
+    (Rtmon.Incremental.op_count Vehicle.Monitors.plan);
+  Alcotest.(check int) "one slot per distinct temporal subformula" 7
+    (Rtmon.Incremental.slot_count Vehicle.Monitors.plan)
+
 let () =
   Alcotest.run "vehicle"
     [
@@ -536,6 +544,7 @@ let () =
           Alcotest.test_case "inventory" `Quick test_goal_inventory;
           Alcotest.test_case "monitoring plan (Table 5.3)" `Quick test_monitoring_plan;
           Alcotest.test_case "goal 1 formula" `Quick test_goal1_formula;
+          Alcotest.test_case "fused plan size" `Quick test_fused_plan_size;
         ] );
       ( "features",
         [
