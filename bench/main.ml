@@ -351,7 +351,17 @@ let serve_contention_row ~concurrent ~name =
 (* ------------------------------------------------------------------ *)
 (* Full-fleet regeneration: the hot path the exec engine parallelizes.  *)
 
-let fleet_comparison ~shards ?batch () =
+(* The fleet through the multi-process backend: the function and inputs
+   of [Runner.run_all ~use_cache:false], on [shards] workers of
+   [domains] domains each. A failed scenario fails the row. *)
+let sharded_fleet ~shards ~domains =
+  List.iter
+    (function Ok _ -> () | Error (e : Exec.Pool.error) -> raise e.Exec.Pool.exn)
+    (Exec.Shard.try_map ~shards ~domains
+       (Scenarios.Runner.run ~use_cache:false)
+       Scenarios.Defs.all)
+
+let fleet_comparison ~shards () =
   let n = max 1 (Domain.recommended_domain_count ()) in
   Fmt.pr "@.full-fleet regeneration (10 scenarios, cache bypassed)@.";
   Fmt.pr "%s@." (String.make 50 '-');
@@ -372,10 +382,7 @@ let fleet_comparison ~shards ?batch () =
   let s = max 1 shards in
   let d = max 1 (n / s) in
   Exec.Shard.warm ~shards:s ~domains:d ();
-  let _, t_shard =
-    wall (fun () ->
-        Scenarios.Runner.run_all ~use_cache:false ~shards:s ~domains:d ?batch ())
-  in
+  let _, t_shard = wall (fun () -> sharded_fleet ~shards:s ~domains:d) in
   Fmt.pr "%-34s %10.2f s  (%.2fx)@."
     (Fmt.str "sharded (%d procs x %d domains)" s d)
     t_shard (t_seq /. t_shard);
@@ -410,7 +417,7 @@ let write_snapshot ~name bench =
   Fmt.pr "@.wrote %s (%d estimates)@." path (List.length bench)
 
 (* [--flag N] in [Sys.argv], if present ([None] otherwise). The bench
-   keeps raw argv parsing — three flags don't justify a cmdliner term. *)
+   keeps raw argv parsing — two flags don't justify a cmdliner term. *)
 let int_argv flag =
   let rec go i =
     if i + 1 >= Array.length Sys.argv then None
@@ -426,7 +433,6 @@ let () =
   Exec.Shard.init ();
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let shards = int_argv "--shards" in
-  let batch = int_argv "--cells-per-frame" in
   if smoke then begin
     (* CI smoke: one experiment over one pre-warmed scenario, minimal
        samples — proves the perf harness still compiles and runs. *)
@@ -457,11 +463,7 @@ let () =
           (* Warm the fleet first: the row times the sharded work, not
              the one-off worker spawn the fleet amortizes away. *)
           Exec.Shard.warm ~shards:s ~domains:1 ();
-          let _, t_shard =
-            wall (fun () ->
-                Scenarios.Runner.run_all ~use_cache:false ~shards:s ~domains:1
-                  ?batch ())
-          in
+          let _, t_shard = wall (fun () -> sharded_fleet ~shards:s ~domains:1) in
           Fmt.pr "%-34s %10.2f s  (%.2fx)@."
             (Fmt.str "fleet sharded (%d procs)" s)
             t_shard (t_seq /. t_shard);
@@ -492,9 +494,7 @@ let () =
       (max 1 (Domain.recommended_domain_count ()));
     let _, t = wall (fun () -> Core.Experiments.prewarm ()) in
     Fmt.pr "fleet warmed in %.2f s@." t;
-    let fleet =
-      fleet_comparison ~shards:(Option.value shards ~default:2) ?batch ()
-    in
+    let fleet = fleet_comparison ~shards:(Option.value shards ~default:2) () in
     let serve_row = serve_roundtrip_row () in
     let blocked_row =
       serve_contention_row ~concurrent:1 ~name:"serve_roundtrip_blocked"

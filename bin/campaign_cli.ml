@@ -1,8 +1,8 @@
 (** The campaign command line of [experiments campaign] and
     [export campaign]: every campaign flag, the grid the flags select and
-    the run they configure, defined once, plus the [--metrics],
-    [--domains] and [--shards] flags the other subcommands of both tools
-    share with it. *)
+    the run they configure, defined once, plus the [--metrics] and
+    [--domains] flags the other subcommands of both tools share with
+    it. *)
 
 open Cmdliner
 
@@ -105,10 +105,10 @@ let retries =
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry a failing cell up to $(docv) extra times (exponential \
-           backoff with jitter, seeded by $(b,--seed)); a cell still \
-           failing afterwards is quarantined and reported, instead of \
-           aborting the campaign. Default 0: first failure aborts.")
+          "Re-run a failing cell up to $(docv) extra times, at once; a \
+           cell still failing afterwards is quarantined and reported, \
+           instead of aborting the campaign. Default 0: first failure \
+           aborts.")
 
 let chaos =
   Arg.(
@@ -163,11 +163,6 @@ let term =
           grid_scenarios = scenarios;
         }
       in
-      let retry =
-        if retries > 0 then
-          Some (Exec.Supervise.policy ~max_attempts:(retries + 1) ~seed ())
-        else None
-      in
       let chaos =
         Option.map
           (fun spec ->
@@ -178,7 +173,7 @@ let term =
                 exit 1)
           chaos
       in
-      Scenarios.Campaign.run ?domains ?shards ?journal ~resume ?retry ?chaos
+      Scenarios.Campaign.run ?domains ?shards ?journal ~resume ~retries ?chaos
         ?hang_timeout_s ?deadline_s grid
     in
     (seed, run)

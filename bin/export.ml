@@ -27,14 +27,11 @@ let figures_cmd =
   let domains =
     Campaign_cli.domains ~doc:"Simulate the fleet on $(docv) domains (1 = sequential)."
   in
-  let run out_dir domains shards metrics =
+  let run out_dir domains metrics =
     ensure_dir out_dir;
     (* Warm the shared outcome cache for the whole fleet in parallel; each
-       figure below then reads its scenario's outcome from the cache.
-       (Sharded warm-up still simulates in workers, but classification
-       outcomes return to this process's cache, so the figures below are
-       cache hits either way.) *)
-    ignore (Scenarios.Runner.run_all ?domains ?shards ());
+       figure below then reads its scenario's outcome from the cache. *)
+    ignore (Scenarios.Runner.run_all ?domains ());
     Obs.span "export.figures" (fun () ->
         List.iter
           (fun (fig : Scenarios.Figures.t) ->
@@ -48,7 +45,7 @@ let figures_cmd =
     Campaign_cli.write_metrics ~name:"export_figures" metrics
   in
   Cmd.v (Cmd.info "figures" ~doc:"Export every regenerated figure as CSV.")
-    Term.(const run $ out_dir $ domains $ Campaign_cli.shards $ Campaign_cli.metrics)
+    Term.(const run $ out_dir $ domains $ Campaign_cli.metrics)
 
 let scenario_cmd =
   let scenario =

@@ -56,7 +56,7 @@ let submit_cmd =
     Arg.(
       value & opt int 0
       & info [ "retries" ] ~docv:"N"
-          ~doc:"Per-cell retry budget on the server.")
+          ~doc:"Re-run a failing cell up to $(docv) extra times on the server.")
   in
   let deadline =
     Arg.(

@@ -7,10 +7,11 @@
     failure modes of [Shard] + [Supervise] + the scenario journal are
     exercised on purpose instead of discovered in production. A plan is
     pure data (no closures, no hidden state): which faults to inject,
-    each with a {!trigger} saying {e when}. The derivations
-    ({!worker_fault}, {!spawn_fault}, {!journal_fault}) turn the plan
-    into the hooks the execution layers consult at their injection
-    points.
+    each with a {!trigger} saying {e when}. Each execution layer takes
+    the whole plan ([Shard.try_map ~chaos], [Scenarios.Journal.create
+    ~chaos], the campaign server's config) and derives its own hook with
+    {!worker_fault}, {!spawn_fault}, {!journal_fault} or
+    {!server_fault}.
 
     Determinism: a trigger fires as a pure function of
     [(plan seed, fault kind, opportunity index)]. [At n] fires on
@@ -78,18 +79,18 @@ val fires : seed:int -> salt:int -> n:int -> trigger -> bool
     tests; the hook derivations below are the intended consumers. *)
 
 val worker_fault : t -> (slot:int -> seq:int -> fault option) option
-(** The worker-frame havoc hook for {!Shard.try_map}: consulted once
-    per batch assignment with the job-global sequence number. [None]
-    when the plan injects no worker faults. *)
+(** The worker-frame fault hook a {!Shard} worker derives from its job's
+    plan: consulted once per batch assignment with the job-global
+    sequence number. [None] when the plan injects no worker faults. *)
 
 val spawn_fault : t -> (attempt:int -> bool) option
-(** The spawn-failure hook for {!Shard.try_map}: [true] means this
+(** The spawn-failure hook {!Shard.try_map} derives: [true] means this
     spawn attempt must fail. *)
 
 val journal_fault : t -> ([ `Write | `Fsync ] -> bool) option
-(** The journal-fault hook for [Scenarios.Journal.create]: each append
-    consults [`Write] once (advancing the hook's append counter) and
-    [`Fsync] once. Stateful — derive one hook per writer. *)
+(** The journal-fault hook [Scenarios.Journal.create] derives: each
+    append consults [`Write] once (advancing the hook's append counter)
+    and [`Fsync] once. Stateful — one hook per writer. *)
 
 val server_fault : t -> ([ `Accept | `Read | `Write ] -> bool) option
 (** The connection-fault hook for the campaign server ([Serve.Server]):

@@ -2,29 +2,23 @@
    [Frame], the one record codec behind the scenario journal ("SJL1"),
    the shard pipe ("SHD1") and the service socket ("SRV1").
 
-   The table is built at module initialisation, not lazily: the first
-   [digest] may come from two domains at once, and forcing one lazy from
-   two domains raises [CamlinternalLazy.Undefined]. *)
+   The register is a plain [int] (63 bits wide, so the 32-bit value never
+   overflows it) and the table an [int array]: an [Int32] register would
+   be boxed on every byte. The table is built at module initialisation,
+   not lazily: the first [digest] may come from two domains at once, and
+   forcing one lazy from two domains raises [CamlinternalLazy.Undefined]. *)
 
 let table =
   Array.init 256 (fun n ->
-      let c = ref (Int32.of_int n) in
+      let c = ref n in
       for _ = 0 to 7 do
-        c :=
-          if Int32.logand !c 1l <> 0l then
-            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-          else Int32.shift_right_logical !c 1
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
       done;
       !c)
 
 let digest s =
-  let c = ref 0xFFFFFFFFl in
+  let c = ref 0xFFFFFFFF in
   String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
+    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
     s;
-  Int32.logxor !c 0xFFFFFFFFl
+  Int32.of_int (!c lxor 0xFFFFFFFF)

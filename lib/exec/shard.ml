@@ -19,13 +19,6 @@
 exception Worker_failure of { printed : string; trace : string }
 exception Worker_crashed of { slot : int }
 
-type havoc = Chaos.fault =
-  | Torn_frame
-  | Corrupt_frame
-  | Hang
-  | Crash
-  | Slow of float
-
 (* Worker liveness: a worker heartbeats this often while it holds a
    batch, and the coordinator declares a worker hung when a batch is in
    flight and nothing — result or heartbeat — has arrived for
@@ -33,6 +26,10 @@ type havoc = Chaos.fault =
    timeout, so a healthy-but-slow worker is never killed. *)
 let heartbeat_interval_s = 0.2
 let default_hang_timeout_s = 30.
+
+(* Crash recovery: each slot may be respawned this many times per
+   [try_map] call; the next call starts the slot over. *)
+let restarts_per_call = 2
 
 (* Spawned workers are recognised by this variable; the argv marker is
    cosmetic but lets tests and operators target workers with pkill. *)
@@ -53,7 +50,9 @@ end)
 
    [Hello] is sent once per spawn (a worker keeps its domain pool for its
    whole life). [Job] re-binds the task function once per [try_map] call
-   per worker incarnation — the only time the closure is marshalled.
+   per worker incarnation — the only time the closure is marshalled —
+   together with the call's chaos plan, from which the worker derives
+   its own fault hook.
    [Batch] then carries many cells per frame; each cell's value is
    {e pre-digested} — marshalled once by the coordinator when the task is
    first dispatched and reused verbatim on requeues — so the per-cell
@@ -63,11 +62,7 @@ type remote_failure = { printed : string; trace : string }
 
 type coordinator_to_worker =
   | Hello of { slot : int; domains : int }
-  | Job of {
-      job : int;
-      f : Obj.t -> Obj.t;
-      havoc : (slot:int -> seq:int -> havoc option) option;
-    }
+  | Job of { job : int; f : Obj.t -> Obj.t; chaos : Chaos.t }
   | Batch of { job : int; seq : int; tasks : (int * string) array }
 
 type worker_to_coordinator =
@@ -105,8 +100,8 @@ let run_batch ~domains f job (tasks : (int * string) array) =
       Frame.encode (Result { job; index; value }))
     (Array.to_list tasks) results
 
-(* Write the batch's result frames, honouring the frame-level havoc
-   cases: a torn frame is a partial write followed by sudden death, a
+(* Write the batch's result frames, honouring the frame-level chaos
+   faults: a torn frame is a partial write followed by sudden death, a
    corrupt frame a payload bit-flip under an unchanged CRC field. The
    lock serializes against the heartbeat domain so injected heartbeats
    never interleave mid-frame. *)
@@ -116,7 +111,7 @@ let write_results fd ~lock ~injected frames =
     ~finally:(fun () -> Mutex.unlock lock)
     (fun () ->
       match injected with
-      | Some Torn_frame -> (
+      | Some Chaos.Torn_frame -> (
           match frames with
           | frame :: _ ->
               let cut =
@@ -125,7 +120,7 @@ let write_results fd ~lock ~injected frames =
               Frame.write_all fd (String.sub frame 0 cut);
               Unix._exit 66
           | [] -> ())
-      | Some Corrupt_frame -> (
+      | Some Chaos.Corrupt_frame -> (
           match frames with
           | frame :: rest ->
               let b = Bytes.of_string frame in
@@ -134,7 +129,7 @@ let write_results fd ~lock ~injected frames =
               Frame.write_all fd (Bytes.to_string b);
               List.iter (Frame.write_all fd) rest
           | [] -> ())
-      | Some (Hang | Crash | Slow _) | None ->
+      | Some (Chaos.Hang | Chaos.Crash | Chaos.Slow _) | None ->
           (* Hang/Crash/Slow are handled before this point; by the time
              frames reach the pipe they are written verbatim. *)
           List.iter (Frame.write_all fd) frames)
@@ -181,19 +176,19 @@ let worker_main fd =
       in
       let rec serve () =
         match Frame.read fd buf with
-        | `Frame (Job { job; f; havoc }) ->
-            bound := Some (job, f, havoc);
+        | `Frame (Job { job; f; chaos }) ->
+            bound := Some (job, f, Chaos.worker_fault chaos);
             serve ()
         | `Frame (Batch { job; seq; tasks }) -> (
             match !bound with
-            | Some (bound_job, f, havoc) when bound_job = job -> (
+            | Some (bound_job, f, fault) when bound_job = job -> (
                 Atomic.set hb_job job;
                 let frames = run_batch ~domains f job tasks in
                 let injected =
-                  match havoc with Some h -> h ~slot ~seq | None -> None
+                  match fault with Some h -> h ~slot ~seq | None -> None
                 in
                 match injected with
-                | Some Hang ->
+                | Some Chaos.Hang ->
                     (* The injected open-pipe hang: stop heartbeating,
                        keep the descriptor open, never respond. Only the
                        coordinator's hang deadline can recover this. *)
@@ -203,11 +198,11 @@ let worker_main fd =
                       wedge ()
                     in
                     wedge ()
-                | Some Crash ->
+                | Some Chaos.Crash ->
                     (* Sudden death at the N-th frame, nothing written:
                        the coordinator sees EOF and requeues. *)
                     Unix._exit 67
-                | Some (Slow delay) ->
+                | Some (Chaos.Slow delay) ->
                     (* Slow but healthy: keep heartbeating through the
                        delay, then deliver intact results. Must never be
                        killed by hang detection. *)
@@ -215,7 +210,7 @@ let worker_main fd =
                     write_results fd ~lock:wlock ~injected:None frames;
                     Atomic.set hb_job (-1);
                     serve ()
-                | (Some (Torn_frame | Corrupt_frame) | None) as injected ->
+                | (Some (Chaos.Torn_frame | Chaos.Corrupt_frame) | None) as injected ->
                     write_results fd ~lock:wlock ~injected frames;
                     Atomic.set hb_job (-1);
                     serve ())
@@ -370,11 +365,12 @@ let spawn ~domains w =
          will surface the death and the budgeted respawn path takes over. *)
       ()
 
-(* Guarded spawn: injected ([fault]) and genuine spawn failures alike
-   become a dead slot plus a counter, never an exception — the caller
-   decides whether the remaining workers (or the in-process fallback)
-   carry the job. [attempts] numbers every spawn attempt of one sharded
-   run, so an injected [spawn@N] plan is deterministic. *)
+(* Guarded spawn: injected ([fault], derived from the chaos plan) and
+   genuine spawn failures alike become a dead slot plus a counter, never
+   an exception — the caller decides whether the remaining workers (or
+   the in-process fallback) carry the job. [attempts] numbers every spawn
+   attempt of one sharded run, so an injected [spawn@N] plan is
+   deterministic. *)
 let spawn_guarded ~domains ?fault ~attempts w =
   incr attempts;
   let injected =
@@ -468,10 +464,9 @@ let notify on_result index v =
   | exception exn ->
       Error { Pool.index; exn; backtrace = Printexc.get_raw_backtrace () }
 
-let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
-    ?batch ?on_result ?abort ?havoc ?spawn_fault
-    ?(hang_timeout_s = default_hang_timeout_s) ?deadline_s (f : a -> b)
-    (xs : a list) : (b, Pool.error) result list =
+let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
+    ?(chaos = Chaos.none) ?(hang_timeout_s = default_hang_timeout_s)
+    ?deadline_s (f : a -> b) (xs : a list) : (b, Pool.error) result list =
   if in_worker () then
     invalid_arg "Shard.try_map: nested sharding inside a shard worker";
   let n = List.length xs in
@@ -485,14 +480,10 @@ let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
     in
     (* Cells per frame: enough waves per worker (4) to load-balance, but
        never below the worker's own parallelism. *)
-    let batch =
-      match batch with
-      | Some b -> max 1 b
-      | None -> max domains ((n + (shards * 4) - 1) / (shards * 4))
-    in
+    let batch = max domains ((n + (shards * 4) - 1) / (shards * 4)) in
     let now () = Obs.Clock.now () in
     let attempts = ref 0 in
-    let spawn_one = spawn_guarded ~domains ?fault:spawn_fault ~attempts in
+    let spawn_one = spawn_guarded ~domains ?fault:(Chaos.spawn_fault chaos) ~attempts in
     let fleet = get_fleet ~shards ~domains ~spawn_one in
     if not (List.exists (fun w -> w.alive) fleet.members) then begin
       (* Graceful degradation: not one worker could be spawned, so the
@@ -510,7 +501,7 @@ let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
          per job at first dispatch ([payloads] memoizes it, so a requeue
          after a crash reuses the digested bytes). *)
       let job_frame =
-        Frame.encode (Job { job; f = (Obj.magic f : Obj.t -> Obj.t); havoc })
+        Frame.encode (Job { job; f = (Obj.magic f : Obj.t -> Obj.t); chaos })
       in
       let tasks = Array.of_list xs in
       let payloads : string option array = Array.make n None in
@@ -667,7 +658,7 @@ let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
          fds closed, children reaped — before the exception escapes. *)
       List.iter
         (fun w ->
-          w.restarts_left <- restarts;
+          w.restarts_left <- restarts_per_call;
           w.busy_s <- 0.)
         fleet.members;
       let aborting () = match abort with Some stop -> stop () | None -> false in
@@ -797,10 +788,3 @@ let try_map (type a b) ?shards ?(domains = 1) ?(restarts = 2)
         (Array.map (function Some r -> r | None -> assert false) results)
     end
   end
-
-let map ?shards ?domains ?restarts ?batch ?havoc ?spawn_fault ?hang_timeout_s
-    ?deadline_s f xs =
-  List.map
-    (function Ok v -> v | Error e -> raise e.Pool.exn)
-    (try_map ?shards ?domains ?restarts ?batch ?havoc ?spawn_fault
-       ?hang_timeout_s ?deadline_s f xs)

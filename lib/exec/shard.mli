@@ -40,9 +40,11 @@
     not once per batch of cells. Each call binds a fresh {e job} on the
     fleet: the task closure is marshalled once per worker per job, each
     task value once per job (the digested bytes are reused verbatim when
-    a crash requeues the cell), and cells travel many-to-a-frame —
-    [batch] cells per assignment (the [shard.batch_size] histogram
-    records the actual sizes). A slot that exhausted its restart budget
+    a crash requeues the cell), and cells travel many-to-a-frame — enough
+    per assignment for four waves per worker, and never fewer than the
+    worker's domains ([max domains (ceil (n / (shards * 4)))]; the
+    [shard.batch_size] histogram records the actual sizes). Each slot
+    may be respawned twice per call; a slot that exhausted that budget
     in one job is respawned, with a fresh budget, at the start of the
     next.
 
@@ -77,7 +79,7 @@
 
     {1 Graceful degradation}
 
-    A spawn failure (the injected [spawn] fault, or a genuine
+    A spawn failure (an injected [spawn] fault, or a genuine
     [create_process] error) never aborts the run: the slot stays down
     and is counted in [shard.spawn_failures], and the remaining workers
     absorb the batch. If {e no} worker at all comes up at job start, the
@@ -125,33 +127,8 @@ exception Worker_crashed of { slot : int }
 (** The error for tasks a job could not settle because every worker died
     and the restart budget ran out. [slot] is the shard slot that died
     last holding the task ([-1] when it was never assigned). Terminal for
-    the job, not for the task: under a {!Supervise} retry policy the
-    next round is a new job whose slots respawn with a fresh budget. *)
-
-type havoc = Chaos.fault =
-  | Torn_frame
-  | Corrupt_frame
-  | Hang
-  | Crash
-  | Slow of float
-      (** Test/CI-only worker-fault injection (= {!Chaos.fault}),
-          performed {e inside the worker} once its batch has computed:
-          [Torn_frame] writes a partial frame then exits (death
-          mid-write, taking the batch's remaining results with it);
-          [Corrupt_frame] flips a payload byte so the frame fails its
-          CRC, then keeps running; [Hang] stops heartbeating and holds
-          the pipe open forever (recoverable only through the hang
-          deadline); [Crash] exits without writing anything; [Slow d]
-          sleeps [d] seconds {e while heartbeating}, then delivers
-          intact results — the fault that must {e not} trip hang
-          detection. All must be recovered from by the coordinator
-          without losing a task. The hook is consulted per batch
-          assignment as [havoc ~slot ~seq], where [seq] is the
-          {e job-global} batch sequence number (1-based, across all
-          slots and respawns within one [try_map] call) — so an
-          injection keyed on one [seq] fires exactly once and the
-          respawned worker replays the work cleanly. Derive the hook
-          from a seeded plan with {!Chaos.worker_fault}. *)
+    the job, not for the task: under {!Supervise} retries the next
+    round is a new job whose slots respawn with a fresh budget. *)
 
 module Frame : Frame.S
 (** The pipe's instance of {!Frame}, with magic ["SHD1"] and payloads
@@ -191,12 +168,9 @@ val shutdown_fleets : unit -> unit
 val try_map :
   ?shards:int ->
   ?domains:int ->
-  ?restarts:int ->
-  ?batch:int ->
   ?on_result:(int -> 'b -> unit) ->
   ?abort:(unit -> bool) ->
-  ?havoc:(slot:int -> seq:int -> havoc option) ->
-  ?spawn_fault:(attempt:int -> bool) ->
+  ?chaos:Chaos.t ->
   ?hang_timeout_s:float ->
   ?deadline_s:float ->
   ('a -> 'b) ->
@@ -206,24 +180,17 @@ val try_map :
     calling domain's resident worker fleet (see {e Warm fleets} above) and
     returns result [i] for input [i], like {!Pool.try_map}. It never
     retries a task that failed: wrap it in {!Supervise.try_map} for retry
-    and quarantine.
+    and quarantine. A crash requeues the dead worker's in-flight cells
+    and respawns the slot, at most twice per slot per call: crash
+    recovery, not retry — the cells still run once as far as the caller
+    can tell. If every slot is down, unsettled tasks fail with
+    {!Worker_crashed}.
 
     - [shards] — worker process count (default: recommended domain count
       divided by [domains], at least 1).
     - [domains] — domains {e per worker}: each worker runs each batch on
       its resident {!Pool} of that size (default 1, i.e. sequential
       workers).
-    - [restarts] — how many times each slot may be respawned after a
-      crash (default 2), counted per call. A crash requeues the dead
-      worker's in-flight cells: crash recovery, not retry — the cells
-      still run once as far as the caller can tell. A slot that exhausts
-      its budget stays down for the rest of the call (the next call
-      respawns it with a fresh budget); if every slot is down, unsettled
-      tasks fail with {!Worker_crashed}.
-    - [batch] — cells per assignment frame (default: enough for four
-      waves per worker, [max domains (ceil n / (shards * 4))]). Larger
-      batches amortize frame and scheduling overhead; smaller ones
-      load-balance better and lose less work per crash.
     - [on_result] — called in the coordinator as [on_result i v] the
       moment input [i] settles as [Ok v] (settle order, not submission
       order). This is the journal hook: results flow back to the
@@ -236,12 +203,20 @@ val try_map :
       every unsettled task fails with {!Pool.Aborted} — already settled
       results are kept, and [on_result] has already fired for them, so a
       journaled campaign resumes exactly past the abort point.
-    - [havoc] — test/CI-only worker-fault injection, see {!havoc}.
-    - [spawn_fault] — test/CI-only spawn-failure injection, consulted
-      once per spawn attempt (1-based across the call, initial fleet
-      completion and respawns alike); [true] makes that attempt fail.
-      Derive from a plan with {!Chaos.spawn_fault}. Genuine spawn
-      errors take the same degradation path.
+    - [chaos] — test/CI-only fault plan (default {!Chaos.none}). Its
+      worker faults are performed {e inside the worker} once its batch
+      has computed, consulted per batch assignment with the
+      {e job-global} batch sequence number (1-based, across all slots and
+      respawns within one call), so a fault keyed on one number fires
+      exactly once and the respawned worker replays the work cleanly:
+      [torn] writes a partial frame then exits, [corrupt] flips a
+      payload byte so the frame fails its CRC, [hang] stops heartbeating
+      and holds the pipe open, [crash] exits without writing, and
+      [slow] delays intact results while heartbeating — the fault that
+      must {e not} trip hang detection. Its [spawn] fault fails the
+      numbered spawn attempt (1-based across the call, initial fleet
+      completion and respawns alike); genuine spawn errors take the
+      same degradation path.
     - [hang_timeout_s] — declare a busy worker hung after this much
       silence (default 30 s; heartbeats every 0.2 s keep a healthy
       worker far inside it). See {e Liveness} above.
@@ -255,19 +230,3 @@ val try_map :
     @raise Invalid_argument when called from inside a shard worker
     (nested sharding would fork-bomb the machine by re-execing workers
     from workers). *)
-
-val map :
-  ?shards:int ->
-  ?domains:int ->
-  ?restarts:int ->
-  ?batch:int ->
-  ?havoc:(slot:int -> seq:int -> havoc option) ->
-  ?spawn_fault:(attempt:int -> bool) ->
-  ?hang_timeout_s:float ->
-  ?deadline_s:float ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** Like {!try_map} but re-raises the first (lowest-index) task's error
-    after the batch settles — {!Worker_failure} for a task that raised,
-    {!Worker_crashed} when workers died without leaving a result. *)

@@ -1,58 +1,16 @@
-(** Supervised batch execution: retry with jittered exponential backoff
-    around any batch runner ({!Pool} domains or {!Shard} processes),
-    quarantining tasks that keep failing so one poisoned cell degrades
-    the batch instead of aborting it. *)
-
-type policy = {
-  max_attempts : int;
-  base_delay_s : float;
-  max_delay_s : float;
-  jitter : float;
-  seed : int;
-  retry_on : exn -> bool;
-}
-
-let default_policy =
-  {
-    max_attempts = 3;
-    base_delay_s = 0.05;
-    max_delay_s = 1.0;
-    jitter = 0.25;
-    seed = 0;
-    retry_on = (function Pool.Reentrant_submission -> false | _ -> true);
-  }
-
-let policy ?(max_attempts = default_policy.max_attempts)
-    ?(base_delay_s = default_policy.base_delay_s)
-    ?(max_delay_s = default_policy.max_delay_s)
-    ?(jitter = default_policy.jitter) ?(seed = default_policy.seed)
-    ?(retry_on = default_policy.retry_on) () =
-  if max_attempts < 1 then invalid_arg "Supervise.policy: max_attempts < 1";
-  if jitter < 0. || jitter > 1. then
-    invalid_arg "Supervise.policy: jitter outside [0, 1]";
-  { max_attempts; base_delay_s; max_delay_s; jitter; seed; retry_on }
-
-let backoff_delay p ~attempt =
-  let expo =
-    Float.min p.max_delay_s
-      (p.base_delay_s *. Float.pow 2. (float_of_int (attempt - 1)))
-  in
-  (* One private generator per attempt, derived from the policy seed: the
-     schedule is a pure function of (seed, attempt), never of how many
-     draws earlier rounds consumed. *)
-  let u = Inject.Prng.float (Inject.Prng.create (Inject.Prng.derive p.seed attempt)) in
-  Float.max 0. (expo *. (1. +. (p.jitter *. ((2. *. u) -. 1.))))
+(** Supervised batch execution: immediate retry around any batch runner
+    ({!Pool} domains or {!Shard} processes), quarantining tasks that keep
+    failing so one poisoned cell degrades the batch instead of aborting
+    it. *)
 
 type 'a status = Done of 'a | Quarantined of Pool.error
 type 'a report = { status : 'a status; attempts : int }
 
 (* Telemetry: attempts counts every task execution (first tries and
-   retries alike), retries only the extra rounds, and backoff_s records
-   each inter-round sleep actually performed. *)
+   retries alike), retries only the extra rounds. *)
 let m_attempts = Obs.Metrics.counter "supervise.attempts"
 let m_retries = Obs.Metrics.counter "supervise.retries"
 let m_quarantined = Obs.Metrics.counter "supervise.quarantined"
-let h_backoff = Obs.Metrics.histogram "supervise.backoff_s"
 
 type stats = { tasks : int; retried : int; retries : int; quarantined : int }
 
@@ -87,12 +45,12 @@ let in_process ?domains ?abort () ~on_result f xs =
     (List.mapi (fun i x -> (i, x)) xs)
 
 (** The supervision loop. Each round runs the still-pending tasks as one
-    batch on [run]; failures the policy deems retryable survive to the
-    next round, everything else settles. The runner sees round-local
+    batch on [run]; failures survive to the next round while attempts
+    remain, everything else settles. The runner sees round-local
     positions, so both the settle hook's index and [Pool.error.index]
     are mapped back to the task's position in the original batch. *)
-let try_map ?(policy = default_policy) ?on_result (run : ('a, 'b) runner) f xs
-    =
+let try_map ?(attempts = 1) ?on_result (run : ('a, 'b) runner) f xs =
+  if attempts < 1 then invalid_arg "Supervise.try_map: attempts < 1";
   let n = List.length xs in
   let reports = Array.make n None in
   let rec go attempt pending =
@@ -115,14 +73,11 @@ let try_map ?(policy = default_policy) ?on_result (run : ('a, 'b) runner) f xs
                  []
              | Error (e : Pool.error) ->
                  (* [Aborted] is the caller cancelling the batch — a retry
-                    would resurrect work the caller just asked to stop, so
-                    it quarantines regardless of the policy. *)
-                 let retryable =
-                   match e.Pool.exn with
-                   | Pool.Aborted -> false
-                   | exn -> policy.retry_on exn
+                    would resurrect work the caller just asked to stop. *)
+                 let aborted =
+                   match e.Pool.exn with Pool.Aborted -> true | _ -> false
                  in
-                 if attempt < policy.max_attempts && retryable then [ (i, x) ]
+                 if attempt < attempts && not aborted then [ (i, x) ]
                  else begin
                    Obs.Metrics.incr m_quarantined;
                    reports.(i) <-
@@ -135,18 +90,7 @@ let try_map ?(policy = default_policy) ?on_result (run : ('a, 'b) runner) f xs
                  end)
            pending results)
     in
-    if failed <> [] then begin
-      let delay = backoff_delay policy ~attempt in
-      (* Zero-delay fast path: a policy with [base_delay_s = 0.] retries
-         immediately. Skipping the sleep *and* the histogram sample keeps
-         crash-recovery tests free of wall-clock waits without recording
-         sleeps that never happened. *)
-      if delay > 0. then begin
-        Obs.Metrics.observe h_backoff delay;
-        Unix.sleepf delay
-      end;
-      go (attempt + 1) failed
-    end
+    if failed <> [] then go (attempt + 1) failed
   in
   if n > 0 then go 1 (List.mapi (fun i x -> (i, x)) xs);
   Array.to_list (Array.map Option.get reports)

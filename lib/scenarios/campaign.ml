@@ -261,29 +261,31 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     one; without [resume] an existing journal is truncated and the run
     starts fresh.
 
-    [retry] supervises cell execution ({!Exec.Supervise}: exponential
-    backoff with jitter, per-cell attempt counts) on either runner: a
-    cell that keeps failing is quarantined — dropped from the matrix and
-    counted in [robustness.quarantined] — instead of aborting the
-    campaign. Without [retry] each cell runs once and the first cell
-    failure re-raises after the batch settles. A shard worker crash is
-    not a failure: its cells are requeued within the restart budget and
-    never count as retries.
+    [retries] (default 0) re-runs a failed cell up to that many extra
+    times ({!Exec.Supervise}: immediate re-submission, per-cell attempt
+    counts) on either runner; a cell still failing afterwards is
+    quarantined — dropped from the matrix and counted in
+    [robustness.quarantined] — instead of aborting the campaign. With
+    [retries = 0] each cell runs once and the first cell failure
+    re-raises after the batch settles. A shard worker crash is not a
+    failure: its cells are requeued within the restart budget and never
+    count as retries.
 
     [shards] switches the grid to multi-process execution on
     [Exec.Shard]: cells are simulated in [shards] resident worker
-    processes (each with [domains] domains, [batch] cells per assignment
-    frame), while classification results, the journal and the cell
-    counters stay with the coordinator. The matrix and CSV are
-    bit-for-bit identical to the single-process run for any shard count
-    and batch size, including across worker crashes.
+    processes (each with [domains] domains), while classification
+    results, the journal and the cell counters stay with the
+    coordinator. The matrix and CSV are bit-for-bit identical to the
+    single-process run for any shard count, including across worker
+    crashes.
 
     The journal degrades instead of aborting: a device error (ENOSPC,
     EIO) mid-campaign switches the writer to memory-only mode — the grid
     completes, [robustness.degraded] is raised, and only durability is
     lost. [chaos] injects a deterministic infrastructure-fault plan
-    ({!Exec.Chaos}): worker faults and spawn failures apply to the
-    sharded branch, journal faults to any journaled run. Every fault in
+    ({!Exec.Chaos}), passed whole to the layers that derive their hooks
+    from it: worker faults and spawn failures apply to the sharded
+    branch, journal faults to any journaled run. Every fault in
     the catalogue is recoverable, so the matrix under any chaos plan is
     bit-for-bit the chaos-free one. [hang_timeout_s] / [deadline_s]
     configure the sharded coordinator's liveness sweep
@@ -303,13 +305,13 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     the campaign-service cancellation probe, threaded to the runner
     ({!Exec.Shard.try_map} or {!Exec.Pool.try_map}): once it answers
     [true], unstarted cells stop executing and the run raises
-    {!Exec.Pool.Aborted} (regardless of [retry]) — completed cells are
+    {!Exec.Pool.Aborted} (regardless of [retries]) — completed cells are
     already journaled, so a resumed run continues exactly past the abort
     point. *)
-let run ?domains ?shards ?batch ?use_cache
-    ?(defects = Vehicle.Defects.repaired)
-    ?(window = Runner.default_window) ?journal ?(resume = false) ?retry
+let run ?domains ?shards ?use_cache ?(defects = Vehicle.Defects.repaired)
+    ?(window = Runner.default_window) ?journal ?(resume = false) ?(retries = 0)
     ?on_cell ?abort ?chaos ?hang_timeout_s ?deadline_s (g : grid) : t =
+  let retries = max 0 retries in
   let pairs =
     List.concat_map
       (fun f -> List.map (fun s -> (f, s)) g.grid_scenarios)
@@ -364,11 +366,6 @@ let run ?domains ?shards ?batch ?use_cache
   in
   let journal_degraded = ref false in
   let reports =
-    let policy =
-      match retry with
-      | Some p -> p
-      | None -> Exec.Supervise.policy ~max_attempts:1 ()
-    in
     let run : (_, cell) Exec.Supervise.runner =
       match shards with
       | Some s ->
@@ -378,10 +375,7 @@ let run ?domains ?shards ?batch ?use_cache
              crash-safe resume works unchanged (a worker SIGKILL costs at
              most the cells in flight). *)
           fun ~on_result f xs ->
-            Exec.Shard.try_map ~shards:s ?domains ?batch ~on_result
-              ?abort
-              ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
-              ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
+            Exec.Shard.try_map ~shards:s ?domains ~on_result ?abort ?chaos
               ?hang_timeout_s ?deadline_s f xs
       | None -> Exec.Supervise.in_process ?domains ?abort ()
     in
@@ -390,7 +384,7 @@ let run ?domains ?shards ?batch ?use_cache
        cell the moment it exists — inside the task on a pool domain, or
        on the coordinator as its result frame arrives. *)
     let execute writer =
-      Exec.Supervise.try_map ~policy
+      Exec.Supervise.try_map ~attempts:(retries + 1)
         ~on_result:(fun i cell ->
           Option.iter (fun w -> Journal.append w ~key:keys.(i) cell) writer;
           Obs.Metrics.incr m_cells_executed;
@@ -406,9 +400,7 @@ let run ?domains ?shards ?batch ?use_cache
             (* [`Degrade]: a campaign survives losing its journal device —
                results keep flowing in memory, the robustness summary
                carries the [degraded] flag, and only durability is lost. *)
-            Journal.with_writer ~fresh:(not resume) ~on_error:`Degrade
-              ?fault:(Option.bind chaos Exec.Chaos.journal_fault)
-              path
+            Journal.with_writer ~fresh:(not resume) ~on_error:`Degrade ?chaos path
               (fun w ->
                 let r = execute (Some w) in
                 journal_degraded := Journal.degraded w;
@@ -416,7 +408,7 @@ let run ?domains ?shards ?batch ?use_cache
   in
   Obs.Metrics.incr ~by:(List.length slots - List.length todo) m_cells_replayed;
   (* A cancelled campaign surfaces as [Exec.Pool.Aborted] no matter the
-     retry policy — the caller asked for it, so it must see it. The
+     retry count — the caller asked for it, so it must see it. The
      journal writer has already closed cleanly above: every completed
      cell is durable and a resumed run continues past the abort point. *)
   List.iter
@@ -426,10 +418,10 @@ let run ?domains ?shards ?batch ?use_cache
           raise Exec.Pool.Aborted
       | _ -> ())
     reports;
-  (* Without a retry policy, preserve the historical contract: the first
-     cell failure re-raises (with the worker's backtrace) instead of
-     silently thinning the matrix. *)
-  if retry = None then
+  (* Without retries, preserve the historical contract: the first cell
+     failure re-raises (with the worker's backtrace) instead of silently
+     thinning the matrix. *)
+  if retries = 0 then
     List.iter
       (fun (r : cell Exec.Supervise.report) ->
         match r.Exec.Supervise.status with

@@ -24,8 +24,9 @@ type 'a writer = {
   lock : Mutex.t;  (** appends may come from pool worker domains *)
   on_error : [ `Raise | `Degrade ];
   fault : ([ `Write | `Fsync ] -> bool) option;
-      (** chaos hook ({!Exec.Chaos.journal_fault}): consulted once per
-          append for [`Write] (fail mid-record) and once for [`Fsync] *)
+      (** the writer's own hook derived from its chaos plan
+          ({!Exec.Chaos.journal_fault}): consulted once per append for
+          [`Write] (fail mid-record) and once for [`Fsync] *)
   mutable closed : bool;
   mutable degraded : bool;
 }
@@ -43,7 +44,7 @@ let m_dropped = Obs.Metrics.counter "journal.appends_dropped"
 let m_repaired = Obs.Metrics.counter "journal.repaired_bytes"
 let h_fsync = Obs.Metrics.histogram "journal.fsync_s"
 
-let create ?(fresh = false) ?(on_error = `Raise) ?fault path =
+let create ?(fresh = false) ?(on_error = `Raise) ?(chaos = Exec.Chaos.none) path =
   let flags =
     [ Open_wronly; Open_creat; Open_binary ]
     @ if fresh then [ Open_trunc ] else [ Open_append ]
@@ -53,7 +54,7 @@ let create ?(fresh = false) ?(on_error = `Raise) ?fault path =
     path;
     lock = Mutex.create ();
     on_error;
-    fault;
+    fault = Exec.Chaos.journal_fault chaos;
     closed = false;
     degraded = false;
   }
@@ -132,8 +133,8 @@ let close w =
             raise (Io_error { path = w.path; op = "close"; error = msg })
       end)
 
-let with_writer ?fresh ?on_error ?fault path f =
-  let w = create ?fresh ?on_error ?fault path in
+let with_writer ?fresh ?on_error ?chaos path f =
+  let w = create ?fresh ?on_error ?chaos path in
   Fun.protect ~finally:(fun () -> close w) (fun () -> f w)
 
 (* ------------------------------------------------------------------ *)

@@ -43,7 +43,7 @@ type 'a writer
 val create :
   ?fresh:bool ->
   ?on_error:[ `Raise | `Degrade ] ->
-  ?fault:([ `Write | `Fsync ] -> bool) ->
+  ?chaos:Exec.Chaos.t ->
   string ->
   'a writer
 (** [create ?fresh path] opens [path] for appending, creating it if
@@ -60,11 +60,12 @@ val create :
     [journal.appends_dropped], while the failed append itself counts in
     [journal.write_errors].
 
-    [fault] is the chaos hook (derive from a plan with
-    {!Exec.Chaos.journal_fault}): each append consults it once with
-    [`Write] — [true] tears the record (half the bytes reach the file)
-    and fails with EIO — and once with [`Fsync] — [true] fails the
-    append with ENOSPC after the full record was flushed. Test/CI only. *)
+    [chaos] is a test/CI-only fault plan (default {!Exec.Chaos.none});
+    the writer derives its own hook from it
+    ({!Exec.Chaos.journal_fault}), so its opportunities are this
+    writer's appends. A firing [jwrite] tears the record (half the
+    bytes reach the file) and fails with EIO; a firing [jfsync] fails
+    the append with ENOSPC after the full record was flushed. *)
 
 val append : 'a writer -> key:string -> 'a -> unit
 (** Append one record and fsync it to disk before returning.
@@ -87,7 +88,7 @@ val close : 'a writer -> unit
 val with_writer :
   ?fresh:bool ->
   ?on_error:[ `Raise | `Degrade ] ->
-  ?fault:([ `Write | `Fsync ] -> bool) ->
+  ?chaos:Exec.Chaos.t ->
   string ->
   ('a writer -> 'b) ->
   'b

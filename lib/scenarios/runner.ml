@@ -107,19 +107,13 @@ let run ?(use_cache = true) ?(defects = Vehicle.Defects.as_evaluated)
         in
         classify ~window s trace results)
 
-(** The whole fleet, in [Defs.all] order. [shards] fans it out over the
-    resident worker fleet ([Exec.Shard], [domains] domains per worker,
-    [batch] scenarios per assignment frame) instead of the domain pool;
-    results are identical. A task failure re-raises after the batch
+(** The whole fleet, in [Defs.all] order, on the resident domain pool
+    of [domains] workers. A task failure re-raises after the batch
     settles: consumers (sweeps, figures, estimates) index the fleet
     positionally, so it is never thinned. *)
-let run_all ?domains ?shards ?batch ?use_cache ?defects ?timing ?dynamics
-    ?window () =
+let run_all ?domains ?use_cache ?defects ?timing ?dynamics ?window () =
   Obs.span "runner.fleet" (fun () ->
-      let f = run ?use_cache ?defects ?timing ?dynamics ?window in
-      match shards with
-      | Some s -> Exec.Shard.map ~shards:s ?domains ?batch f Defs.all
-      | None -> Exec.Pool.map ?domains f Defs.all)
+      Exec.Pool.map ?domains (run ?use_cache ?defects ?timing ?dynamics ?window) Defs.all)
 
 (** Violating monitor entries only, for the Appendix D tables. *)
 let violations (o : outcome) =

@@ -30,7 +30,6 @@ let m_rej_quota = Obs.Metrics.counter "serve.rejections_quota"
 let m_rej_drain = Obs.Metrics.counter "serve.rejections_draining"
 let m_rej_spec = Obs.Metrics.counter "serve.rejections_bad_spec"
 let m_deadline_kills = Obs.Metrics.counter "serve.deadline_kills"
-let m_cancelled = Obs.Metrics.counter "serve.cancelled"
 let m_orphaned = Obs.Metrics.counter "serve.orphaned"
 let m_recovered = Obs.Metrics.counter "serve.recovered"
 let m_store_hits = Obs.Metrics.counter "serve.store_hits"
@@ -121,7 +120,7 @@ type req = {
   progress : int Atomic.t;  (** cells settled so far (journal + run) *)
   mutable sent_progress : int;
   mutable state : [ `Queued | `Running | `Settled ];
-  mutable kill : [ `Deadline | `Cancelled | `Orphaned ] option;
+  mutable kill : [ `Deadline | `Orphaned ] option;
   mutable waiters : client list;
 }
 
@@ -239,7 +238,6 @@ let journal_settled s digest =
 
 let kill_reason = function
   | `Deadline -> "deadline exceeded"
-  | `Cancelled -> "cancelled"
   | `Orphaned -> "abandoned: every waiting client disconnected"
 
 let attach c (r : req) =
@@ -281,7 +279,6 @@ and kill_req s (r : req) ~kill =
   if r.state <> `Settled then begin
     (match kill with
     | `Deadline -> Obs.Metrics.incr m_deadline_kills
-    | `Cancelled -> Obs.Metrics.incr m_cancelled
     | `Orphaned -> Obs.Metrics.incr m_orphaned);
     r.kill <- Some kill;
     match r.state with
@@ -505,24 +502,38 @@ let admit s c (spec : Wire.spec) deadline_s =
 (* ------------------------------------------------------------------ *)
 (* Executor domain                                                     *)
 
+(* The stored CSV is the request's durable record: fsynced before the
+   rename that publishes it, and the rename made durable by fsyncing the
+   directory. Only then is the request's cell journal redundant, so it
+   is deleted; a request whose store fails keeps its journal. *)
 let store_result s digest csv =
-  try
-    let tmp = result_path s.cfg digest ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc csv;
-    close_out oc;
-    Sys.rename tmp (result_path s.cfg digest);
-    true
-  with Sys_error _ -> false
+  let synced path flags write =
+    let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        write fd;
+        Unix.fsync fd)
+  in
+  let tmp = result_path s.cfg digest ^ ".tmp" in
+  match
+    synced tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
+        ignore (Unix.write_substring fd csv 0 (String.length csv) : int));
+    Unix.rename tmp (result_path s.cfg digest);
+    synced (results_dir s.cfg) [ Unix.O_RDONLY ] ignore
+  with
+  | () ->
+      (try Sys.remove (cells_path s.cfg digest) with Sys_error _ -> ());
+      true
+  | exception (Unix.Unix_error _ | Fun.Finally_raised _) -> false
 
 (* Size-budgeted store GC: a long-lived daemon must not grow its result
    store without bound. Evict least-recently-used first (mtime — store
    hits refresh it) until the directory fits [store_budget_bytes]
    (0 = unbounded). Evicting a digest is safe: the admissions check
-   falls through to re-execution, and the cell journal makes the re-run
-   incremental. Runs on executor lanes after each store and once at
-   startup; concurrent sweeps can race each other's [Sys.remove], so
-   every removal is try-wrapped. *)
+   falls through to re-execution. Runs on executor lanes after each
+   store and once at startup; concurrent sweeps can race each other's
+   [Sys.remove], so every removal is try-wrapped. *)
 let gc_store s =
   let dir = results_dir s.cfg in
   match Sys.readdir dir with
@@ -558,17 +569,9 @@ let gc_store s =
 
 let run_request s (r : req) =
   let t0 = Obs.Clock.now () in
-  let retry =
-    if r.spec.Wire.retries > 0 then
-      Some
-        (Exec.Supervise.policy
-           ~max_attempts:(r.spec.Wire.retries + 1)
-           ~seed:r.spec.Wire.seed ())
-    else None
-  in
-  (* The probe merges per-request cancellation (deadline, explicit
-     cancel, orphaning) with the global drain stop; either aborts the
-     campaign at the next cell boundary. *)
+  (* The probe merges per-request cancellation (deadline, orphaning)
+     with the global drain stop; either aborts the campaign at the next
+     cell boundary. *)
   let abort () = Atomic.get r.abort || Atomic.get s.stop in
   (* Fleet-share scheduling: with [concurrent = k] lanes, a sharded lane
      runs on a 1/k share of the configured worker fleet. Fleets are keyed
@@ -585,7 +588,7 @@ let run_request s (r : req) =
     Scenarios.Campaign.run ?domains:s.cfg.domains ?shards
       ?window:r.spec.Wire.window
       ~journal:(cells_path s.cfg r.digest)
-      ~resume:true ?retry
+      ~resume:true ~retries:r.spec.Wire.retries
       ~on_cell:(fun _cell -> Atomic.incr r.progress)
       ~abort ?chaos:s.cfg.chaos r.grid
   with
@@ -727,13 +730,6 @@ let dispatch s c (rq : Wire.request) =
           (Wire.Welcome { proto = Wire.proto_version; server = "campaignd" })
       end
   | Wire.Submit { spec; deadline_s } -> admit s c spec deadline_s
-  | Wire.Cancel { ticket } ->
-      let hits =
-        Hashtbl.fold
-          (fun _ (r : req) acc -> if r.ticket = ticket then r :: acc else acc)
-          s.live []
-      in
-      List.iter (fun r -> kill_req s r ~kill:`Cancelled) hits
   | Wire.Stats ->
       sync_gauges s;
       send s c (Wire.Stats_reply { json = Obs.Export.to_json ~name:"serve" () })

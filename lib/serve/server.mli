@@ -42,12 +42,15 @@
       journal — the eventual CSV is byte-identical to an uninterrupted
       run. Completed results live in an on-disk store keyed by the
       request digest, so resubmitting a finished spec is a store hit.
+      A stored result is the request's durable record: it is fsynced
+      before the rename that publishes it, the rename is made durable
+      by fsyncing the results directory, and only then is the request's
+      cell journal deleted (a failed store or a checkpoint keeps it).
       The store is size-budgeted ([store_budget_bytes]): past the
       budget the least-recently-used results (mtime; a hit refreshes
       it) are evicted ([serve.store_bytes] gauge,
       [serve.store_evictions] counter), and an evicted digest simply
-      re-executes — incrementally, through its cell journal — on the
-      next submission.
+      re-executes on the next submission.
     - {e Graceful drain}: SIGTERM (or a [Drain] request) stops
       admission, checkpoints the queue (journaled [Pending] survives to
       the next incarnation), cooperatively aborts the running campaign
@@ -71,7 +74,8 @@ type config = {
   socket : string;  (** Unix-domain socket path *)
   tcp_port : int option;  (** optional loopback TCP listener *)
   state_dir : string;
-      (** admission journal, per-request cell journals, result store *)
+      (** admission journal, cell journals of unfinished requests,
+          result store *)
   queue_bound : int;  (** admission queue bound (>= 1) *)
   quota : int;  (** per-client concurrent-request quota (>= 1) *)
   concurrent : int;

@@ -1,6 +1,6 @@
 (** SRV1 wire protocol: message set and frame codec (see wire.mli). *)
 
-let proto_version = 2
+let proto_version = 3
 
 type spec = {
   seed : int;
@@ -19,7 +19,6 @@ type reject_reason =
 type request =
   | Hello of { proto : int; client : string }
   | Submit of { spec : spec; deadline_s : float option }
-  | Cancel of { ticket : int }
   | Stats
   | Drain
 

@@ -27,8 +27,9 @@ type spec = {
   scenarios : int list;  (** scenario numbers, in grid (column) order *)
   window : float option;  (** classification window ([None] = default) *)
   retries : int;
-      (** per-cell retry budget (extra attempts); {e not} part of the
-          digest — retries cannot change a deterministic result *)
+      (** per-cell retry count (extra attempts, run at once); {e not}
+          part of the digest — retries cannot change a deterministic
+          result *)
 }
 (** A campaign submission: pure data, canonicalized and digested by the
     server, so equal specs — whatever client they come from — share one
@@ -46,7 +47,6 @@ type request =
       (** [deadline_s] bounds the request's total residence (queue wait
           plus run); past it the server cancels the work and reclaims
           the cells *)
-  | Cancel of { ticket : int }
   | Stats  (** ask for a live obs/1 telemetry snapshot *)
   | Drain  (** ask the server to drain and exit, as if SIGTERMed *)
 

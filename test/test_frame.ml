@@ -1,8 +1,9 @@
 (** The one record codec ({!Exec.Frame}) under all three of its
     instances — the shard pipe (SHD1), the service socket (SRV1) and the
     scenario journal (SJL1): chunked round-trips, truncation, single-bit
-    flips, cross-stream isolation, and the exact bytes each stream puts
-    on the wire or on disk. *)
+    flips, cross-stream isolation, the exact bytes the shard pipe and the
+    journal put on the wire and on disk, and the CRC-32 that guards every
+    record against a bit-at-a-time reference. *)
 
 type codec = { name : string; codec : (module Exec.Frame.S) }
 
@@ -129,6 +130,34 @@ let prop_journal_input_cut =
           List.equal same (intact [] 0 (List.combine records values)) read))
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32 against a bit-at-a-time reference                            *)
+
+(* The reflected IEEE 802.3 CRC one bit at a time, straight from the
+   polynomial: no table, no shortcuts. *)
+let crc32_reference s =
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      c := Int32.logxor !c (Int32.of_int (Char.code ch));
+      for _ = 1 to 8 do
+        let low = Int32.logand !c 1l <> 0l in
+        c := Int32.shift_right_logical !c 1;
+        if low then c := Int32.logxor !c 0xEDB88320l
+      done)
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"digest = bit-at-a-time reference" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 300))
+    (fun s -> Int32.equal (Exec.Crc32.digest s) (crc32_reference s))
+
+let test_crc32_known_values () =
+  Alcotest.(check int32) "empty string" (crc32_reference "") (Exec.Crc32.digest "");
+  Alcotest.(check int32) "IEEE 802.3 check value" 0xCBF43926l
+    (Exec.Crc32.digest "123456789")
+
+(* ------------------------------------------------------------------ *)
 (* Golden bytes, recorded before the three codecs became one           *)
 
 let hex s =
@@ -139,8 +168,6 @@ let hex s =
 let golden_shd1 =
   "534844311e000000af219af28495a6be0000000a000000020000000600000005a06a277061796c6f6164"
 
-let golden_srv1 = "5352563116000000d2f249d78495a6be000000020000000100000002000000029247"
-
 let golden_sjl1 =
   "534a4c3120000000bf0c61018495a6be0000000c000000040000000b0000000aa02463656c6ca04323616263"
 
@@ -148,9 +175,6 @@ let test_golden_frames () =
   Alcotest.(check string)
     "SHD1 bytes" golden_shd1
     (hex (Exec.Shard.Frame.encode (42, "payload")));
-  Alcotest.(check string)
-    "SRV1 bytes" golden_srv1
-    (hex (Serve.Wire.Frame.encode (Serve.Wire.Cancel { ticket = 7 })));
   Alcotest.(check string)
     "SJL1 bytes" golden_sjl1
     (hex (Scenarios.Journal.Record.encode ("cell", (3, "abc"))))
@@ -178,6 +202,12 @@ let () =
       ("bit flips", each prop_bit_flip_never_decodes);
       ("stream isolation", each prop_foreign_magic_corrupt);
       ("journal reader", [ QCheck_alcotest.to_alcotest prop_journal_input_cut ]);
+      ( "crc32",
+        [
+          QCheck_alcotest.to_alcotest prop_crc32_reference;
+          Alcotest.test_case "empty string and check value" `Quick
+            test_crc32_known_values;
+        ] );
       ( "golden bytes",
         [
           Alcotest.test_case "one small value per magic" `Quick test_golden_frames;

@@ -160,21 +160,18 @@ let test_crc32_vector () =
 
 let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
-(* A chaos hook failing the [n]-th append's write (1-based). *)
-let write_fails_at n =
-  let appends = ref 0 in
-  function
-  | `Write ->
-      incr appends;
-      !appends = n
-  | `Fsync -> false
+(* A chaos plan from its [--chaos] spec. *)
+let plan spec =
+  match Exec.Chaos.parse ~seed:42 spec with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
 
 let test_write_fault_raises_typed_io_error () =
   with_path "wfault_raise" @@ fun path ->
   (* Under the default `Raise policy a device failure surfaces as the
      typed Io_error carrying the path and the failing syscall — never as
      a raw Unix_error or Sys_error. *)
-  let w = Journal_access.create ~fault:(write_fails_at 2) path in
+  let w = Journal_access.create ~chaos:(plan "jwrite@2") path in
   Fun.protect
     ~finally:(fun () -> Journal_access.close w)
     (fun () ->
@@ -193,7 +190,7 @@ let test_write_fault_degrades_and_replay_keeps_prefix () =
   with_path "wfault_degrade" @@ fun path ->
   let errors0 = counter "journal.write_errors" in
   let dropped0 = counter "journal.appends_dropped" in
-  Journal_access.with_writer ~on_error:`Degrade ~fault:(write_fails_at 2) path
+  Journal_access.with_writer ~on_error:`Degrade ~chaos:(plan "jwrite@2") path
     (fun w ->
       Journal_access.append w ~key:"a" (1, "one");
       Alcotest.(check bool) "healthy so far" false (Journal_access.degraded w);
@@ -222,8 +219,7 @@ let test_fsync_fault_degrades () =
   (* An fsync failure (ENOSPC) after a fully flushed record: the record
      is on disk, but durability is gone — the writer degrades all the
      same, and the flushed record still replays. *)
-  let fault = function `Write -> false | `Fsync -> true in
-  Journal_access.with_writer ~on_error:`Degrade ~fault path (fun w ->
+  Journal_access.with_writer ~on_error:`Degrade ~chaos:(plan "jfsync@1") path (fun w ->
       Journal_access.append w ~key:"a" (1, "one");
       Alcotest.(check bool) "degraded by the fsync failure" true
         (Journal_access.degraded w));
@@ -364,12 +360,9 @@ let test_campaign_survives_journal_write_fault () =
      the campaign must finish with a bit-for-bit identical matrix,
      flagged degraded, and a resume from the truncated journal must
      re-execute exactly the cells lost to the failure. *)
-  let chaos =
-    match Exec.Chaos.parse ~seed:42 "jwrite@3" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
+  let chaotic =
+    Scenarios.Campaign.run ~domains:1 ~journal:path ~chaos:(plan "jwrite@3") g
   in
-  let chaotic = Scenarios.Campaign.run ~domains:1 ~journal:path ~chaos g in
   Alcotest.(check string) "degraded run = plain run (CSV)"
     (strip_robustness baseline) (strip_robustness chaotic);
   Alcotest.(check bool) "robustness reports the degradation" true

@@ -371,9 +371,20 @@ let test_bad_spec () =
         (Str.string_match (Str.regexp ".*999") e 0)
   | _ -> Alcotest.fail "unknown scenario must be Bad_spec");
   submit s { quick_spec with Serve.Wire.faults = [ "bogus!" ] };
-  match recv s with
+  (match recv s with
   | Serve.Wire.Rejected { reason = Serve.Wire.Bad_spec _; _ } -> ()
-  | _ -> Alcotest.fail "unparsable fault must be Bad_spec"
+  | _ -> Alcotest.fail "unparsable fault must be Bad_spec");
+  (* A client of an older protocol generation is refused at Hello. *)
+  let old =
+    { fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0; buf = Serve.Wire.Frame.create () }
+  in
+  Fun.protect ~finally:(fun () -> disconnect old) @@ fun () ->
+  Unix.connect old.fd (Unix.ADDR_UNIX d.socket);
+  Serve.Wire.Frame.write old.fd
+    (Serve.Wire.Hello { proto = Serve.Wire.proto_version - 1; client = "old" });
+  match recv old with
+  | Serve.Wire.Rejected { reason = Serve.Wire.Bad_spec _; retryable = false; _ } -> ()
+  | _ -> Alcotest.fail "an older protocol generation must be refused"
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                            *)
@@ -647,8 +658,8 @@ let test_sigkill_restart_resumes_both () =
 (* Result-store GC                                                      *)
 
 (* A one-byte budget evicts every stored result immediately; an evicted
-   digest must fall back to re-execution (incremental, via its cell
-   journal) and still serve the same bytes. *)
+   digest must fall back to re-execution and still serve the same
+   bytes. *)
 let test_store_eviction () =
   let d = start_daemon ~args:[ "store_budget=1" ] () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
@@ -664,6 +675,33 @@ let test_store_eviction () =
       Alcotest.(check string) "evicted digest re-executes to the same bytes"
         expected csv
   | Error e -> Alcotest.failf "post-eviction submit: %s" e
+
+(* The stored CSV is a completed request's durable record, so its cell
+   journal is deleted once the store succeeds: the state dir keeps no
+   cells-*.jnl however many distinct requests complete. *)
+let test_completed_requests_leave_no_cell_journal () =
+  let d = start_daemon () in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  let specs = List.map (fun seed -> { quick_spec with Serve.Wire.seed }) [ 51; 52; 53 ] in
+  List.iter
+    (fun spec ->
+      match Serve.Client.submit_and_wait ~socket:d.socket spec with
+      | Ok { Serve.Client.csv; durable; _ } ->
+          Alcotest.(check string) "daemon CSV = batch CSV" (batch_csv spec) csv;
+          Alcotest.(check bool) "durable" true durable
+      | Error e -> Alcotest.failf "submit: %s" e)
+    specs;
+  let files dir suffix =
+    List.filter
+      (fun f -> Filename.check_suffix f suffix)
+      (Array.to_list (Sys.readdir dir))
+  in
+  let cell_journals =
+    List.filter (String.starts_with ~prefix:"cells-") (files d.state ".jnl")
+  in
+  Alcotest.(check (list string)) "no cell journal left" [] cell_journals;
+  Alcotest.(check int) "one stored result per request" 3
+    (List.length (files (Filename.concat d.state "results") ".csv"))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos server fault points                                            *)
@@ -738,6 +776,8 @@ let () =
         [
           Alcotest.test_case "size budget evicts; evicted digests re-execute"
             `Slow test_store_eviction;
+          Alcotest.test_case "completed requests leave no cell journal" `Slow
+            test_completed_requests_leave_no_cell_journal;
         ] );
       ( "chaos",
         [

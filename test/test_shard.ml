@@ -18,6 +18,12 @@ let get_done = function
 (* A two-worker shard runner for {!Exec.Supervise.try_map}. *)
 let sharded ~on_result f xs = Exec.Shard.try_map ~shards:2 ~on_result f xs
 
+(* A chaos plan from its [--chaos] spec. *)
+let plan spec =
+  match Exec.Chaos.parse ~seed:42 spec with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Frame codec                                                          *)
 
@@ -137,12 +143,9 @@ let test_on_result_hook () =
 let test_task_failure_quarantines () =
   (* A deterministic task failure crosses the process boundary as
      Worker_failure carrying the printed exception, and under supervision
-     consumes policy attempts (zero-delay policy: no sleeps). *)
-  let policy =
-    Exec.Supervise.policy ~max_attempts:3 ~base_delay_s:0. ~jitter:0. ()
-  in
+     consumes its attempts. *)
   let reports =
-    Exec.Supervise.try_map ~policy sharded
+    Exec.Supervise.try_map ~attempts:3 sharded
       (fun x -> if x = 2 then failwith "poisoned cell" else x * 10)
       [ 1; 2; 3 ]
   in
@@ -165,19 +168,16 @@ let test_task_failure_quarantines () =
                    < String.length printed)
           | _ -> Alcotest.fail "expected Worker_failure")
       | Exec.Supervise.Done _ -> Alcotest.fail "poisoned cell must quarantine");
-      Alcotest.(check int) "policy attempts consumed" 3 b.Exec.Supervise.attempts
+      Alcotest.(check int) "attempts consumed" 3 b.Exec.Supervise.attempts
   | _ -> Alcotest.fail "unexpected batch shape"
 
 let test_supervision_agrees () =
-  (* One supervision loop over either runner: the same batch under the
-     same zero-delay 3-attempt policy must settle identically on the
-     domain pool and on the worker fleet. Task 1 always raises; task 2
+  (* One supervision loop over either runner: the same batch with the
+     same 3 attempts must settle identically on the domain pool and on
+     the worker fleet. Task 1 always raises; task 2
      raises only on its first attempt — a marker file remembers the
      attempt across worker processes. Its retry runs at round position 1,
      so the settle hook's batch index is the mapped one. *)
-  let policy =
-    Exec.Supervise.policy ~max_attempts:3 ~base_delay_s:0. ~jitter:0. ()
-  in
   let run name runner =
     let marker = Filename.temp_file ("supervise_" ^ name) ".marker" in
     Sys.remove marker;
@@ -196,7 +196,7 @@ let test_supervision_agrees () =
     let seen = ref [] in
     let lock = Mutex.create () in
     let reports =
-      Exec.Supervise.try_map ~policy
+      Exec.Supervise.try_map ~attempts:3
         ~on_result:(fun i v -> Mutex.protect lock (fun () -> seen := (i, v) :: !seen))
         runner task [ 0; 1; 2; 3 ]
     in
@@ -248,13 +248,13 @@ let test_supervision_agrees () =
   Alcotest.(check (list (pair int int))) "shard hook = pool hook" pool_seen shard_seen
 
 let test_batched_execution () =
-  (* 12 tasks in explicit batches of 3: results stay in submission order
-     and the batch-size histogram records exactly the 4 assignment
-     frames. *)
+  (* 12 tasks on one worker travel in derived batches of 3 (four waves):
+     results stay in submission order and the batch-size histogram
+     records exactly the 4 assignment frames. *)
   let h = Obs.Metrics.histogram "shard.batch_size" in
   let count0 = (Obs.Metrics.summary h).Obs.Metrics.count in
   let xs = List.init 12 Fun.id in
-  let reports = Exec.Shard.try_map ~shards:2 ~batch:3 (fun x -> x * 3) xs in
+  let reports = Exec.Shard.try_map ~shards:1 (fun x -> x * 3) xs in
   Alcotest.(check (list int)) "results in submission order"
     (List.map (fun x -> x * 3) xs)
     (List.map get_done reports);
@@ -350,12 +350,7 @@ let test_torn_frame_recovery () =
   let dropped0 = counter "shard.frames_dropped" in
   let respawns0 = counter "shard.respawns" in
   let xs = List.init 12 Fun.id in
-  let reports =
-    Exec.Shard.try_map ~shards:2
-      ~havoc:(fun ~slot:_ ~seq ->
-        if seq = 2 then Some Exec.Shard.Torn_frame else None)
-      (fun x -> x * 7) xs
-  in
+  let reports = Exec.Shard.try_map ~shards:2 ~chaos:(plan "torn@2") (fun x -> x * 7) xs in
   Alcotest.(check (list int)) "all tasks settle correctly"
     (List.map (fun x -> x * 7) xs)
     (List.map get_done reports);
@@ -372,10 +367,7 @@ let test_corrupt_frame_recovery () =
   let respawns0 = counter "shard.respawns" in
   let xs = List.init 12 Fun.id in
   let reports =
-    Exec.Shard.try_map ~shards:2
-      ~havoc:(fun ~slot:_ ~seq ->
-        if seq = 2 then Some Exec.Shard.Corrupt_frame else None)
-      (fun x -> x + 1000) xs
+    Exec.Shard.try_map ~shards:2 ~chaos:(plan "corrupt@2") (fun x -> x + 1000) xs
   in
   Alcotest.(check (list int)) "all tasks settle correctly"
     (List.map (fun x -> x + 1000) xs)
@@ -388,15 +380,11 @@ let test_corrupt_frame_recovery () =
 let test_torn_batch_requeues_members_once () =
   (* A worker dying mid-batch loses the whole assignment: every member
      cell of the torn batch — and nothing else — is requeued, exactly
-     once, and settles with the right value after the respawn. *)
+     once, and settles with the right value after the respawn. 32 tasks
+     on 2 workers travel in batches of 4. *)
   let requeued0 = counter "shard.cells_requeued" in
-  let xs = List.init 12 Fun.id in
-  let reports =
-    Exec.Shard.try_map ~shards:2 ~batch:4
-      ~havoc:(fun ~slot:_ ~seq ->
-        if seq = 2 then Some Exec.Shard.Torn_frame else None)
-      (fun x -> x + 5) xs
-  in
+  let xs = List.init 32 Fun.id in
+  let reports = Exec.Shard.try_map ~shards:2 ~chaos:(plan "torn@2") (fun x -> x + 5) xs in
   Alcotest.(check (list int)) "all tasks settle correctly"
     (List.map (fun x -> x + 5) xs)
     (List.map get_done reports);
@@ -408,9 +396,7 @@ let test_restart_budget_exhaustion () =
      still terminate, quarantining unsettled tasks as Worker_crashed
      rather than hanging or crashing the coordinator. *)
   let reports =
-    Exec.Shard.try_map ~shards:1 ~restarts:1
-      ~havoc:(fun ~slot:_ ~seq:_ -> Some Exec.Shard.Torn_frame)
-      (fun x -> x) [ 1; 2; 3 ]
+    Exec.Shard.try_map ~shards:1 ~chaos:(plan "torn~1") (fun x -> x) [ 1; 2; 3 ]
   in
   Alcotest.(check int) "every task reported" 3 (List.length reports);
   List.iter
@@ -435,9 +421,7 @@ let test_no_fd_leak_on_death_paths () =
   Exec.Shard.shutdown_fleets ();
   let fds0 = count_fds () in
   ignore
-    (Exec.Shard.try_map ~shards:2 ~restarts:1
-       ~havoc:(fun ~slot:_ ~seq:_ -> Some Exec.Shard.Torn_frame)
-       (fun x -> x) [ 1; 2; 3; 4 ]);
+    (Exec.Shard.try_map ~shards:2 ~chaos:(plan "torn~1") (fun x -> x) [ 1; 2; 3; 4 ]);
   Exec.Shard.shutdown_fleets ();
   Alcotest.(check int) "fd census unchanged" fds0 (count_fds ());
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
@@ -453,16 +437,15 @@ let test_hang_detected_and_requeued () =
      the hang that EOF-based death detection can never see. The liveness
      sweep must notice the silence within [hang_timeout_s], SIGKILL the
      worker, requeue exactly the hung batch's cells under the restart
-     budget, and settle everything correctly. *)
+     budget, and settle everything correctly. 16 tasks on 2 workers
+     travel in batches of 2. *)
   let hangs0 = counter "shard.hangs_detected" in
   let requeued0 = counter "shard.cells_requeued" in
   let respawns0 = counter "shard.respawns" in
-  let xs = List.init 8 Fun.id in
+  let xs = List.init 16 Fun.id in
   let t0 = Unix.gettimeofday () in
   let reports =
-    Exec.Shard.try_map ~shards:2 ~batch:2 ~hang_timeout_s:1.0
-      ~havoc:(fun ~slot:_ ~seq ->
-        if seq = 2 then Some Exec.Shard.Hang else None)
+    Exec.Shard.try_map ~shards:2 ~hang_timeout_s:1.0 ~chaos:(plan "hang@2")
       (fun x -> x * 9) xs
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -485,7 +468,7 @@ let test_sigstopped_worker_recovered () =
      exactly the open-pipe hang. The stopped worker must be declared
      hung, SIGKILLed (SIGKILL penetrates a stopped process), and its
      cells requeued. The stopper runs on its own domain, polling /proc
-     until a worker exists. *)
+     until a worker exists. 8 tasks on 1 worker travel in batches of 2. *)
   Exec.Shard.shutdown_fleets ();
   let hangs0 = counter "shard.hangs_detected" in
   let stopped = Atomic.make 0 in
@@ -507,10 +490,10 @@ let test_sigstopped_worker_recovered () =
         in
         hunt ())
   in
-  let xs = List.init 10 Fun.id in
+  let xs = List.init 8 Fun.id in
   let t0 = Unix.gettimeofday () in
   let reports =
-    Exec.Shard.try_map ~shards:1 ~batch:2 ~hang_timeout_s:1.0
+    Exec.Shard.try_map ~shards:1 ~hang_timeout_s:1.0
       (fun x ->
         Unix.sleepf 0.15;
         x * 3)
@@ -532,7 +515,8 @@ let test_busy_loop_caught_by_deadline () =
   (* A task stuck in an OCaml busy-loop keeps the worker's heartbeat
      domain beating, so the silence sweep never fires; only the explicit
      per-batch deadline can catch it. First dispatch spins (flag file
-     absent); the requeued dispatch sees the flag and returns. *)
+     absent); the requeued dispatch sees the flag and returns. 4 tasks on
+     1 worker travel one per batch. *)
   let flag = Filename.temp_file "shard_busy" ".flag" in
   Sys.remove flag;
   Fun.protect
@@ -553,9 +537,7 @@ let test_busy_loop_caught_by_deadline () =
     end
     else x * 4
   in
-  let reports =
-    Exec.Shard.try_map ~shards:1 ~batch:1 ~deadline_s:1.0 task [ 0; 1; 2; 3 ]
-  in
+  let reports = Exec.Shard.try_map ~shards:1 ~deadline_s:1.0 task [ 0; 1; 2; 3 ] in
   Alcotest.(check (list int)) "spinner killed, requeued and settled"
     [ 0; 4; 8; 12 ]
     (List.map get_done reports);
@@ -570,9 +552,7 @@ let test_slow_worker_not_killed () =
   let beats0 = counter "shard.heartbeats" in
   let respawns0 = counter "shard.respawns" in
   let reports =
-    Exec.Shard.try_map ~shards:1 ~hang_timeout_s:0.6
-      ~havoc:(fun ~slot:_ ~seq ->
-        if seq = 1 then Some (Exec.Shard.Slow 1.2) else None)
+    Exec.Shard.try_map ~shards:1 ~hang_timeout_s:0.6 ~chaos:(plan "slow@1:1.2")
       (fun x -> x * 6) [ 1; 2; 3; 4 ]
   in
   Alcotest.(check (list int)) "all tasks settle correctly" [ 6; 12; 18; 24 ]
@@ -592,8 +572,7 @@ let test_total_spawn_failure_falls_back () =
   let spawn_failures0 = counter "shard.spawn_failures" in
   let seen = ref [] in
   let reports =
-    Exec.Shard.try_map ~shards:2
-      ~spawn_fault:(fun ~attempt:_ -> true)
+    Exec.Shard.try_map ~shards:2 ~chaos:(plan "spawn~1")
       ~on_result:(fun i v -> seen := (i, v) :: !seen)
       (fun x -> x + 7) [ 1; 2; 3 ]
   in
@@ -617,9 +596,7 @@ let test_partial_spawn_failure_stays_sharded () =
   let spawn_failures0 = counter "shard.spawn_failures" in
   let xs = List.init 10 Fun.id in
   let reports =
-    Exec.Shard.try_map ~shards:2
-      ~spawn_fault:(fun ~attempt -> attempt = 1)
-      (fun x -> x * 13) xs
+    Exec.Shard.try_map ~shards:2 ~chaos:(plan "spawn@1") (fun x -> x * 13) xs
   in
   Alcotest.(check (list int)) "degraded fleet settles everything"
     (List.map (fun x -> x * 13) xs)
@@ -725,18 +702,40 @@ let test_campaign_under_chaos_plan () =
      exhaust both slots, so every cell settles. *)
   ignore (Lazy.force reference);
   let hangs0 = counter "shard.hangs_detected" in
-  let chaos =
-    match Exec.Chaos.parse ~seed:42 "hang@2,crash@4,torn@6,corrupt@8" with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
   let c =
-    Scenarios.Campaign.run ~shards:2 ~domains:1 ~batch:1 ~chaos
+    Scenarios.Campaign.run ~shards:2 ~domains:1
+      ~chaos:(plan "hang@2,crash@4,torn@6,corrupt@8")
       ~hang_timeout_s:1.5 (Scenarios.Campaign.smoke ())
   in
   check_matches_reference "campaign under chaos" c;
   Alcotest.(check bool) "the injected hang was detected" true
     (counter "shard.hangs_detected" > hangs0)
+
+let test_campaign_retries_quarantine () =
+  (* The campaign retry path: a one-cell grid whose workers tear every
+     frame, so each attempt ends in Worker_crashed once the restart
+     budget is spent. With one retry the cell is quarantined after two
+     attempts and the matrix is empty; without retries the run re-raises
+     the crash. *)
+  let smoke = Scenarios.Campaign.smoke () in
+  let grid =
+    {
+      smoke with
+      Scenarios.Campaign.faults = [ List.hd smoke.Scenarios.Campaign.faults ];
+      grid_scenarios = [ Scenarios.Defs.get 1 ];
+    }
+  in
+  let run retries =
+    Scenarios.Campaign.run ~shards:1 ~domains:1 ~retries ~chaos:(plan "torn~1") grid
+  in
+  let c = run 1 in
+  Alcotest.(check int) "no cells" 0 (List.length c.Scenarios.Campaign.cells);
+  Alcotest.(check string) "robustness line"
+    "cells: executed=0 replayed=0 retried=1 retries=1 quarantined=1"
+    (Fmt.str "%a" Scenarios.Campaign.pp_robustness c.Scenarios.Campaign.robustness);
+  match run 0 with
+  | _ -> Alcotest.fail "without retries the crash must re-raise"
+  | exception Exec.Shard.Worker_crashed _ -> ()
 
 let () =
   Alcotest.run "shard"
@@ -804,5 +803,7 @@ let () =
             test_sigkill_worker_mid_grid;
           Alcotest.test_case "chaos plan: matrix bit-for-bit identical" `Slow
             test_campaign_under_chaos_plan;
+          Alcotest.test_case "retries quarantine an always-crashing cell" `Slow
+            test_campaign_retries_quarantine;
         ] );
     ]

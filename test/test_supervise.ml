@@ -1,5 +1,5 @@
-(** Supervised batch execution: retry with backoff, quarantine, attempt
-    accounting, and the deterministic backoff schedule. *)
+(** Supervised batch execution: immediate retry, quarantine and attempt
+    accounting. *)
 
 exception Flaky of int
 exception Fatal
@@ -30,11 +30,6 @@ let flaky_until n =
   in
   (task, fun i -> Atomic.get (counter i))
 
-(* Fast policy so retry tests don't sleep noticeably. *)
-let fast ?(max_attempts = 3) ?retry_on () =
-  Exec.Supervise.policy ~max_attempts ~base_delay_s:0.001 ~max_delay_s:0.002
-    ?retry_on ()
-
 (* The in-process runner on [domains] domains. *)
 let pool domains = Exec.Supervise.in_process ~domains ()
 
@@ -45,9 +40,7 @@ let get_done (r : _ Exec.Supervise.report) =
 
 let test_retry_until_success () =
   let task, attempts_of = flaky_until 2 in
-  let reports =
-    Exec.Supervise.try_map ~policy:(fast ()) (pool 1) task [ 0; 1; 2 ]
-  in
+  let reports = Exec.Supervise.try_map ~attempts:3 (pool 1) task [ 0; 1; 2 ] in
   Alcotest.(check (list int))
     "all tasks eventually succeed, in submission order" [ 0; 10; 20 ]
     (List.map get_done reports);
@@ -69,10 +62,7 @@ let test_quarantine_after_exhaustion () =
      unaffected and keeps its results. *)
   let task, attempts_of = flaky_until 5 in
   let mixed i = if i = 1 then task i else i * 10 in
-  let reports =
-    Exec.Supervise.try_map ~policy:(fast ~max_attempts:2 ()) (pool 1) mixed
-      [ 0; 1; 2 ]
-  in
+  let reports = Exec.Supervise.try_map ~attempts:2 (pool 1) mixed [ 0; 1; 2 ] in
   (match reports with
   | [ a; b; c ] ->
       Alcotest.(check int) "task 0 result" 0 (get_done a);
@@ -85,7 +75,7 @@ let test_quarantine_after_exhaustion () =
           Alcotest.(check int) "index is the original batch position" 1
             e.Exec.Pool.index
       | Exec.Supervise.Done _ -> Alcotest.fail "task 1 must be quarantined");
-      Alcotest.(check int) "quarantined after max_attempts" 2
+      Alcotest.(check int) "quarantined after its 2 attempts" 2
         b.Exec.Supervise.attempts;
       Alcotest.(check int) "2 attempts actually made" 2 (attempts_of 1)
   | _ -> Alcotest.fail "unexpected batch shape");
@@ -93,20 +83,29 @@ let test_quarantine_after_exhaustion () =
   Alcotest.(check int) "stats: one quarantined" 1 s.Exec.Supervise.quarantined;
   Alcotest.(check int) "stats: one retried" 1 s.Exec.Supervise.retried
 
-let test_retry_on_short_circuit () =
-  (* A failure the policy rejects quarantines immediately: no second
-     attempt even though max_attempts allows it. *)
-  let runs = Atomic.make 0 in
-  let task () =
-    Atomic.incr runs;
-    raise Fatal
+let test_aborted_short_circuit () =
+  (* An aborted task quarantines immediately: no second round even
+     though the attempt count allows it, because the abort is the caller
+     cancelling the batch. *)
+  let rounds = Atomic.make 0 in
+  let aborting ~on_result:_ _f xs =
+    Atomic.incr rounds;
+    List.mapi
+      (fun index _ ->
+        Error
+          {
+            Exec.Pool.index;
+            exn = Exec.Pool.Aborted;
+            backtrace = Printexc.get_callstack 0;
+          })
+      xs
   in
-  let policy = fast ~retry_on:(function Flaky _ -> true | _ -> false) () in
-  match Exec.Supervise.try_map ~policy (pool 1) task [ () ] with
+  match Exec.Supervise.try_map ~attempts:3 aborting Fun.id [ () ] with
   | [ { Exec.Supervise.status = Exec.Supervise.Quarantined e; attempts } ] ->
-      Alcotest.(check bool) "Fatal preserved" true (e.Exec.Pool.exn = Fatal);
+      Alcotest.(check bool) "Aborted preserved" true
+        (e.Exec.Pool.exn = Exec.Pool.Aborted);
       Alcotest.(check int) "one attempt only" 1 attempts;
-      Alcotest.(check int) "task ran exactly once" 1 (Atomic.get runs)
+      Alcotest.(check int) "runner called exactly once" 1 (Atomic.get rounds)
   | _ -> Alcotest.fail "expected immediate quarantine"
 
 let test_parallel_supervision () =
@@ -114,85 +113,13 @@ let test_parallel_supervision () =
      in submission order regardless of which domain re-ran them. *)
   let task, _ = flaky_until 1 in
   let xs = List.init 8 Fun.id in
-  let reports =
-    Exec.Supervise.try_map ~policy:(fast ()) (pool 3) task xs
-  in
+  let reports = Exec.Supervise.try_map ~attempts:3 (pool 3) task xs in
   Alcotest.(check (list int))
     "submission order preserved under parallel retry"
     (List.map (fun i -> i * 10) xs)
     (List.map get_done reports);
   let s = Exec.Supervise.stats reports in
   Alcotest.(check int) "every task retried once" 8 s.Exec.Supervise.retries
-
-let test_backoff_schedule () =
-  let p =
-    Exec.Supervise.policy ~base_delay_s:0.05 ~max_delay_s:0.4 ~jitter:0.25
-      ~seed:7 ()
-  in
-  (* Deterministic: same policy, same attempt, same delay. *)
-  List.iter
-    (fun a ->
-      Alcotest.(check (float 0.))
-        (Fmt.str "attempt %d deterministic" a)
-        (Exec.Supervise.backoff_delay p ~attempt:a)
-        (Exec.Supervise.backoff_delay p ~attempt:a))
-    [ 1; 2; 3; 4; 5 ];
-  (* Each delay lands inside the jittered envelope of the capped
-     exponential. *)
-  List.iter
-    (fun a ->
-      let nominal = Float.min 0.4 (0.05 *. (2. ** float_of_int (a - 1))) in
-      let d = Exec.Supervise.backoff_delay p ~attempt:a in
-      Alcotest.(check bool)
-        (Fmt.str "attempt %d within envelope" a)
-        true
-        (d >= 0.75 *. nominal -. 1e-9 && d <= 1.25 *. nominal +. 1e-9))
-    [ 1; 2; 3; 4; 5; 6 ];
-  (* A different seed jitters differently (overwhelmingly likely for at
-     least one of the first five attempts). *)
-  let q = { p with Exec.Supervise.seed = 8 } in
-  Alcotest.(check bool) "seed changes the schedule" true
-    (List.exists
-       (fun a ->
-         Exec.Supervise.backoff_delay p ~attempt:a
-         <> Exec.Supervise.backoff_delay q ~attempt:a)
-       [ 1; 2; 3; 4; 5 ]);
-  (* Jitter-free policies are exactly the capped exponential. *)
-  let exact = Exec.Supervise.policy ~base_delay_s:0.1 ~max_delay_s:0.3 ~jitter:0. () in
-  Alcotest.(check (float 1e-9)) "2^0 base" 0.1
-    (Exec.Supervise.backoff_delay exact ~attempt:1);
-  Alcotest.(check (float 1e-9)) "doubled" 0.2
-    (Exec.Supervise.backoff_delay exact ~attempt:2);
-  Alcotest.(check (float 1e-9)) "capped" 0.3
-    (Exec.Supervise.backoff_delay exact ~attempt:3);
-  Alcotest.(check (float 1e-9)) "stays capped" 0.3
-    (Exec.Supervise.backoff_delay exact ~attempt:9)
-
-let test_zero_delay_fast_path () =
-  (* A zero-delay policy must neither sleep nor record backoff samples:
-     shard crash-recovery tests lean on this to retry without wall-clock
-     waits. The histogram count is the deterministic witness — a slept
-     delay is always observed, a skipped one never is. *)
-  let h = Obs.Metrics.histogram "supervise.backoff_s" in
-  let count0 = (Obs.Metrics.summary h).Obs.Metrics.count in
-  let policy =
-    Exec.Supervise.policy ~max_attempts:3 ~base_delay_s:0. ~jitter:0. ()
-  in
-  Alcotest.(check (float 0.))
-    "zero base delay means zero backoff" 0.
-    (Exec.Supervise.backoff_delay policy ~attempt:5);
-  let task, attempts_of = flaky_until 2 in
-  let t0 = Obs.Clock.now () in
-  let reports = Exec.Supervise.try_map ~policy (pool 1) task [ 0 ] in
-  let elapsed = Obs.Clock.now () -. t0 in
-  Alcotest.(check (list int)) "retries still happen" [ 0 ]
-    (List.map get_done reports);
-  Alcotest.(check int) "3 attempts made" 3 (attempts_of 0);
-  Alcotest.(check int) "no backoff samples recorded" count0
-    (Obs.Metrics.summary h).Obs.Metrics.count;
-  (* Generous sanity bound: two skipped sleeps of the 50 ms default would
-     already exceed this on their own. *)
-  Alcotest.(check bool) "no wall-clock sleep" true (elapsed < 0.05)
 
 let test_on_result_hook () =
   (* The settle hook fires exactly once per Done task with the original
@@ -203,11 +130,8 @@ let test_on_result_hook () =
   let lock = Mutex.create () in
   let task, _ = flaky_until 1 in
   let mixed i = if i = 2 then raise Fatal else task i in
-  let policy =
-    fast ~max_attempts:2 ~retry_on:(function Flaky _ -> true | _ -> false) ()
-  in
   let reports =
-    Exec.Supervise.try_map ~policy
+    Exec.Supervise.try_map ~attempts:2
       ~on_result:(fun i v -> Mutex.protect lock (fun () -> seen := (i, v) :: !seen))
       (pool 2) mixed [ 0; 1; 2; 3 ]
   in
@@ -217,20 +141,10 @@ let test_on_result_hook () =
     [ (0, 0); (1, 10); (3, 30) ]
     (List.sort compare !seen)
 
-let test_default_policy_rejects_reentrancy () =
-  Alcotest.(check bool) "Reentrant_submission is not retryable" false
-    (Exec.Supervise.default_policy.Exec.Supervise.retry_on
-       Exec.Pool.Reentrant_submission);
-  Alcotest.(check bool) "ordinary failures are retryable" true
-    (Exec.Supervise.default_policy.Exec.Supervise.retry_on Fatal)
-
-let test_policy_validation () =
-  Alcotest.check_raises "max_attempts 0 rejected"
-    (Invalid_argument "Supervise.policy: max_attempts < 1") (fun () ->
-      ignore (Exec.Supervise.policy ~max_attempts:0 ()));
-  Alcotest.check_raises "jitter > 1 rejected"
-    (Invalid_argument "Supervise.policy: jitter outside [0, 1]") (fun () ->
-      ignore (Exec.Supervise.policy ~jitter:1.5 ()))
+let test_attempts_validation () =
+  Alcotest.check_raises "attempts 0 rejected"
+    (Invalid_argument "Supervise.try_map: attempts < 1") (fun () ->
+      ignore (Exec.Supervise.try_map ~attempts:0 (pool 1) Fun.id [ 1 ]))
 
 let () =
   Alcotest.run "supervise"
@@ -240,21 +154,12 @@ let () =
           Alcotest.test_case "retry until success" `Quick test_retry_until_success;
           Alcotest.test_case "quarantine after exhaustion" `Quick
             test_quarantine_after_exhaustion;
-          Alcotest.test_case "retry_on short-circuits" `Quick
-            test_retry_on_short_circuit;
+          Alcotest.test_case "Aborted short-circuits" `Quick
+            test_aborted_short_circuit;
           Alcotest.test_case "parallel supervision keeps order" `Quick
             test_parallel_supervision;
           Alcotest.test_case "on_result fires once per Done task" `Quick
             test_on_result_hook;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "deterministic capped jittered schedule" `Quick
-            test_backoff_schedule;
-          Alcotest.test_case "zero-delay fast path skips sleep and sample"
-            `Quick test_zero_delay_fast_path;
-          Alcotest.test_case "default policy refuses re-entrancy" `Quick
-            test_default_policy_rejects_reentrancy;
-          Alcotest.test_case "policy validation" `Quick test_policy_validation;
+          Alcotest.test_case "attempts validation" `Quick test_attempts_validation;
         ] );
     ]
