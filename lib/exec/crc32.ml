@@ -16,9 +16,14 @@ let table =
       done;
       !c)
 
-let digest s =
+let subbytes b ofs len =
+  if ofs < 0 || len < 0 || ofs > Bytes.length b - len then invalid_arg "Crc32.subbytes";
   let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = ofs to ofs + len - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let digest s = subbytes (Bytes.unsafe_of_string s) 0 (String.length s)

@@ -8,7 +8,8 @@
     ({!Shard}, magic ["SHD1"]) and the campaign service socket
     ([Serve.Wire], magic ["SRV1"]). A torn or bit-flipped payload fails
     its CRC and the record is dropped by the reader instead of being
-    unmarshalled into garbage. *)
+    unmarshalled into garbage. Readers check records in place, inside
+    their stream buffer, through {!subbytes}. *)
 
 val digest : string -> int32
 (** [digest s] is the CRC-32 of the whole of [s].
@@ -17,3 +18,11 @@ val digest : string -> int32
     compared against the little-endian [u32] checksum field of a record
     header without sign-extension concerns. Deterministic: equal strings
     have equal digests across processes and architectures. *)
+
+val subbytes : bytes -> int -> int -> int32
+(** [subbytes b ofs len] is the CRC-32 of the [len] bytes of [b] starting
+    at [ofs]: the {!digest} of [Bytes.sub_string b ofs len], without the
+    copy.
+
+    @raise Invalid_argument if [ofs] and [len] do not designate a valid
+    range of [b]. *)

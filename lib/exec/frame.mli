@@ -22,27 +22,54 @@ module type S = sig
       closure in a closure-free format. *)
 
   type buf
-  (** A growable reassembly buffer for one stream's bytes. *)
+  (** One stream's reassembly buffer. Bytes arrive at its fill level
+      ({!fill}, {!feed}) and records are decoded where they lie
+      ({!decode}): a read cursor moves past each record, and the bytes
+      after it move to the front only when the buffer must make room. *)
 
   val create : unit -> buf
+  (** An empty buffer of 1 KB. That is 128 words, below the 256-word
+      limit above which OCaml allocates straight in the major heap, so a
+      stream that only carries small records (a served store hit: hello,
+      submit, result) never touches the major heap for its buffer. The
+      start must stay below that limit: above it, every connection is a
+      major-heap allocation, and a daemon serving store hits is bound by
+      major collections instead of its CPU.
+
+      A buffer grows only as bytes arrive: when it is full, to at most
+      twice its size and to no more than the record at the cursor needs.
+      It is never larger than twice the bytes its stream has delivered,
+      or 1 KB, whatever length a header declares; a lone header claiming
+      256 MiB costs nothing. *)
+
+  val fill : Unix.file_descr -> buf -> int
+  (** [fill fd buf] makes room (see {!create}) and does one [Unix.read]
+      from [fd] straight into the buffer, returning the byte count; [0]
+      is end of stream. [Unix.Unix_error] (EAGAIN, EINTR, ...) escapes
+      to the caller, with no bytes added. *)
 
   val feed : buf -> bytes -> int -> unit
-  (** [feed buf chunk n] appends the first [n] bytes of [chunk]. *)
+  (** [feed buf chunk n] appends the first [n] bytes of [chunk]: {!fill}
+      for bytes already read elsewhere. *)
 
   val length : buf -> int
-  (** Bytes fed but not yet decoded; nonzero at end of stream means a
-      torn tail. *)
+  (** Bytes filled or fed but not yet decoded; nonzero at end of stream
+      means a torn tail. *)
 
   val decode : buf -> [ `Frame of 'a | `Need_more | `Corrupt ]
-  (** Consume and return the first complete record. [`Need_more]: the
-      buffer holds only a record prefix. [`Corrupt]: the stream is
-      unrecoverable here (bad magic, absurd length, CRC mismatch, or a
-      payload [Marshal] rejects). The decoded type is the caller's claim,
-      exactly as with [Marshal.from_string]. *)
+  (** Consume and return the first complete record, unmarshalled in
+      place ([Marshal.from_bytes] at its offset; no copy of the payload).
+      [`Need_more]: the buffer holds only a record prefix. [`Corrupt]:
+      the stream is unrecoverable here: bad magic, absurd length, CRC
+      mismatch, a payload shorter than a [Marshal] header, a [Marshal]
+      image whose size is not exactly the declared length (so decoding
+      never reads past its record), or a payload [Marshal] rejects. The
+      decoded type is the caller's claim, exactly as with
+      [Marshal.from_bytes]. *)
 
   val read : Unix.file_descr -> buf -> [ `Frame of 'a | `Eof | `Corrupt ]
-  (** {!decode} the next record, blocking on the descriptor until one is
-      complete or the peer closes it ([`Eof]). EINTR-safe. *)
+  (** {!decode} the next record, calling {!fill} until one is complete
+      or the peer closes the descriptor ([`Eof]). Blocking, EINTR-safe. *)
 
   val write : Unix.file_descr -> 'a -> unit
   (** {!encode} then {!write_all}. *)
@@ -54,7 +81,8 @@ module type S = sig
   (** [input ic ~size] reads the record at the position of [ic], a file
       of [size] bytes; [None] on a short, bad or corrupt record, as
       {!decode} judges one. The caller takes [size] once: asking a
-      channel for its length costs two [lseek]s per record. *)
+      channel for its length costs two [lseek]s per record. The payload
+      is checked as {!decode} checks it. *)
 end
 
 module Make (_ : sig

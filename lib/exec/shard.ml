@@ -613,8 +613,7 @@ let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
         end
       in
       let drain w =
-        let chunk = Bytes.create 65536 in
-        match Unix.read w.fd chunk 0 (Bytes.length chunk) with
+        match Frame.fill w.fd w.rbuf with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | exception Unix.Unix_error _ ->
             Obs.Metrics.incr m_frames_dropped;
@@ -623,11 +622,10 @@ let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
             (* EOF. Undecoded leftover bytes are a frame torn by the crash. *)
             if Frame.length w.rbuf > 0 then Obs.Metrics.incr m_frames_dropped;
             on_death w
-        | nread ->
+        | _ ->
             (* Any bytes at all prove the process is scheduled: liveness
                resets on results and heartbeats alike. *)
             w.last_heard <- now ();
-            Frame.feed w.rbuf chunk nread;
             let rec parse buf =
               (* Stop at a respawn boundary: [on_death] gave the slot a
                  fresh buffer, so only keep decoding the stream this read

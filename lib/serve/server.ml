@@ -133,7 +133,11 @@ type t = {
   done_q : (req * outcome) Queue.t;
   stop : bool Atomic.t;  (** executor shutdown + global abort probe *)
   drain_rq : bool Atomic.t;  (** set by the SIGTERM/SIGINT handler *)
-  admissions : admission Scenarios.Journal.writer;
+  mutable admissions : admission Scenarios.Journal.writer;
+  unsettled : (string, int * Wire.spec) Hashtbl.t;
+      (** digest -> (ticket, spec) of each [Pending] the journal holds
+          with no [Settled] after it: what a rewrite keeps *)
+  mutable settled_since : int;  (** [Settled] appends since the last rewrite *)
   fault : ([ `Accept | `Read | `Write ] -> bool) option;
   live : (string, req) Hashtbl.t;  (** digest -> unsettled request *)
   mutable draining : bool;
@@ -160,11 +164,24 @@ let rec mkdir_p d =
     try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* A stored CSV, read straight into a string of its size. An
+   [in_channel] would bring a 64 KB buffer per store hit, which the
+   runtime counts towards its next major collection. *)
 let read_file path =
-  let ic = open_in_bin path in
+  let fd = Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let size = (Unix.fstat fd).Unix.st_size in
+      let b = Bytes.create size in
+      let rec go off =
+        if off < size then
+          match Unix.read fd b off (size - off) with
+          | 0 -> raise End_of_file
+          | n -> go (off + n)
+      in
+      go 0;
+      Bytes.unsafe_to_string b)
 
 (* ------------------------------------------------------------------ *)
 (* Spec resolution                                                     *)
@@ -232,9 +249,73 @@ let degrade s =
     Obs.Metrics.set g_degraded 1.
   end
 
+(* Run [write] on [path] opened with [flags], then fsync it. *)
+let synced path flags write =
+  let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      write fd;
+      Unix.fsync fd)
+
+(* The admission journal gains a [Pending] and a [Settled] per admitted
+   request, so it is rewritten to hold only the [Pending] records still
+   unsettled: at startup, and on the main loop (which owns every append)
+   after each [compact_every] [Settled] appends. The rewrite is published
+   as a stored CSV is: the new file is written and fsynced under a
+   temporary name, renamed over the old one, and the rename made durable
+   by fsyncing the directory. It returns the writer now appending to the
+   new file, or [None] with the old file untouched. *)
+let compact_every = 64
+
+let rewrite_admissions cfg records =
+  let path = admissions_path cfg in
+  let tmp = path ^ ".tmp" in
+  match Scenarios.Journal.create ~fresh:true ~on_error:`Degrade tmp with
+  | exception Sys_error _ -> None
+  | w -> (
+      List.iter
+        (fun (digest, spec) -> Scenarios.Journal.append w ~key:digest (Pending spec))
+        records;
+      match
+        if Scenarios.Journal.degraded w then raise Exit;
+        Unix.rename tmp path;
+        synced cfg.state_dir [ Unix.O_RDONLY ] ignore
+      with
+      | () -> Some w
+      | exception (Exit | Unix.Unix_error _ | Fun.Finally_raised _) ->
+          (try Scenarios.Journal.close w with Scenarios.Journal.Io_error _ -> ());
+          (try Sys.remove tmp with Sys_error _ -> ());
+          None)
+
+let compact_admissions s =
+  s.settled_since <- 0;
+  (* Ticket order is admission order, as the records stood in the file. *)
+  let records =
+    Hashtbl.fold
+      (fun digest (ticket, spec) acc -> (ticket, (digest, spec)) :: acc)
+      s.unsettled []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  match rewrite_admissions s.cfg records with
+  | Some w ->
+      let old = s.admissions in
+      s.admissions <- w;
+      (try Scenarios.Journal.close old with Scenarios.Journal.Io_error _ -> ())
+  | None -> degrade s
+
+let journal_pending s (r : req) =
+  Scenarios.Journal.append s.admissions ~key:r.digest (Pending r.spec);
+  Hashtbl.replace s.unsettled r.digest (r.ticket, r.spec);
+  if Scenarios.Journal.degraded s.admissions then degrade s
+
 let journal_settled s digest =
   Scenarios.Journal.append s.admissions ~key:digest Settled;
-  if Scenarios.Journal.degraded s.admissions then degrade s
+  Hashtbl.remove s.unsettled digest;
+  if Scenarios.Journal.degraded s.admissions then degrade s;
+  s.settled_since <- s.settled_since + 1;
+  if s.settled_since >= compact_every then compact_admissions s
 
 let kill_reason = function
   | `Deadline -> "deadline exceeded"
@@ -452,7 +533,7 @@ let admit s c (spec : Wire.spec) deadline_s =
                    eviction order tracks use, not just creation. *)
                 (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
                 Some csv
-            | exception (Sys_error _ | End_of_file) -> None
+            | exception (Unix.Unix_error _ | End_of_file) -> None
           else None
         in
         match stored with
@@ -486,8 +567,7 @@ let admit s c (spec : Wire.spec) deadline_s =
                   (* [Pending] hits the disk before the client hears
                      [Accepted]: an acknowledged request is one a crash
                      cannot lose. *)
-                  Scenarios.Journal.append s.admissions ~key:digest (Pending spec);
-                  if Scenarios.Journal.degraded s.admissions then degrade s;
+                  journal_pending s r;
                   Hashtbl.replace s.live digest r;
                   attach c r;
                   let position = in_flight s in
@@ -507,14 +587,6 @@ let admit s c (spec : Wire.spec) deadline_s =
    directory. Only then is the request's cell journal redundant, so it
    is deleted; a request whose store fails keeps its journal. *)
 let store_result s digest csv =
-  let synced path flags write =
-    let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        write fd;
-        Unix.fsync fd)
-  in
   let tmp = result_path s.cfg digest ^ ".tmp" in
   match
     synced tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
@@ -651,6 +723,14 @@ let executor s =
         Obs.Metrics.set g_concurrent (float_of_int (List.length s.running));
         Queue.push (r, outcome) s.done_q;
         Mutex.unlock s.m;
+        (* The daemon paces its own major heap. A finished request leaves
+           garbage behind, above all the traces its cells evicted from
+           the cache (about 2 MB each), while store hits allocate next to
+           nothing in the major heap ({!Exec.Frame.S.create}) and so do
+           not drive collection; left alone, the heap grows to two or
+           three times the trace budget. One full collection per request,
+           after its result is handed over, holds it. *)
+        Gc.major ();
         next ()
   in
   next ()
@@ -658,36 +738,31 @@ let executor s =
 (* ------------------------------------------------------------------ *)
 (* Recovery and drain                                                  *)
 
-(* Startup recovery: any [Pending] without a [Settled] after it is work
-   a previous incarnation acknowledged but never finished — SIGKILL,
-   power loss, a drain checkpoint. Re-enqueue it with no waiters; the
-   cell journal makes the re-run incremental, and the client that cared
-   will resubmit the same digest and attach (or hit the result store). *)
-let recover s =
+(* Startup recovery, before the admission journal opens for appending:
+   any [Pending] without a [Settled] after it is work a previous
+   incarnation acknowledged but never finished — SIGKILL, power loss, a
+   drain checkpoint. One whose result is stored (finished, but the
+   [Settled] append was lost) or whose spec no longer resolves (the
+   catalogue changed under the journal) is retired; the rest come back
+   in journal order, for {!run} to rewrite the journal with and
+   re-enqueue with no waiters. The cell journal makes each re-run
+   incremental, and the client that cared will resubmit the same digest
+   and attach (or hit the result store). *)
+let recoverable cfg =
   let replay =
-    (Scenarios.Journal.replay (admissions_path s.cfg) : admission Scenarios.Journal.replay)
+    (Scenarios.Journal.replay (admissions_path cfg) : admission Scenarios.Journal.replay)
   in
-  List.iter
+  List.filter_map
     (fun (digest, adm) ->
       match adm with
-      | Settled -> ()
+      | Settled -> None
       | Pending spec -> (
-          if Sys.file_exists (result_path s.cfg digest) then
-            (* Finished, but the [Settled] append was lost: heal. *)
-            Scenarios.Journal.append s.admissions ~key:digest Settled
+          if Sys.file_exists (result_path cfg digest) then None
           else
             match resolve_spec spec with
-            | Error _ ->
-                (* The catalogue changed under the journal; the spec can
-                   never run again. Retire it. *)
-                Scenarios.Journal.append s.admissions ~key:digest Settled
-            | Ok grid ->
-                let r = make_req s ~spec ~grid ~digest ~deadline_s:None in
-                Hashtbl.replace s.live digest r;
-                s.backlog <- s.backlog @ [ r ];
-                Obs.Metrics.incr m_recovered))
-    replay.Scenarios.Journal.entries;
-  if Scenarios.Journal.degraded s.admissions then degrade s
+            | Error _ -> None
+            | Ok grid -> Some (digest, spec, grid)))
+    replay.Scenarios.Journal.entries
 
 let begin_drain s ~drainer =
   if not s.draining then begin
@@ -752,12 +827,9 @@ let handle_client_read s c =
       close_client s c
     end
     else
-      let chunk = Bytes.create 65536 in
-      match Unix.read c.cfd chunk 0 (Bytes.length chunk) with
+      match Wire.Frame.fill c.cfd c.rbuf with
       | 0 -> close_client s c
-      | n ->
-          Wire.Frame.feed c.rbuf chunk n;
-          drain_frames s c
+      | _ -> drain_frames s c
       | exception
           Unix.Unix_error
             ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -948,8 +1020,14 @@ let final_flush s =
 let run cfg =
   mkdir_p cfg.state_dir;
   mkdir_p (results_dir cfg);
-  let admissions =
-    Scenarios.Journal.create ~on_error:`Degrade (admissions_path cfg)
+  let recovered = recoverable cfg in
+  let admissions, compacted =
+    match
+      rewrite_admissions cfg
+        (List.map (fun (digest, spec, _) -> (digest, spec)) recovered)
+    with
+    | Some w -> (w, true)
+    | None -> (Scenarios.Journal.create ~on_error:`Degrade (admissions_path cfg), false)
   in
   let s =
     {
@@ -961,6 +1039,8 @@ let run cfg =
       stop = Atomic.make false;
       drain_rq = Atomic.make false;
       admissions;
+      unsettled = Hashtbl.create 64;
+      settled_since = 0;
       fault = Option.bind cfg.chaos Exec.Chaos.server_fault;
       live = Hashtbl.create 64;
       draining = false;
@@ -973,7 +1053,15 @@ let run cfg =
       drain_t0 = 0.;
     }
   in
-  recover s;
+  if not compacted then degrade s;
+  List.iter
+    (fun (digest, spec, grid) ->
+      let r = make_req s ~spec ~grid ~digest ~deadline_s:None in
+      Hashtbl.replace s.live digest r;
+      Hashtbl.replace s.unsettled digest (r.ticket, spec);
+      s.backlog <- s.backlog @ [ r ];
+      Obs.Metrics.incr m_recovered)
+    recovered;
   gc_store s;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let on_term _ = Atomic.set s.drain_rq true in

@@ -42,6 +42,15 @@
       journal — the eventual CSV is byte-identical to an uninterrupted
       run. Completed results live in an on-disk store keyed by the
       request digest, so resubmitting a finished spec is a store hit.
+      The admission journal ([admissions.jnl]) stays bounded: it is
+      rewritten to hold only the [Pending] records still unsettled, at
+      startup before it is opened for appending (a [Pending] whose
+      result is already stored, or whose spec no longer resolves, is
+      retired there) and on the main loop after every 64 [Settled]
+      appends. A rewrite is written and fsynced under a temporary name,
+      renamed over the journal and made durable by fsyncing the state
+      directory; a rewrite that fails leaves the old file in place and
+      flips the server degraded.
       A stored result is the request's durable record: it is fsynced
       before the rename that publishes it, the rename is made durable
       by fsyncing the results directory, and only then is the request's
@@ -68,7 +77,17 @@
     reconnecting and resubmitting (idempotent by digest).
 
     Live telemetry ([serve.*] counters, gauges and histograms) is
-    served as an obs/1 snapshot over the [Stats] request. *)
+    served as an obs/1 snapshot over the [Stats] request.
+
+    {1 Memory}
+
+    A store hit reads its result with [Unix] calls and its frames
+    through {!Exec.Frame}'s in-place reader, whose buffers start below
+    OCaml's minor-heap limit: a hit session allocates next to nothing in
+    the major heap, so hits cost CPU, not major collections. What a
+    request leaves behind (above all the traces its cells evicted from
+    the outcome cache) is collected by its executor lane, which runs one
+    [Gc.major ()] after handing each finished request to the main loop. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

@@ -704,6 +704,126 @@ let test_completed_requests_leave_no_cell_journal () =
     (List.length (files (Filename.concat d.state "results") ".csv"))
 
 (* ------------------------------------------------------------------ *)
+(* A bounded admission journal                                          *)
+
+(* The daemon's admission record, declared here with the same shape so
+   the test can replay [admissions.jnl] (a Marshal image carries no type
+   names). *)
+type admission = Pending of Serve.Wire.spec | Settled [@@warning "-37"]
+
+let admissions d = Filename.concat d.state "admissions.jnl"
+
+(* Each admitted request appends a [Pending] and a [Settled], about 166 B
+   together, so 160 requests would leave about 27 KB; rewrites keep the
+   file to at most one rewrite interval's worth. Then a request
+   checkpointed by a drain is the journal's only record after a restart,
+   and the one request recovered. *)
+let test_admission_journal_bounded () =
+  let d = start_daemon () in
+  let spec i =
+    { quick_spec with Serve.Wire.window = Some (0.005 +. (0.00001 *. float_of_int i)) }
+  in
+  let n = 160 in
+  let clients = 4 in
+  List.iter Domain.join
+    (List.init clients (fun c ->
+         Domain.spawn (fun () ->
+             for i = 0 to (n / clients) - 1 do
+               let spec = spec ((i * clients) + c) in
+               match Serve.Client.submit_and_wait ~socket:d.socket spec with
+               | Ok _ -> ()
+               | Error e -> failwith e
+             done)));
+  Alcotest.(check int) "every request completed" n
+    (stats_counter d "serve.requests_completed");
+  let size = (Unix.stat (admissions d)).Unix.st_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "journal bounded (%d B after %d requests)" size n)
+    true (size < 16 * 1024);
+  (* A drain checkpoints the running campaign: its [Pending] stays. *)
+  let s = connect d in
+  Fun.protect
+    ~finally:(fun () -> disconnect s)
+    (fun () ->
+      expect_welcome s;
+      submit s slow_spec;
+      wait_progress s;
+      Unix.kill d.pid Sys.sigterm;
+      let rec settlement () =
+        match recv s with
+        | Serve.Wire.Failed _ -> ()
+        | Serve.Wire.Progress _ -> settlement ()
+        | _ -> Alcotest.fail "expected the drain checkpoint"
+      in
+      settlement ();
+      match Unix.waitpid [] d.pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "drained daemon must exit 0");
+  let d = restart_daemon d in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  Alcotest.(check int) "exactly the checkpointed request recovered" 1
+    (stats_counter d "serve.recovered");
+  let replay : admission Scenarios.Journal.replay =
+    Scenarios.Journal.replay (admissions d)
+  in
+  match replay with
+  | { entries = [ (_, Pending spec) ]; records = 1; _ } ->
+      Alcotest.(check bool) "the record is the checkpointed spec" true (spec = slow_spec)
+  | { records; _ } ->
+      Alcotest.failf "expected one Pending record after the restart, found %d" records
+
+(* ------------------------------------------------------------------ *)
+(* Store hits and the major heap                                        *)
+
+(* A store hit session (connect, hello, submit, result) on an idle
+   in-process daemon. Its buffers are small and die young, so 2,000 of
+   them barely touch the major heap: a 64 KB buffer per connection or per
+   read (8 Ki words each) would. [Gc.minor] empties every domain's minor
+   heap and samples its counters, so [Gc.quick_stat] then counts the
+   daemon's domain as well as this one. *)
+let test_store_hit_major_words () =
+  let dir = fresh_dir () in
+  let cfg =
+    Serve.Server.default_config ~socket:(Filename.concat dir "d.sock") ~state_dir:dir
+  in
+  let socket = cfg.Serve.Server.socket in
+  let daemon = Domain.spawn (fun () -> Serve.Server.run cfg) in
+  let rec wait_ready n =
+    match Serve.Client.stats ~socket with
+    | Ok _ -> ()
+    | Error e ->
+        if n = 0 then Alcotest.failf "in-process daemon never came up: %s" e;
+        Unix.sleepf 0.01;
+        wait_ready (n - 1)
+  in
+  wait_ready 1000;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Serve.Client.drain ~socket);
+      Domain.join daemon)
+    (fun () ->
+      let hit () =
+        match Serve.Client.submit_and_wait ~socket quick_spec with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "submit: %s" e
+      in
+      hit ();
+      hit ();
+      let sessions = 2000 in
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.major_words in
+      for _ = 1 to sessions do
+        hit ()
+      done;
+      Gc.minor ();
+      let per_session =
+        ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int sessions
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f major words per hit session (< 256)" per_session)
+        true (per_session < 256.))
+
+(* ------------------------------------------------------------------ *)
 (* Chaos server fault points                                            *)
 
 let test_chaos_server_faults_absorbed () =
@@ -778,6 +898,13 @@ let () =
             `Slow test_store_eviction;
           Alcotest.test_case "completed requests leave no cell journal" `Slow
             test_completed_requests_leave_no_cell_journal;
+          Alcotest.test_case "a store hit allocates little in the major heap"
+            `Slow test_store_hit_major_words;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "admission journal bounded; checkpoint recovered"
+            `Slow test_admission_journal_bounded;
         ] );
       ( "chaos",
         [
