@@ -3,9 +3,11 @@
     One compiler, {!plan}, hash-conses the invariant bodies of any number of
     formulas into one topologically ordered op program with one memory slot
     per distinct temporal subformula. The same program drives the fused
-    production runner ({!run}), the per-formula runners ({!run_trace},
-    {!run_trace_status}) and the finite product construction of the model
-    checker ({!Mc.Checker}, through {!create} and {!step}).
+    production runner ({!run}, a column at a time), the per-formula
+    runners ({!run_trace}, {!run_trace_status}) and the finite product
+    construction of the model checker ({!Mc.Checker}, through {!create}
+    and {!step}); the last two step it a state at a time ([exec]), the
+    reference for {!run}.
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established by
     the property tests in [test/test_rtmon.ml]. *)
@@ -38,6 +40,8 @@ type plan = {
   deps : int array array;  (** per formula: the ops its root reads, ascending *)
   vars : string array;  (** every state variable of the plan *)
   fvars : int list array;  (** per formula: its variables, ascending indices *)
+  avars : string list array;  (** per atom: its variables *)
+  pure : bool array;  (** per op: no temporal op beneath it *)
 }
 
 exception Not_monitorable of string
@@ -180,24 +184,54 @@ let plan ~dt (formulas : Formula.t list) : plan =
       (fun f -> List.sort_uniq Int.compare (List.map var (Formula.vars f)))
       formulas
   in
+  let atoms = Array.of_list (List.rev !atoms) in
+  let pure = Array.make (Array.length ops) true in
+  Array.iteri
+    (fun k op ->
+      pure.(k) <-
+        (match op with
+        | OPrev _ | OOnce _ | OHist _ | OPrevFor _ | OOnceWithin _ | ORose _ -> false
+        | _ -> List.for_all (fun c -> pure.(c)) (children op)))
+    ops;
   {
     dt;
     formulas;
     ops;
-    atoms = Array.of_list (List.rev !atoms);
+    atoms;
     init_mem = Array.of_list (List.rev !mem);
     roots;
     deps = Array.map (fun r -> reachable ops [ r ]) roots;
     vars = Array.of_list (List.rev !vars);
     fvars;
+    avars = Array.map Formula.atom_vars atoms;
+    pure;
   }
 
 let op_count p = Array.length p.ops
 let slot_count p = Array.length p.init_mem
 
+(* A temporal op at one judged state: its value from its memory [m] and
+   its child's value [c] there, and its memory after the state. *)
+let temporal_value op c m =
+  match op with
+  | OPrev _ | OOnce _ | OHist _ -> m = 1
+  | OPrevFor (_, n, _) -> m >= n
+  | OOnceWithin (_, n, _) -> m <= n - 1
+  | ORose _ -> c && m = 0
+  | _ -> invalid_arg "temporal_value"
+
+let temporal_next op c m =
+  match op with
+  | OPrev _ | ORose _ -> if c then 1 else 0
+  | OOnce _ -> if c then 1 else m
+  | OHist _ -> if c then m else 0
+  | OPrevFor (_, n, _) -> if c then min n (m + 1) else 0
+  | OOnceWithin (_, n, _) -> if c then 0 else min n (m + 1)
+  | _ -> invalid_arg "temporal_next"
+
 (* One transition of the ops listed in [code] at state [i], where
-   [afuns.(a) i] is atom [a]'s truth. Memory updates in place: a slot
-   belongs to one op, which reads it before overwriting it. *)
+   [afuns.(a) i] is atom [a]'s truth: the state-at-a-time reference. A
+   slot belongs to one op, which reads it before overwriting it. *)
 let exec ops code afuns v mem i =
   for j = 0 to Array.length code - 1 do
     let k = code.(j) in
@@ -210,24 +244,15 @@ let exec ops code afuns v mem i =
     | OOr (a, b) -> v.(k) <- v.(a) || v.(b)
     | OImplies (a, b) -> v.(k) <- (not v.(a)) || v.(b)
     | OIff (a, b) -> v.(k) <- v.(a) = v.(b)
-    | OPrev (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        mem.(s) <- (if v.(c) then 1 else 0)
-    | OOnce (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        if v.(c) then mem.(s) <- 1
-    | OHist (c, s) ->
-        v.(k) <- mem.(s) = 1;
-        if not v.(c) then mem.(s) <- 0
-    | OPrevFor (c, n, s) ->
-        v.(k) <- mem.(s) >= n;
-        mem.(s) <- (if v.(c) then min n (mem.(s) + 1) else 0)
-    | OOnceWithin (c, n, s) ->
-        v.(k) <- mem.(s) <= n - 1;
-        mem.(s) <- (if v.(c) then 0 else min n (mem.(s) + 1))
-    | ORose (c, s) ->
-        v.(k) <- v.(c) && mem.(s) = 0;
-        mem.(s) <- (if v.(c) then 1 else 0)
+    | ( OPrev (c, s)
+      | OOnce (c, s)
+      | OHist (c, s)
+      | OPrevFor (c, _, s)
+      | OOnceWithin (c, _, s)
+      | ORose (c, s) ) as op ->
+        let x = v.(c) and m = mem.(s) in
+        v.(k) <- temporal_value op x m;
+        mem.(s) <- temporal_next op x m
   done
 
 (* ------------------------------------------------------------------ *)
@@ -418,22 +443,13 @@ let inhibited state vars =
       match State.find_opt v state with None -> true | Some x -> degraded x)
     vars
 
-(* Where variable [v] is absent or NaN, or [None] when it never is. Only
-   float-bearing columns can hold a NaN, and a constant NaN column marks
-   every state; a cell is read only where it is present. *)
-let degraded_mask tr n v =
-  let of_pred bad =
-    let m = Bytes.make n '\000' and any = ref false in
-    for i = 0 to n - 1 do
-      if bad i then begin
-        Bytes.set m i '\001';
-        any := true
-      end
-    done;
-    if !any then Some m else None
-  in
+(* Where variable [v] may be absent or NaN, as a predicate over states,
+   or [None] when no state can be. Only float-bearing columns can hold a
+   NaN, and a constant NaN column marks every state; a cell is read only
+   where it is present. *)
+let degraded_pred tr v =
   match Trace.column tr v with
-  | None -> of_pred (fun _ -> true)
+  | None -> Some (fun _ -> true)
   | Some (col, pres) -> (
       let absent = Option.map (fun p i -> Bytes.get p i <> '\001') pres in
       let nan =
@@ -445,8 +461,23 @@ let degraded_mask tr n v =
       in
       match (absent, nan) with
       | None, None -> None
-      | Some a, None | None, Some a -> of_pred a
-      | Some a, Some b -> of_pred (fun i -> a i || b i))
+      | Some a, None | None, Some a -> Some a
+      | Some a, Some b -> Some (fun i -> a i || b i))
+
+(* Where variable [v] is absent or NaN, one byte per state, or [None]
+   when it never is. *)
+let degraded_mask tr n v =
+  match degraded_pred tr v with
+  | None -> None
+  | Some bad ->
+      let m = Bytes.make n '\000' and any = ref false in
+      for i = 0 to n - 1 do
+        if bad i then begin
+          Bytes.set m i '\001';
+          any := true
+        end
+      done;
+      if !any then Some m else None
 
 (** [run_trace_status f trace] — three-valued verdict per state: the
     per-monitor reference for {!run}.
@@ -500,12 +531,16 @@ let inhibitions ~dt status =
   Violation.runs ~dt (Array.length status) (fun i -> status.(i) = Inhibited)
 
 (* ------------------------------------------------------------------ *)
-(* The fused runner. Per trace: bind each distinct atom once, compute one
-   absent-or-NaN mask per variable, and group the formulas by the set of
-   their variables that are ever degraded — a fault-free trace is one
-   group. Each group runs the ops its formulas read once per state, with
-   memory frozen on the group's inhibited states, and appends intervals
-   as it goes. A formula with an atom that refuses to bind runs alone
+(* The fused runner, a column at a time. Per trace: bind each distinct
+   atom once, compute one absent-or-NaN mask per variable, and group the
+   formulas by the set of their variables that are ever degraded — a
+   fault-free trace is one group. Each op a group's formulas read is then
+   computed once over all states, as a constant or as a bitset:
+   constants fold through the connectives, bitsets combine a word at a
+   time, and only the temporal ops step state by state, over the group's
+   judged states. Ops with no temporal op beneath them do not depend on
+   the group and are shared by all groups. Intervals come from scanning
+   bitsets. A formula with an atom that refuses to bind runs alone
    through [run_trace_status]. *)
 
 type verdict = {
@@ -513,64 +548,280 @@ type verdict = {
   inhibited : Violation.interval list;
 }
 
-(* Run the formulas [members] of one group over [n] states, inhibited
-   where [mask] is set, writing each one's verdict into [out]. *)
-let run_group p afuns ~dt ~n ~mask members out =
-  let members = Array.of_list members in
-  let roots = Array.map (fun j -> p.roots.(j)) members in
-  let code = reachable p.ops (Array.to_list roots) in
-  let m = Array.length members in
-  let v = Array.make (Array.length p.ops) false in
-  let mem = Array.copy p.init_mem in
-  let fail_from = Array.make m (-1) and fails = Array.make m [] in
-  let close_fail j i =
-    let s = fail_from.(j) in
-    if s >= 0 then begin
-      fails.(j) <- Violation.make ~dt s (i - s) :: fails.(j);
-      fail_from.(j) <- -1
-    end
-  in
-  let inh_from = ref (-1) and inhs = ref [] in
-  let close_inh i =
-    if !inh_from >= 0 then begin
-      inhs := (!inh_from, i - !inh_from) :: !inhs;
-      inh_from := -1
-    end
-  in
-  let inhibited =
-    match mask with
-    | None -> fun _ -> false
-    | Some b -> fun i -> Bytes.get b i <> '\000'
-  in
-  for i = 0 to n - 1 do
-    if inhibited i then begin
-      if !inh_from < 0 then begin
-        inh_from := i;
-        for j = 0 to m - 1 do
-          close_fail j i
-        done
-      end
-    end
+(* An op's value at every state of a trace: one truth value for all of
+   them, or one bit per state, state [i] at bit [i mod 64] of the
+   little-endian word [i / 64]. Bits at or past the trace length are
+   unspecified: every reader stops at the length. *)
+type column = Const of bool | Bits of Bytes.t
+
+let c_true = Const true
+let c_false = Const false
+let const b = if b then c_true else c_false
+
+(* The per-domain pool, reused across runs: bitset buffers handed out in
+   order, all given back when the next run starts, and each op's column
+   stamped with the run or group that computed it. Any buffer at least as
+   long as the trace serves, so runs over traces of different lengths
+   share buffers and a run allocates none once the pool is warm. *)
+type pool = {
+  mutable bufs : Bytes.t array;
+  mutable used : int;  (** buffers handed out in this run *)
+  mutable n : int;  (** the run's states *)
+  mutable nbytes : int;  (** its bitset length: whole words *)
+  mutable vals : column array;  (** per op *)
+  mutable stamps : int array;  (** per op: who computed [vals] *)
+  mutable clock : int;
+}
+
+let pool_key =
+  Domain.DLS.new_key (fun () ->
+      { bufs = [||]; used = 0; n = 0; nbytes = 0; vals = [||]; stamps = [||]; clock = 0 })
+
+let tick pool =
+  pool.clock <- pool.clock + 1;
+  pool.clock
+
+(* The run's next buffer, at least [nbytes] long. *)
+let take pool =
+  if pool.used = Array.length pool.bufs then begin
+    let bufs = Array.make (max 64 (2 * pool.used)) Bytes.empty in
+    Array.blit pool.bufs 0 bufs 0 pool.used;
+    pool.bufs <- bufs
+  end;
+  let b = pool.bufs.(pool.used) in
+  let b =
+    if Bytes.length b >= pool.nbytes then b
     else begin
-      close_inh i;
-      exec p.ops code afuns v mem i;
-      for j = 0 to m - 1 do
-        if v.(roots.(j)) then begin
-          if fail_from.(j) >= 0 then close_fail j i
-        end
-        else if fail_from.(j) < 0 then fail_from.(j) <- i
-      done
+      let b = Bytes.create pool.nbytes in
+      pool.bufs.(pool.used) <- b;
+      b
+    end
+  in
+  pool.used <- pool.used + 1;
+  b
+
+(* [b], the buffer taken last, as a column: a constant, giving [b] back,
+   when its [n] bits agree. *)
+let fold pool b =
+  let n = pool.n in
+  let full = n / 64 and zero = ref true and one = ref true in
+  let w = ref 0 in
+  while (!zero || !one) && !w < full do
+    let x = Bytes.get_int64_le b (!w * 8) in
+    if x <> 0L then zero := false;
+    if x <> -1L then one := false;
+    incr w
+  done;
+  let rest = n land 63 in
+  if rest > 0 && (!zero || !one) then begin
+    let m = Int64.(sub (shift_left 1L rest) 1L) in
+    let x = Int64.logand (Bytes.get_int64_le b (full * 8)) m in
+    if x <> 0L then zero := false;
+    if x <> m then one := false
+  end;
+  if !zero || !one then begin
+    pool.used <- pool.used - 1;
+    const (not !zero)
+  end
+  else Bits b
+
+(* The column of [pred] over the run's states, eight states a byte. *)
+let of_pred pool pred =
+  let b = take pool and n = pool.n in
+  for j = 0 to ((n + 7) / 8) - 1 do
+    let base = j * 8 and acc = ref 0 in
+    for s = 0 to min 7 (n - 1 - base) do
+      if pred (base + s) then acc := !acc lor (1 lsl s)
+    done;
+    Bytes.set b j (Char.unsafe_chr !acc)
+  done;
+  fold pool b
+
+let bit b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* A word-wise connective of two bitsets. *)
+let words pool conn a b =
+  let d = take pool in
+  for w = 0 to ((pool.n + 63) / 64) - 1 do
+    let o = w * 8 in
+    let x = Bytes.get_int64_le a o and y = Bytes.get_int64_le b o in
+    Bytes.set_int64_le d o
+      (match conn with
+      | `Not -> Int64.lognot x
+      | `And -> Int64.logand x y
+      | `Or -> Int64.logor x y
+      | `Implies -> Int64.logor (Int64.lognot x) y
+      | `Iff -> Int64.lognot (Int64.logxor x y))
+  done;
+  fold pool d
+
+let c_not pool = function Const x -> const (not x) | Bits a -> words pool `Not a a
+
+let c_and pool x y =
+  match (x, y) with
+  | Const false, _ | _, Const false -> c_false
+  | Const true, z | z, Const true -> z
+  | Bits a, Bits b -> words pool `And a b
+
+let c_or pool x y =
+  match (x, y) with
+  | Const true, _ | _, Const true -> c_true
+  | Const false, z | z, Const false -> z
+  | Bits a, Bits b -> words pool `Or a b
+
+let c_implies pool x y =
+  match (x, y) with
+  | Const false, _ | _, Const true -> c_true
+  | Const true, z -> z
+  | z, Const false -> c_not pool z
+  | Bits a, Bits b -> words pool `Implies a b
+
+let c_iff pool x y =
+  match (x, y) with
+  | Const true, z | z, Const true -> z
+  | Const false, z | z, Const false -> c_not pool z
+  | Bits a, Bits b -> words pool `Iff a b
+
+(* A temporal op over the states [mask] leaves judged, with [exec]'s
+   memory update; memory is frozen on the masked states, whose bits stay
+   clear. *)
+let temporal pool op child mask init =
+  let n = pool.n in
+  let d = take pool in
+  Bytes.fill d 0 ((n + 7) / 8) '\000';
+  let mem = ref init in
+  for i = 0 to n - 1 do
+    let masked = match mask with Const m -> m | Bits m -> bit m i in
+    if not masked then begin
+      let c = match child with Const c -> c | Bits b -> bit b i in
+      if temporal_value op c !mem then
+        Bytes.set d (i lsr 3)
+          (Char.unsafe_chr (Char.code (Bytes.get d (i lsr 3)) lor (1 lsl (i land 7))));
+      mem := temporal_next op c !mem
     end
   done;
-  close_inh n;
-  for j = 0 to m - 1 do
-    close_fail j n;
-    out.(members.(j)) <-
-      {
-        violations = List.rev fails.(j);
-        inhibited = List.rev_map (fun (s, len) -> Violation.make ~dt s len) !inhs;
-      }
-  done
+  fold pool d
+
+(* Atom [a]'s column: evaluated once when its variables each hold one
+   value all run, read in a tight loop for the shapes Table 5.3 uses,
+   and through its compiled [reader] otherwise. Each path computes
+   exactly what [reader] would at every state. *)
+let atom_column pool tr avars (a : Formula.atom) reader =
+  let col v = Option.map fst (Trace.column tr v) in
+  let one_value v = match col v with Some (Trace.CCol _) -> true | _ -> false in
+  (* Per cell [x] of [xs]: [lt], [eq] or [gt] as [x] is below, equal to
+     or above [c] by [Float.compare]. *)
+  let sign xs c (lt, eq, gt) =
+    of_pred pool (fun i ->
+        let s = Float.compare (Float.Array.get xs i) c in
+        if s < 0 then lt else if s > 0 then gt else eq)
+  in
+  let signs = function
+    | Formula.Lt _ -> Some (true, false, false)
+    | Le _ -> Some (true, true, false)
+    | Gt _ -> Some (false, false, true)
+    | Ge _ -> Some (false, true, true)
+    | Eq _ -> Some (false, true, false)
+    | Ne _ -> Some (true, false, true)
+    | Bvar _ -> None
+  in
+  if List.for_all one_value avars then const (reader 0)
+  else
+    match a with
+    | Bvar v -> (
+        match col v with
+        | Some (Trace.BCol b) -> of_pred pool (fun i -> Bytes.get b i = '\001')
+        | _ -> of_pred pool reader)
+    | Eq (Term.Var v, Term.Const (Value.Sym s))
+    | Ne (Term.Var v, Term.Const (Value.Sym s)) -> (
+        let eq = match a with Eq _ -> true | _ -> false in
+        match col v with
+        | Some (Trace.SCol { values; ids }) -> (
+            let rec find k =
+              if k = Array.length values then None
+              else
+                match values.(k) with
+                | Value.Sym x when String.equal x s -> Some (Char.chr k)
+                | _ -> find (k + 1)
+            in
+            match find 0 with
+            | None -> const (not eq)
+            | Some id -> of_pred pool (fun i -> Char.equal (Bytes.get ids i) id = eq))
+        | _ -> of_pred pool reader)
+    | Eq (Term.Var v, Term.Const c)
+    | Ne (Term.Var v, Term.Const c)
+    | Lt (Term.Var v, Term.Const c)
+    | Le (Term.Var v, Term.Const c)
+    | Gt (Term.Var v, Term.Const c)
+    | Ge (Term.Var v, Term.Const c) -> (
+        match (col v, c, signs a) with
+        | Some (Trace.FCol x), Value.Float c, Some s -> sign x c s
+        | Some (Trace.FCol x), Value.Int c, Some s -> sign x (float_of_int c) s
+        | _ -> of_pred pool reader)
+    | _ -> of_pred pool reader
+
+(* Maximal runs of set states in a column. *)
+let runs ~dt n = function
+  | Const false -> []
+  | Const true -> if n = 0 then [] else [ Violation.make ~dt 0 n ]
+  | Bits b ->
+      let acc = ref [] and from = ref (-1) in
+      let close i =
+        if !from >= 0 then begin
+          acc := Violation.make ~dt !from (i - !from) :: !acc;
+          from := -1
+        end
+      in
+      for w = 0 to ((n + 63) / 64) - 1 do
+        let x = Bytes.get_int64_le b (w * 8) and base = w * 64 in
+        let len = min 64 (n - base) in
+        if x = 0L then close base
+        else if x = -1L && len = 64 then (if !from < 0 then from := base)
+        else
+          for s = 0 to len - 1 do
+            if Int64.logand (Int64.shift_right_logical x s) 1L = 0L then close (base + s)
+            else if !from < 0 then from := base + s
+          done
+      done;
+      close n;
+      List.rev !acc
+
+(* The column of op [root] for the group judging the states [mask]
+   leaves clear, computing what it reads that is not yet computed: pure
+   ops once per run ([pure_stamp]), the rest once per group. *)
+let eval p pool tr readers ~mask ~pure_stamp ~group_stamp root =
+  let rec go k =
+    let stamp = if p.pure.(k) then pure_stamp else group_stamp in
+    if pool.stamps.(k) = stamp then pool.vals.(k)
+    else begin
+      let v =
+        match p.ops.(k) with
+        | OTrue -> c_true
+        | OFalse -> c_false
+        | OAtom a -> atom_column pool tr p.avars.(a) p.atoms.(a) (Option.get readers.(a))
+        | ONot c -> c_not pool (go c)
+        | OAnd (a, b) -> (
+            match go a with Const false -> c_false | x -> c_and pool x (go b))
+        | OOr (a, b) -> ( match go a with Const true -> c_true | x -> c_or pool x (go b))
+        | OImplies (a, b) -> (
+            match go a with Const false -> c_true | x -> c_implies pool x (go b))
+        | OIff (a, b) ->
+            let x = go a in
+            c_iff pool x (go b)
+        | ( OPrev (c, s)
+          | OOnce (c, s)
+          | OHist (c, s)
+          | OPrevFor (c, _, s)
+          | OOnceWithin (c, _, s)
+          | ORose (c, s) ) as op ->
+            temporal pool op (go c) mask p.init_mem.(s)
+      in
+      pool.vals.(k) <- v;
+      pool.stamps.(k) <- stamp;
+      v
+    end
+  in
+  go root
 
 let rec run p (trace : Trace.t) : verdict array =
   let dt = Trace.dt trace in
@@ -578,7 +829,6 @@ let rec run p (trace : Trace.t) : verdict array =
   else begin
     let n = Trace.length trace in
     let readers = Array.map (compile_atom ~strict:false trace) p.atoms in
-    let masks = Array.map (degraded_mask trace n) p.vars in
     let bound j =
       Array.for_all
         (fun k -> match p.ops.(k) with OAtom a -> Option.is_some readers.(a) | _ -> true)
@@ -586,10 +836,24 @@ let rec run p (trace : Trace.t) : verdict array =
     in
     let out = Array.make (Array.length p.formulas) { violations = []; inhibited = [] } in
     let groups = Hashtbl.create 4 in
+    let pool = Domain.DLS.get pool_key in
+    pool.used <- 0;
+    pool.n <- n;
+    pool.nbytes <- 8 * ((n + 63) / 64);
+    if Array.length pool.vals < Array.length p.ops then begin
+      pool.vals <- Array.make (Array.length p.ops) c_false;
+      pool.stamps <- Array.make (Array.length p.ops) 0
+    end;
+    let masks =
+      Array.map
+        (fun v ->
+          match degraded_pred trace v with None -> c_false | Some bad -> of_pred pool bad)
+        p.vars
+    in
     Array.iteri
       (fun j f ->
         if bound j then begin
-          let key = List.filter (fun x -> Option.is_some masks.(x)) p.fvars.(j) in
+          let key = List.filter (fun x -> masks.(x) <> Const false) p.fvars.(j) in
           let members = Option.value ~default:[] (Hashtbl.find_opt groups key) in
           Hashtbl.replace groups key (j :: members)
         end
@@ -598,22 +862,27 @@ let rec run p (trace : Trace.t) : verdict array =
           out.(j) <- { violations = fails ~dt status; inhibited = inhibitions ~dt status }
         end)
       p.formulas;
-    let afuns =
-      Array.map (function Some f -> f | None -> fun _ -> assert false) readers
-    in
+    let pure_stamp = tick pool in
     Hashtbl.iter
       (fun key members ->
-        let mask =
-          match List.filter_map (fun x -> masks.(x)) key with
-          | [] -> None
-          | [ m ] -> Some m
-          | ms ->
-              Some
-                (Bytes.init n (fun i ->
-                     if List.exists (fun m -> Bytes.get m i <> '\000') ms then '\001'
-                     else '\000'))
-        in
-        run_group p afuns ~dt ~n ~mask (List.rev members) out)
+        let mask = List.fold_left (fun m x -> c_or pool m masks.(x)) c_false key in
+        let judged = c_not pool mask and group_stamp = tick pool in
+        List.iter
+          (fun j ->
+            let violations =
+              if mask = Const true then []
+              else begin
+                let root =
+                  eval p pool trace readers ~mask ~pure_stamp ~group_stamp p.roots.(j)
+                in
+                let mark = pool.used in
+                let ivs = runs ~dt n (c_and pool (c_not pool root) judged) in
+                pool.used <- mark;
+                ivs
+              end
+            in
+            out.(j) <- { violations; inhibited = runs ~dt n mask })
+          (List.rev members))
       groups;
     out
   end

@@ -5,15 +5,16 @@
     op per distinct subformula, and one memory slot (an [int]: booleans as
     0/1, counters for the bounded-duration operators) per distinct temporal
     subformula. Every runner executes that program:
-    - {!run}, the production path, runs a whole plan over a trace once
-      per state per group of formulas with the same degraded inputs, and
-      builds violation and inhibition intervals as it goes;
+    - {!run}, the production path, evaluates a whole plan over a trace a
+      column at a time: each op once over all states, per group of
+      formulas with the same degraded inputs;
     - {!create} and {!step} run a one-formula plan over [State.t] values;
       the monitor's dynamic state is a small comparable vector, so the
       same program is the product component of the model checker
       ({!Mc.Checker});
     - {!run_trace} and {!run_trace_status} run a one-formula plan over a
-      trace; [run_trace_status] is the per-monitor reference for {!run}.
+      trace a state at a time; [run_trace_status] is the per-monitor
+      reference for {!run}.
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established
     by the property tests in [test/test_rtmon.ml]. *)
@@ -111,11 +112,26 @@ val run : plan -> Trace.t -> verdict array
     Per trace, [run] binds each distinct atom to the trace's columns once
     and computes one absent-or-NaN mask per variable. Formulas are grouped
     by the set of their variables whose mask is non-empty, so a fault-free
-    trace is one group. Each group runs the ops its formulas read once per
-    state, skips the states where any of its degraded variables is absent
-    or NaN (memory frozen), and appends intervals as it goes: no status
-    array is built. A formula with an atom that cannot be bound to the
-    trace's columns (a mixed-type column, an ordered comparison of
+    trace is one group. [run] evaluates columns at a time: each op a
+    group's formulas read is computed once over all states, as a constant
+    or as a bitset of 64 states per word.
+    - An atom whose variables each hold one value all run is evaluated
+      once; comparisons of a float column with a constant, symbol tests
+      and boolean variables are read in tight loops; other atoms run
+      their compiled per-state reader. Atoms mean exactly what they mean
+      on [State.t]: numbers compare by [Float.compare] and [Float.equal].
+    - A bitset whose bits all agree folds to a constant, and the
+      connectives fold constants and otherwise combine whole words.
+    - Temporal ops step through the states the group judges, with the
+      memory update of the state-at-a-time reference, frozen on the
+      states where any of the group's degraded variables is absent or
+      NaN. Ops with no temporal op beneath them are shared by all groups.
+    - Violation and inhibition intervals come from scanning bitsets: no
+      status array is built.
+
+    Bitsets live in per-domain buffers reused across runs, so a warm
+    domain allocates none. A formula with an atom that cannot be bound to
+    the trace's columns (a mixed-type column, an ordered comparison of
     non-numeric terms, a missing variable) runs alone through
     {!run_trace_status}. A trace whose [dt] differs from the plan's is run
     under a plan recompiled for its [dt]. *)

@@ -103,7 +103,8 @@ type grid = {
 (* Telemetry: deterministic cell accounting (the timing lives in the
    spans and in the pool/journal histograms). The per-phase spans —
    campaign.replay, cell.baseline, cell.injected, cell.classify,
-   campaign.grid — let a snapshot show where a campaign's wall clock
+   campaign.grid, and [Runner]'s cell.sim and cell.monitor inside each
+   simulated run — let a snapshot show where a campaign's wall clock
    went. *)
 let m_cells_executed = Obs.Metrics.counter "campaign.cells_executed"
 let m_cells_replayed = Obs.Metrics.counter "campaign.cells_replayed"

@@ -36,8 +36,9 @@ let classify ~window (s : Defs.t) trace results : outcome =
     end_time = Trace.time trace (Trace.length trace - 1);
   }
 
-(* Simulate and monitor one scenario. Faults go straight onto the
-   kernel's frames: each target is resolved to its slot once. *)
+(* Simulate and monitor one scenario, in a [cell.sim] and a
+   [cell.monitor] span. Faults go straight onto the kernel's frames:
+   each target is resolved to its slot once. *)
 let monitored ~defects ~timing ~dynamics ~inject (s : Defs.t) =
   let world =
     Vehicle.System.world ~defects ~timing ~dynamics ~objects:s.Defs.objects
@@ -50,8 +51,11 @@ let monitored ~defects ~timing ~dynamics ~inject (s : Defs.t) =
         (Inject.Plan.frame_interposer ~dt:Vehicle.System.dt inject
            ~slot:(Sim.World.slot world))
   in
-  let trace = Vehicle.System.simulate ?transform ~duration:s.Defs.duration world in
-  (trace, Vehicle.Monitors.run trace)
+  let trace =
+    Obs.span "cell.sim" (fun () ->
+        Vehicle.System.simulate ?transform ~duration:s.Defs.duration world)
+  in
+  (trace, Obs.span "cell.monitor" (fun () -> Vehicle.Monitors.run trace))
 
 (* ------------------------------------------------------------------ *)
 (* Process-wide outcome cache: every consumer (experiments, export,

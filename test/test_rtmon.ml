@@ -130,12 +130,12 @@ let gen_typed_trace =
     (oneofl [ 1.; 2.5; Float.nan ])
     (list_size (int_range 1 14) gen_state)
 
-let gen_term =
+let gen_term_over vars =
   let open QCheck.Gen in
   let leaf =
     oneof
       [
-        map Term.var (oneofl [ "f"; "i"; "c"; "g"; "m" ]);
+        map Term.var (oneofl vars);
         map Term.float (oneofl [ 0.; 1.; 2.5 ]);
         map Term.int (int_range 0 2);
       ]
@@ -148,9 +148,11 @@ let gen_term =
     ]
 
 (* Well-typed atoms only: an ill-typed one raises in the reference,
-   which is lazier than a monitor about which atoms it evaluates. *)
-let gen_atom =
+   which is lazier than a monitor about which atoms it evaluates. Terms
+   read the numeric variables [vars]. *)
+let gen_atom_over vars =
   let open QCheck.Gen in
+  let gen_term = gen_term_over vars in
   let cmp =
     oneofl [ Formula.lt; Formula.le; Formula.gt; Formula.ge; Formula.eq; Formula.ne ]
   in
@@ -192,20 +194,22 @@ let gen_body leaves =
 
 (* 2-8 formulas over a small shared pool of atoms and subformulas, so the
    plan hash-conses across formulas; half are stated as invariants. *)
-let gen_formulas =
+let gen_formulas_over vars =
   let open QCheck.Gen in
-  list_size (int_range 2 4) gen_atom >>= fun atoms ->
+  list_size (int_range 2 4) (gen_atom_over vars) >>= fun atoms ->
   let atoms = oneofl atoms in
   list_size (int_range 1 3) (gen_body atoms) >>= fun shared ->
   let leaves = frequency [ (1, atoms); (1, oneofl shared) ] in
   list_size (int_range 2 8)
     (map2 (fun inv f -> if inv then Formula.always f else f) bool (gen_body leaves))
 
+let gen_formulas = gen_formulas_over [ "f"; "i"; "c"; "g"; "m" ]
+
 (* The three-valued semantics, independent of the monitors: a state is
    inhibited for [f] when any variable of [f] is absent or NaN there; the
    other states take [Eval.series] of the body over the trace with the
    inhibited states removed — which is what frozen memory means. *)
-let reference f tr =
+let reference ?(series = Eval.series) f tr =
   let body = Option.get (Formula.invariant_body f) in
   let n = Trace.length tr in
   let inhibited =
@@ -220,16 +224,41 @@ let reference f tr =
           (Formula.vars f))
   in
   let kept = List.filter (fun i -> not inhibited.(i)) (List.init n Fun.id) in
-  let series =
-    Eval.series (Trace.make ~dt:(Trace.dt tr) (List.map (Trace.get tr) kept)) body
+  let kept_series =
+    series (Trace.make ~dt:(Trace.dt tr) (List.map (Trace.get tr) kept)) body
   in
   let ok = Array.make n true in
-  List.iteri (fun pos i -> ok.(i) <- series.(pos)) kept;
+  List.iteri (fun pos i -> ok.(i) <- kept_series.(pos)) kept;
   let dt = Trace.dt tr in
   ( Rtmon.Violation.runs ~dt n (fun i -> (not inhibited.(i)) && not ok.(i)),
     Rtmon.Violation.runs ~dt n (fun i -> inhibited.(i)) )
 
 let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* [run] ≡ [run_trace_status] ≡ [reference] on every formula of [fs]. *)
+let agrees ?series fs tr =
+  let dt = Trace.dt tr in
+  let plan = Rtmon.Incremental.plan ~dt fs in
+  let fused =
+    outcome (fun () ->
+        Array.map
+          (fun (v : Rtmon.Incremental.verdict) ->
+            (v.Rtmon.Incremental.violations, v.Rtmon.Incremental.inhibited))
+          (Rtmon.Incremental.run plan tr))
+  in
+  let per_formula =
+    List.map
+      (fun f ->
+        outcome (fun () ->
+            let st = Rtmon.Incremental.run_trace_status f tr in
+            (Rtmon.Incremental.fails ~dt st, Rtmon.Incremental.inhibitions ~dt st)))
+      fs
+  in
+  List.for_all2 (fun f r -> outcome (fun () -> reference ?series f tr) = r) fs per_formula
+  &&
+  match fused with
+  | Ok vs -> List.for_all2 (fun v r -> r = Ok v) (Array.to_list vs) per_formula
+  | Error e -> List.find_opt Result.is_error per_formula = Some (Error e)
 
 let prop_plan_equals_reference =
   QCheck.Test.make ~name:"fused plan ≡ run_trace_status ≡ three-valued reference"
@@ -239,29 +268,7 @@ let prop_plan_equals_reference =
          Fmt.str "%a@ over %d states" (Fmt.list ~sep:Fmt.semi Formula.pp) fs
            (Trace.length tr))
        QCheck.Gen.(pair gen_formulas gen_typed_trace))
-    (fun (fs, tr) ->
-      let dt = Trace.dt tr in
-      let plan = Rtmon.Incremental.plan ~dt fs in
-      let fused =
-        outcome (fun () ->
-            Array.map
-              (fun (v : Rtmon.Incremental.verdict) ->
-                (v.Rtmon.Incremental.violations, v.Rtmon.Incremental.inhibited))
-              (Rtmon.Incremental.run plan tr))
-      in
-      let per_formula =
-        List.map
-          (fun f ->
-            outcome (fun () ->
-                let st = Rtmon.Incremental.run_trace_status f tr in
-                (Rtmon.Incremental.fails ~dt st, Rtmon.Incremental.inhibitions ~dt st)))
-          fs
-      in
-      List.for_all2 (fun f r -> outcome (fun () -> reference f tr) = r) fs per_formula
-      &&
-      match fused with
-      | Ok vs -> List.for_all2 (fun v r -> r = Ok v) (Array.to_list vs) per_formula
-      | Error e -> List.find_opt Result.is_error per_formula = Some (Error e))
+    (fun (fs, tr) -> agrees fs tr)
 
 (* The fallback is exercised: an ordered comparison on the mixed column
    cannot bind to columns, yet agrees with the reference. *)
@@ -297,6 +304,116 @@ let test_plan_fallback () =
     (starts vs.(0).Rtmon.Incremental.violations);
   Alcotest.(check (list int)) "NaN inhibits state 2" [ 2 ]
     (starts vs.(2).Rtmon.Incremental.inhibited)
+
+(* Traces of 0-200 states, most of them one state either side of a
+   64-state word boundary. Each column holds runs of 1-80 equal cells, so
+   whole words agree and runs cross word boundaries: [f] floats with NaN
+   runs, [u] floats above every constant the atoms compare with (a
+   column whose comparisons are uniform bitsets), [g] floats with
+   presence gaps, [i] ints, [s] symbols, [b] booleans, [m] a mix of ints
+   and floats (the per-formula fallback) and [c] one value for the whole
+   trace, sometimes NaN. *)
+let gen_long_trace =
+  let open QCheck.Gen in
+  let num = oneofl [ -1.; 0.; 1.; 2.5 ] in
+  let column n cell =
+    map
+      (fun runs ->
+        let cells = Array.make n None and i = ref 0 in
+        List.iter
+          (fun (len, v) ->
+            for _ = 1 to len do
+              if !i < n then cells.(!i) <- v;
+              incr i
+            done)
+          runs;
+        (* the last run reaches the end *)
+        let last = match List.rev runs with (_, v) :: _ -> v | [] -> None in
+        for k = !i to n - 1 do
+          cells.(k) <- last
+        done;
+        cells)
+      (list_size (int_range 1 8) (pair (int_range 1 80) cell))
+  in
+  let some g = map Option.some g in
+  let floats g = map (fun x -> Value.Float x) g in
+  frequency [ (3, oneofl [ 63; 64; 65; 127; 128; 129 ]); (1, int_range 0 200) ]
+  >>= fun n ->
+  let cols =
+    [
+      ("f", column n (some (floats (frequency [ (5, num); (1, return Float.nan) ]))));
+      ("u", column n (some (floats (oneofl [ 3.; 4.; 5.5 ]))));
+      ("g", column n (frequency [ (3, some (floats num)); (1, return None) ]));
+      ("i", column n (some (map (fun k -> Value.Int k) (int_range 0 3))));
+      ("s", column n (some (map (fun s -> Value.Sym s) (oneofl [ "A"; "B"; "C" ]))));
+      ("b", column n (some (map (fun x -> Value.Bool x) bool)));
+      ( "m",
+        column n
+          (some
+             (frequency
+                [
+                  (2, map (fun k -> Value.Int k) (int_range 0 2));
+                  (2, floats num);
+                  (1, return (Value.Float Float.nan));
+                ])) );
+    ]
+  in
+  flatten_l (List.map (fun (v, g) -> map (fun cells -> (v, cells)) g) cols)
+  >>= fun cols ->
+  let cell i (v, cells) = Option.map (fun x -> (v, x)) cells.(i) in
+  map
+    (fun c ->
+      Trace.init ~dt:1.0 n (fun i ->
+          State.of_list (("c", Value.Float c) :: List.filter_map (cell i) cols)))
+    (oneofl [ 1.; 2.5; Float.nan ])
+
+(* [Eval.series] one operator at a time: each operand is replaced by a
+   boolean variable holding its own series, so nested temporal operators
+   cost one scan each, not one per enclosing state. [Eval.eval] reads an
+   operand only through its truth values, so this is [Eval.series]. *)
+let rec stepwise_series tr (f : Formula.t) =
+  let over operands rebuild =
+    let names = List.mapi (fun k _ -> Printf.sprintf "_%d" k) operands in
+    let series = List.map (stepwise_series tr) operands in
+    let sub =
+      Trace.init ~dt:(Trace.dt tr) (Trace.length tr) (fun i ->
+          State.of_list (List.map2 (fun v s -> (v, Value.Bool s.(i))) names series))
+    in
+    Eval.series sub (rebuild (List.map Formula.bvar names))
+  in
+  let one g op = over [ g ] (function [ a ] -> op a | _ -> assert false) in
+  let two a b op = over [ a; b ] (function [ x; y ] -> op x y | _ -> assert false) in
+  match f with
+  | True | False | Atom _ -> Eval.series tr f
+  | Not g -> one g (fun a -> Formula.Not a)
+  | And (a, b) -> two a b (fun x y -> Formula.And (x, y))
+  | Or (a, b) -> two a b (fun x y -> Formula.Or (x, y))
+  | Implies (a, b) -> two a b (fun x y -> Formula.Implies (x, y))
+  | Iff (a, b) -> two a b (fun x y -> Formula.Iff (x, y))
+  | Prev g -> one g (fun a -> Formula.Prev a)
+  | Once g -> one g (fun a -> Formula.Once a)
+  | Hist g -> one g (fun a -> Formula.Hist a)
+  | PrevFor (d, g) -> one g (fun a -> Formula.PrevFor (d, a))
+  | OnceWithin (d, g) -> one g (fun a -> Formula.OnceWithin (d, a))
+  | Rose g -> one g (fun a -> Formula.Rose a)
+  | Next g -> one g (fun a -> Formula.Next a)
+  | Eventually g -> one g (fun a -> Formula.Eventually a)
+  | Always g -> one g (fun a -> Formula.Always a)
+
+(* Word boundaries, uniform bitsets and the per-domain buffers: the same
+   formulas over 2-3 traces of different lengths, run back to back on
+   one domain, so a run reuses buffers a shorter or longer run left. *)
+let prop_plan_across_words =
+  QCheck.Test.make ~name:"fused plan ≡ references across 64-state words" ~count:150
+    (QCheck.make
+       ~print:(fun (fs, trs) ->
+         Fmt.str "%a@ over %a states" (Fmt.list ~sep:Fmt.semi Formula.pp) fs
+           (Fmt.list ~sep:Fmt.comma Fmt.int) (List.map Trace.length trs))
+       QCheck.Gen.(
+         pair
+           (gen_formulas_over [ "f"; "u"; "i"; "c"; "g"; "m" ])
+           (list_size (int_range 2 3) gen_long_trace)))
+    (fun (fs, trs) -> List.for_all (agrees ~series:stepwise_series fs) trs)
 
 (* ------------------------------------------------------------------ *)
 (* Violations                                                           *)
@@ -395,6 +512,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_plan_equals_reference;
           Alcotest.test_case "per-formula fallback" `Quick test_plan_fallback;
+          QCheck_alcotest.to_alcotest prop_plan_across_words;
         ] );
       ( "violations",
         [

@@ -139,8 +139,18 @@ let trace_digest tr =
     tr;
   Digest.string (Buffer.contents rows)
 
+(* A repaired scenario run through [Runner]'s frame path with the faults
+   [specs], seeded 42. *)
+let injected (specs, n) =
+  ( Printf.sprintf "inject %s on %d" (String.concat " + " specs) n,
+    fun () ->
+      (Scenarios.Runner.run ~use_cache:false ~defects:Vehicle.Defects.repaired
+         ~inject:(Inject.Plan.make ~seed:42 (List.map Inject.Spec.parse_exn specs))
+         (Scenarios.Defs.get n))
+        .Scenarios.Runner.trace )
+
 (* The ten scenarios as evaluated and repaired, the elevator, and one
-   seeded injected run per fault model (through [Runner]'s frame path). *)
+   seeded injected run per fault model. *)
 let golden_runs () =
   let scenarios label defects =
     List.map
@@ -151,18 +161,11 @@ let golden_runs () =
               ~events:s.events () ))
       Scenarios.Defs.all
   in
-  let injected (spec, n) =
-    ( Printf.sprintf "inject %s on %d" spec n,
-      fun () ->
-        (Scenarios.Runner.run ~use_cache:false ~defects:Vehicle.Defects.repaired
-           ~inject:(Inject.Plan.make ~seed:42 [ Inject.Spec.parse_exn spec ])
-           (Scenarios.Defs.get n))
-          .Scenarios.Runner.trace )
-  in
   scenarios "as_evaluated" Vehicle.Defects.as_evaluated
   @ scenarios "repaired" Vehicle.Defects.repaired
   @ [ ("elevator", fun () -> Elevator.Simulation.run ()) ]
-  @ List.map injected
+  @ List.map
+      (fun (spec, n) -> injected ([ spec ], n))
       [
         ("stuck=3:ca_accel_req", 1);
         ("hold:object_range@5..", 3);
@@ -224,6 +227,79 @@ let test_kernel_golden () =
   in
   Alcotest.(check int) "every golden run" (List.length golden) (List.length digests);
   Alcotest.(check string) "all runs" golden_total
+    (Digest.to_hex (Digest.string (String.concat "" digests)))
+
+(* ------------------------------------------------------------------ *)
+(* Monitor-verdict golden                                               *)
+
+(* Every vehicle run of [golden_runs], plus NaN runs whose degraded
+   monitor inputs split Table 5.3's monitors into further inhibition
+   groups ([object_range] is no monitored input: its run pins that a NaN
+   there inhibits nothing). *)
+let monitor_runs () =
+  List.filter (fun (label, _) -> label <> "elevator") (golden_runs ())
+  @ List.map injected
+      [
+        ([ "nan:host_accel@1..5" ], 2);
+        ([ "nan:object_range@2..4" ], 6);
+        ([ "nan:host_speed@3..6"; "nan:accel_cmd@4..9" ], 2);
+      ]
+
+(* MD5 of [Vehicle.Monitors.run]'s results marshalled without sharing,
+   computed with the state-at-a-time fused runner. *)
+let monitor_golden =
+  [
+("as_evaluated 1", "37037fd2e087c5b9c638feed51b843d9");
+    ("as_evaluated 2", "646f1357a1e54e7b2aaab395ed3dd0d8");
+    ("as_evaluated 3", "b3a83a65e5d3befdbaa4b5673d95810e");
+    ("as_evaluated 4", "aec544e013a76b1d73bdee7fddf08acc");
+    ("as_evaluated 5", "1db2ad7227e547e1391a2ad80f10271c");
+    ("as_evaluated 6", "455a00a7ef7cc25f09b12aa494d8aeaf");
+    ("as_evaluated 7", "8dc969bec7a9f1047bf6b2662de66464");
+    ("as_evaluated 8", "b3a627f18ee0f89dc4687a2466a25c9a");
+    ("as_evaluated 9", "1784b5a1523eb178c7f421d222e777d6");
+    ("as_evaluated 10", "5028ed64c51324e1f0e7336f7ceb76d1");
+    ("repaired 1", "97e64d642d8f26957818a606e925cfd7");
+    ("repaired 2", "6451e759e86741452c10c7de88d0836e");
+    ("repaired 3", "731942f1096d5cb33251711c73238946");
+    ("repaired 4", "c71480d245a24094d9620598999f53ba");
+    ("repaired 5", "46983ac4a7387a00f71ca368e04b95e6");
+    ("repaired 6", "d585d15ca738b748c8af17c155e2c003");
+    ("repaired 7", "8779e12007ed20d510be1e2b166c6da7");
+    ("repaired 8", "46ad19d834271a30b8444a9a7aefbdcc");
+    ("repaired 9", "0a56b05c2cb79a1458d6fbbb061355a9");
+    ("repaired 10", "46ad19d834271a30b8444a9a7aefbdcc");
+    ("inject stuck=3:ca_accel_req on 1", "0108025fdf18ccdee4719f75640bbb75");
+    ("inject hold:object_range@5.. on 3", "46ad19d834271a30b8444a9a7aefbdcc");
+    ("inject nan:host_jerk@2..8 on 7", "fc1a940aecf85a7c759e35dd665c57f9");
+    ("inject delay=150:accel_cmd on 1", "932844894131943abf11bba16cf87f80");
+    ("inject noise=0.25:object_closing_speed on 3", "fa1902737899b3d0d29388831c80c665");
+    ("inject drift=0.1:object_range@5.. on 7", "8779e12007ed20d510be1e2b166c6da7");
+    ("inject spike=4/0.5:host_accel on 1", "c5e691ace6863697b1422b1d23008045");
+    ("inject flicker=0.2:host_speed on 1", "0024d4d57fca0c65a3f251cc12b76e9e");
+    ("inject nan:host_accel@1..5 on 2", "d6f8a02421eafec6e6cda49ae4f13442");
+    ("inject nan:object_range@2..4 on 6", "d585d15ca738b748c8af17c155e2c003");
+    ( "inject nan:host_speed@3..6 + nan:accel_cmd@4..9 on 2",
+      "3d933ca7384269c515d2861b2acba0b8" );
+  ]
+
+let monitor_golden_total = "fc3c95821fcaf6d6440774bad72700a6"
+
+let test_monitor_golden () =
+  let digests =
+    List.map
+      (fun (label, run) ->
+        let d =
+          Digest.string
+            (Marshal.to_string (Vehicle.Monitors.run (run ())) [ Marshal.No_sharing ])
+        in
+        Alcotest.(check string) label (List.assoc label monitor_golden) (Digest.to_hex d);
+        d)
+      (monitor_runs ())
+  in
+  Alcotest.(check int) "every monitored run" (List.length monitor_golden)
+    (List.length digests);
+  Alcotest.(check string) "all monitored runs" monitor_golden_total
     (Digest.to_hex (Digest.string (String.concat "" digests)))
 
 (* ------------------------------------------------------------------ *)
@@ -412,5 +488,6 @@ let () =
         [
           Alcotest.test_case "elevator determinism" `Slow test_determinism;
           Alcotest.test_case "kernel golden" `Slow test_kernel_golden;
+          Alcotest.test_case "monitor-verdict golden" `Slow test_monitor_golden;
         ] );
     ]

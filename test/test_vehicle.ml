@@ -536,6 +536,49 @@ let test_fused_plan_size () =
   Alcotest.(check int) "one slot per distinct temporal subformula" 7
     (Rtmon.Incremental.slot_count Vehicle.Monitors.plan)
 
+(* Column-at-a-time monitoring runs from per-domain pooled bitsets. After
+   one warm-up run on this domain, runs alternating between a full 20-s
+   repaired trace (20,001 states) and one that stops early (19,362
+   states: seed 3's host-acceleration spike on scenario 9) allocate no
+   bitset: any pooled buffer at least as long as the trace serves. Their
+   minor words are at most a quarter of the state-at-a-time runner's on
+   the same traces (608,464 and 551,129 words per run). *)
+let test_monitor_allocation () =
+  let s = Scenarios.Defs.get 1 in
+  let full =
+    Vehicle.System.run ~defects:Vehicle.Defects.repaired ~duration:s.duration
+      ~objects:s.objects ~events:s.events ()
+  in
+  let short =
+    (Scenarios.Runner.run ~use_cache:false ~defects:Vehicle.Defects.repaired
+       ~inject:
+         (Inject.Plan.make ~seed:3 [ Inject.Spec.parse_exn "spike=3/0.8:host_accel" ])
+       (Scenarios.Defs.get 9))
+      .Scenarios.Runner.trace
+  in
+  Alcotest.(check (pair int int)) "trace lengths" (20_001, 19_362)
+    (Trace.length full, Trace.length short);
+  ignore (Vehicle.Monitors.run full);
+  (* settle the warm-up's allocation into the counters *)
+  Gc.full_major ();
+  let before = Gc.quick_stat () in
+  let runs = [ short; full; short; full ] in
+  List.iter (fun tr -> ignore (Sys.opaque_identity (Vehicle.Monitors.run tr))) runs;
+  Gc.full_major ();
+  let after = Gc.quick_stat () in
+  let per_run w = w /. float_of_int (List.length runs) in
+  let direct =
+    per_run
+      (after.Gc.major_words -. before.Gc.major_words
+      -. (after.Gc.promoted_words -. before.Gc.promoted_words))
+  in
+  let minor = per_run (after.Gc.minor_words -. before.Gc.minor_words) in
+  Fmt.pr "Monitors.run: %.0f direct major words, %.0f minor words per run@." direct minor;
+  Alcotest.(check bool)
+    "fewer than 2,000 direct major words per run" true (direct < 2000.);
+  Alcotest.(check bool) "a quarter of the state-at-a-time minor words" true
+    (minor <= (608_464. +. 551_129.) /. 2. /. 4.)
+
 let () =
   Alcotest.run "vehicle"
     [
@@ -545,6 +588,8 @@ let () =
           Alcotest.test_case "monitoring plan (Table 5.3)" `Quick test_monitoring_plan;
           Alcotest.test_case "goal 1 formula" `Quick test_goal1_formula;
           Alcotest.test_case "fused plan size" `Quick test_fused_plan_size;
+          Alcotest.test_case "monitoring allocates no bitset once warm" `Slow
+            test_monitor_allocation;
         ] );
       ( "features",
         [
