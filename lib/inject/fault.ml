@@ -112,20 +112,20 @@ let perturb v f =
 
 let hold_last rt v = match rt.last with Some l -> l | None -> v
 
+(* The delay line is fed unconditionally so that a window-activated delay
+   has history to serve from its first active tick. *)
+let delayed rt k v =
+  Queue.push v rt.queue;
+  if Queue.length rt.queue > k then Queue.pop rt.queue else Queue.peek rt.queue
+
 (** [interpose rt ~dt ~now v] — the value-level core of every fault model:
     the value to record for the target's freshly computed value [v] at time
     [now] ([v] itself when the fault leaves it alone). Called on every tick
     the target has a value, window or not: the delay line, hold value and
     drift track the signal outside the window too. *)
 let interpose rt ~dt ~now v =
-  (* The delay line is fed unconditionally so that a window-activated
-     delay has history to serve from its first active tick. *)
-  let delayed k =
-    Queue.push v rt.queue;
-    if Queue.length rt.queue > k then Queue.pop rt.queue else Queue.peek rt.queue
-  in
   if not (active rt.fault now) then begin
-    (match rt.fault.model with Delay k -> ignore (delayed k) | _ -> ());
+    (match rt.fault.model with Delay k -> ignore (delayed rt k v) | _ -> ());
     rt.last <- Some v;
     rt.drift <- 0.;
     v
@@ -138,7 +138,7 @@ let interpose rt ~dt ~now v =
         match v with
         | Value.Float _ | Value.Int _ -> Value.Float Float.nan
         | _ -> hold_last rt v)
-    | Delay k -> delayed k
+    | Delay k -> delayed rt k v
     | Noise sigma -> perturb v (sigma *. Prng.gaussian rt.gen)
     | Drift rate ->
         rt.drift <- rt.drift +. (rate *. dt);

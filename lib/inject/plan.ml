@@ -32,17 +32,21 @@ let interposer ~dt plan =
     slot, or not yet written, is a no-op, as in {!interposer}. *)
 let frame_interposer ~dt plan ~slot =
   let bound =
-    Array.of_list
-      (List.filter_map
-         (fun (f, rt) -> Option.map (fun s -> (s, rt)) (slot f.Fault.target))
-         (List.combine plan.faults (runtimes plan)))
+    List.filter_map
+      (fun (f, rt) -> Option.map (fun s -> (s, rt)) (slot f.Fault.target))
+      (List.combine plan.faults (runtimes plan))
   in
+  let slots = Array.of_list (List.map fst bound) in
+  let rts = Array.of_list (List.map snd bound) in
   fun ~now (frame : Tl.Frame.t) ->
-    Array.iter
-      (fun (s, rt) ->
-        let v = frame.(s) in
-        if v != Tl.Frame.absent then frame.(s) <- Fault.interpose rt ~dt ~now v)
-      bound
+    for k = 0 to Array.length slots - 1 do
+      let s = slots.(k) in
+      let v = frame.(s) in
+      if v != Tl.Frame.absent then begin
+        let v' = Fault.interpose rts.(k) ~dt ~now v in
+        if v' != v then frame.(s) <- v'
+      end
+    done
 
 let pp ppf p =
   Fmt.pf ppf "@[<h>seed=%d %a@]" p.seed

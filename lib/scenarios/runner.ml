@@ -36,6 +36,10 @@ let classify ~window (s : Defs.t) trace results : outcome =
     end_time = Trace.time trace (Trace.length trace - 1);
   }
 
+(* Ticks simulated, so that a snapshot's [cell.sim] span time divided by
+   this count is the kernel's own time per tick. *)
+let m_ticks = Obs.Metrics.counter "sim.ticks"
+
 (* Simulate and monitor one scenario, in a [cell.sim] and a
    [cell.monitor] span. Faults go straight onto the kernel's frames:
    each target is resolved to its slot once. *)
@@ -55,6 +59,7 @@ let monitored ~defects ~timing ~dynamics ~inject (s : Defs.t) =
     Obs.span "cell.sim" (fun () ->
         Vehicle.System.simulate ?transform ~duration:s.Defs.duration world)
   in
+  Obs.Metrics.incr ~by:(Trace.length trace - 1) m_ticks;
   (trace, Obs.span "cell.monitor" (fun () -> Vehicle.Monitors.run trace))
 
 (* ------------------------------------------------------------------ *)

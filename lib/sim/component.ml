@@ -16,10 +16,10 @@ type slot = int
 type binder = string -> slot
 
 type context = {
-  now : float;  (** simulation time of the state being computed *)
+  mutable now : float;  (** simulation time of the state being computed *)
   dt : float;
-  prev : Frame.t;  (** the previous state: every read *)
-  next : Frame.t;  (** the state being computed: every write *)
+  mutable prev : Frame.t;  (** the previous state: every read *)
+  mutable next : Frame.t;  (** the state being computed: every write *)
   names : string array;  (** slot → variable name, for error messages *)
 }
 
@@ -40,13 +40,22 @@ let sym ctx s =
   | Value.Sym x -> x
   | v -> Value.type_error "variable %s: expected a symbol, got %a" ctx.names.(s) Value.pp v
 
-let set ctx s v = ctx.next.(s) <- v
-let set_float ctx s x = ctx.next.(s) <- Value.Float x
+(* A write that leaves the cell physically unchanged is skipped: the
+   kernel copies and the trace recorder records only the cells that
+   changed, and both detect a change by [!=]. *)
+let set ctx s v = if ctx.next.(s) != v then ctx.next.(s) <- v
+
+(* Bit for bit, never [Float.equal]: [0.] and [-0.], or two NaN payloads,
+   are different values to a trace column. *)
+let set_float ctx s x =
+  match ctx.next.(s) with
+  | Value.Float y when Int64.bits_of_float y = Int64.bits_of_float x -> ()
+  | _ -> ctx.next.(s) <- Value.Float x
 
 (* Shared booleans: writing a flag allocates nothing. *)
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
-let set_bool ctx s b = ctx.next.(s) <- (if b then vtrue else vfalse)
+let set_bool ctx s b = set ctx s (if b then vtrue else vfalse)
 
 type t = {
   name : string;

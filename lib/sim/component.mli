@@ -25,12 +25,15 @@ type binder = string -> slot
     [State.t] lookup would). *)
 
 type context = {
-  now : float;  (** simulation time of the state being computed *)
+  mutable now : float;  (** simulation time of the state being computed *)
   dt : float;
-  prev : Frame.t;  (** the previous state: every read *)
-  next : Frame.t;  (** the state being computed: every write *)
+  mutable prev : Frame.t;  (** the previous state: every read *)
+  mutable next : Frame.t;  (** the state being computed: every write *)
   names : string array;  (** slot → variable name, for error messages *)
 }
+(** One context serves a whole run: {!World.run} advances [now] and
+    swaps [prev] and [next] in place at every tick, so a step must not
+    keep the context, or either frame, past its return. *)
 
 (** {1 Reading the previous state} *)
 
@@ -47,11 +50,25 @@ val sym : context -> slot -> string
 (** {1 Writing the next state}
 
     Later writes win, within a component and across components (in world
-    order). A variable no component writes keeps its previous value. *)
+    order). A variable no component writes keeps its previous value.
+
+    Cells are pointer-stable: a write that would not change a cell keeps
+    the block already there, so a run allocates a cell only when its
+    value changes, and the kernel and the trace recorder find the cells
+    that changed by physical comparison. No code may therefore rely on a
+    fresh block per write. *)
 
 val set : context -> slot -> Value.t -> unit
+(** Leaves the cell alone when it already holds [v] physically. *)
+
 val set_float : context -> slot -> float -> unit
+(** Leaves the cell alone when it holds a [Value.Float] with the same bits
+    ([Int64.bits_of_float], never [Float.equal]: [0.] and [-0.], or two
+    NaN payloads, are different values to a trace column). *)
+
 val set_bool : context -> slot -> bool -> unit
+(** Writes one of two shared [Value.Bool] blocks, so a flag allocates
+    nothing. *)
 
 (** {1 Components} *)
 

@@ -15,29 +15,23 @@ let release at var = { at; var; value = Value.Bool false }
     need not be sorted. Binding resolves every event's variable once; each
     tick fires the due events from a cursor into the time-sorted script. *)
 let component ~name ~init events : Component.t =
-  let events = List.stable_sort (fun a b -> Float.compare a.at b.at) events in
+  (* An event at NaN is never due. *)
+  let events =
+    List.stable_sort
+      (fun a b -> Float.compare a.at b.at)
+      (List.filter (fun e -> not (Float.is_nan e.at)) events)
+  in
+  let at = Array.of_list (List.map (fun e -> e.at) events) in
+  let values = Array.of_list (List.map (fun e -> e.value) events) in
   let fired = ref 0 in
   Component.make ~name ~outputs:init (fun slot ->
-      (* An event at NaN is never due. *)
-      let script =
-        Array.of_list
-          (List.filter_map
-             (fun e ->
-               if Float.is_nan e.at then None else Some (e.at, slot e.var, e.value))
-             events)
-      in
+      let slots = Array.of_list (List.map (fun e -> slot e.var) events) in
       fun ctx ->
-        let rec fire () =
-          if !fired < Array.length script then begin
-            let at, s, v = script.(!fired) in
-            if at <= ctx.Component.now +. 1e-12 then begin
-              Component.set ctx s v;
-              incr fired;
-              fire ()
-            end
-          end
-        in
-        fire ())
+        let due = ctx.Component.now +. 1e-12 in
+        while !fired < Array.length at && at.(!fired) <= due do
+          Component.set ctx slots.(!fired) values.(!fired);
+          incr fired
+        done)
 
 (** A float signal driven by a function of time (e.g. a lead vehicle's
     scripted speed profile). *)

@@ -18,6 +18,9 @@ type t = {
   slots : (string, int) Hashtbl.t;  (** variable → slot *)
   initial : Frame.t;
   steps : (Component.context -> unit) array;  (** bound, in world order *)
+  mutable ran : bool;
+      (** the components' state lives in their bound steps: a second run
+          would start where the first ended *)
 }
 
 let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
@@ -57,21 +60,20 @@ let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
   let names = Array.of_list (List.rev !names) in
   let initial = Frame.make !n in
   List.iter (fun (name, v) -> initial.(Hashtbl.find slots name) <- v) init;
-  { dt; names; slots; initial; steps }
+  { dt; names; slots; initial; steps; ran = false }
 
 let slot world name = Hashtbl.find_opt world.slots name
 
-(* One tick: [next] starts as [prev]; every component reads [prev] and
-   writes [next]. *)
-let tick world now prev next =
-  Array.blit prev 0 next 0 (Array.length prev);
-  let ctx = { Component.now; dt = world.dt; prev; next; names = world.names } in
-  Array.iter (fun step -> step ctx) world.steps
+(* Every component reads [ctx.prev] and writes [ctx.next]. *)
+let run_steps world ctx =
+  for k = 0 to Array.length world.steps - 1 do
+    world.steps.(k) ctx
+  done
 
 let step world now prev_state =
   let prev = Frame.of_state world.names prev_state in
   let next = Array.copy prev in
-  tick world now prev next;
+  run_steps world { Component.now; dt = world.dt; prev; next; names = world.names };
   let st = ref prev_state in
   Array.iteri
     (fun s v -> if v != prev.(s) then st := State.set world.names.(s) v !st)
@@ -83,7 +85,18 @@ let state_transform world f ~now frame =
   let st' = f ~now st in
   if st' != st then Frame.load world.names st' frame
 
+(* [next] becomes a copy of [prev]. [next] holds the state before [prev],
+   and cells are pointer-stable, so only the cells that changed in the
+   last tick are written. *)
+let copy_changed (prev : Frame.t) (next : Frame.t) =
+  for s = 0 to Array.length prev - 1 do
+    let v = Array.unsafe_get prev s in
+    if Array.unsafe_get next s != v then Array.unsafe_set next s v
+  done
+
 let run ?stop ?transform ~until world : Trace.t =
+  if world.ran then invalid_arg "Sim.World.run: this world has already run";
+  world.ran <- true;
   let n_max = int_of_float (Float.ceil (until /. world.dt)) in
   let stop =
     Option.map
@@ -95,15 +108,29 @@ let run ?stop ?transform ~until world : Trace.t =
     match stop with None -> false | Some s -> Value.to_bool (Frame.get world.names frame s)
   in
   let buf = Trace.Builder.of_slots ~hint:(n_max + 1) ~dt:world.dt world.names in
-  Trace.Builder.add_frame buf world.initial;
-  let rec go i prev next =
+  (* Both frames start as the initial state; each tick swaps them. *)
+  let ctx =
+    {
+      Component.now = 0.;
+      dt = world.dt;
+      prev = Array.copy world.initial;
+      next = Array.copy world.initial;
+      names = world.names;
+    }
+  in
+  Trace.Builder.add_frame buf ctx.next;
+  let rec go i =
     if i <= n_max then begin
-      let now = float_of_int i *. world.dt in
-      tick world now prev next;
-      Option.iter (fun f -> f ~now next) transform;
-      Trace.Builder.add_frame buf next;
-      if not (stopped next) then go (i + 1) next prev
+      let prev = ctx.next in
+      ctx.next <- ctx.prev;
+      ctx.prev <- prev;
+      copy_changed prev ctx.next;
+      ctx.now <- float_of_int i *. world.dt;
+      run_steps world ctx;
+      (match transform with None -> () | Some f -> f ~now:ctx.now ctx.next);
+      Trace.Builder.add_frame buf ctx.next;
+      if not (stopped ctx.next) then go (i + 1)
     end
   in
-  go 1 (Array.copy world.initial) (Frame.make (Array.length world.names));
+  go 1;
   Trace.Builder.finish buf

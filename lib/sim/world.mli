@@ -3,13 +3,19 @@
     {!make} interns every variable of the world — initial values, each
     component's outputs, and every name a component binds — to an integer
     slot, and binds every component once. A run then keeps two frames
-    ({!Tl.Frame}), the previous and the next state. At each tick the next
-    frame starts as a copy of the previous one (so variables not written
-    keep their values), every component reads the previous frame and
-    writes the next one, and the two are swapped. The recorded trace
-    therefore has exactly the one-state observation delay assumed by the
-    thesis's goal semantics, and a tick performs no string, hash-table or
-    map operation.
+    ({!Tl.Frame}), the previous and the next state, and one
+    {!Component.context}. At each tick the two are swapped and the next
+    frame becomes a copy of the previous one (so variables not written
+    keep their values): it held the state before, and cells are
+    pointer-stable ({!Component.set_float}), so only the cells that
+    changed are copied. Every component then reads the previous frame and
+    writes the next one. The recorded trace therefore has exactly the
+    one-state observation delay assumed by the thesis's goal semantics,
+    and a tick performs no string, hash-table or map operation.
+
+    A world runs once. Its components keep their state (stimulus cursors,
+    integrators, latches) in the steps bound by {!make}, so a second run
+    would start where the first ended: build a fresh world per run.
 
     {!step} and {!state_transform} are [State.t] adapters over the same
     kernel, for callers that hold states rather than frames. *)
@@ -53,7 +59,8 @@ val run :
     ({!Inject.Plan.frame_interposer}): with the double-buffered kernel, an
     interposed value is exactly what every component and monitor observes
     on the following tick. The initial state is not transformed.
-    @raise Tl.State.Unbound when [stop] names no variable of the world. *)
+    @raise Tl.State.Unbound when [stop] names no variable of the world.
+    @raise Invalid_argument when the world has already run. *)
 
 val step : t -> float -> State.t -> State.t
 (** [step world now prev] — the state at time [now] from the previous

@@ -145,6 +145,12 @@ module Builder = struct
     index : (string, bcolumn) Hashtbl.t;
     names : string array;  (* slot -> variable, for [add_frame] *)
     slots : bcolumn option array;  (* slot -> its column, once opened *)
+    cells : Value.t array;
+        (* slot -> the cell [add_frame] found at the previous row
+           ([Frame.absent] when absent). While a slot's cell stays
+           physically the same, its column records nothing: [last] lags
+           behind, and [catch_up] repeats the cell up to the current row
+           at the slot's next change and at [finish]. *)
   }
 
   let make ~hint ~dt names =
@@ -156,6 +162,7 @@ module Builder = struct
       index = Hashtbl.create 64;
       names;
       slots = Array.make (Array.length names) None;
+      cells = Frame.make (Array.length names);
     }
 
   let create ?(hint = 1024) ~dt () =
@@ -283,6 +290,16 @@ module Builder = struct
       if is_present c i then store_cell b c i k
     done
 
+  (* The presence bytes of a column with a gap, long enough for [row]. *)
+  let gap_bytes b c p row =
+    if Bytes.length p > row then p
+    else begin
+      let p' = Bytes.make b.cap '\000' in
+      Bytes.blit p 0 p' 0 (Bytes.length p);
+      c.pres <- Some p';
+      p'
+    end
+
   (* Record the column present at [row], later than every earlier row. *)
   let mark_present b c row =
     (match c.pres with
@@ -292,18 +309,27 @@ module Builder = struct
         Bytes.fill p c.first (c.last - c.first + 1) '\001';
         Bytes.set p row '\001';
         c.pres <- Some p
-    | Some p ->
-        let p =
-          if Bytes.length p > row then p
-          else begin
-            let p' = Bytes.make b.cap '\000' in
-            Bytes.blit p 0 p' 0 (Bytes.length p);
-            c.pres <- Some p';
-            p'
-          end
-        in
-        Bytes.set p row '\001');
+    | Some p -> Bytes.set (gap_bytes b c p row) row '\001');
     c.last <- row
+
+  (* Rows [c.last + 1 .. row] repeat the cell of row [c.last]. *)
+  let catch_up b c row =
+    let from = c.last + 1 in
+    if row >= from then begin
+      let n = row - from + 1 in
+      ensure b c;
+      (match c.store with
+      | GK _ -> ()
+      | GF a -> Float.Array.fill a from n (Float.Array.get a c.last)
+      | GI a -> Array.fill a from n a.(c.last)
+      | GB s -> Bytes.fill s from n (Bytes.get s c.last)
+      | GS g -> Bytes.fill g.ids from n (Bytes.get g.ids c.last)
+      | GV a -> Array.fill a from n a.(c.last));
+      (match c.pres with
+      | None -> ()
+      | Some p -> Bytes.fill (gap_bytes b c p row) from n '\001');
+      c.last <- row
+    end
 
   let write b c row (v : Value.t) =
     (match c.store with
@@ -331,21 +357,29 @@ module Builder = struct
   (* Columns absent from a state record nothing: their presence is
      derived from [first], [last] and the gap bytes. *)
   let add b (st : State.t) =
+    if Array.length b.names > 0 then
+      invalid_arg "Trace.Builder.add: a builder made by of_slots takes frames";
     let row = b.rows in
     if row >= b.cap then b.cap <- b.cap * 2;
     State.iter (fun name v -> ignore (column_of b name row v)) st;
     b.rows <- row + 1
 
+  (* Only a cell that is not physically the one of the previous row is
+     recorded, after its column catches up to the previous row. *)
   let add_frame b (f : Frame.t) =
     let row = b.rows in
     if row >= b.cap then b.cap <- b.cap * 2;
-    let slots = b.slots in
+    let slots = b.slots and cells = b.cells in
     for s = 0 to Array.length slots - 1 do
-      let v = f.(s) in
-      if v != Frame.absent then
+      let v = f.(s) and p = cells.(s) in
+      if v != p then begin
+        cells.(s) <- v;
         match slots.(s) with
-        | Some c -> write b c row v
+        | Some c ->
+            if p != Frame.absent then catch_up b c (row - 1);
+            if v != Frame.absent then write b c row v
         | None -> slots.(s) <- Some (column_of b b.names.(s) row v)
+      end
     done;
     b.rows <- row + 1
 
@@ -396,6 +430,12 @@ module Builder = struct
 
   let finish b : t =
     let len = b.rows in
+    Array.iteri
+      (fun s v ->
+        match b.slots.(s) with
+        | Some c when v != Frame.absent -> catch_up b c (len - 1)
+        | _ -> ())
+      b.cells;
     (* Columns that stopped being written early may hold stores shorter
        than the trace; grow every store to at least [len] so trimming is
        total (the grown tail is padding under absent presence). *)

@@ -110,12 +110,18 @@ module Builder : sig
   val add : b -> State.t -> unit
   (** Append one state. Variables never seen before open a new column
       (absent in all earlier states); variables missing from this state
-      are recorded as absent. *)
+      are recorded as absent.
+      @raise Invalid_argument on a builder made by {!of_slots} with at
+      least one slot: such a builder takes only frames. *)
 
   val add_frame : b -> Frame.t -> unit
   (** Append one frame, exactly as [add (Frame.to_state names f)] would,
       without building the state: {!Frame.absent} cells are recorded as
-      absent. *)
+      absent. The builder keeps the cell it found in each slot at the
+      previous row: a cell that is physically the same is not recorded
+      again until the slot next changes or {!finish} runs. Cells are
+      immutable, so the caller may reuse and mutate its frames in place
+      between calls (the kernel alternates two). *)
 
   val length : b -> int
 

@@ -52,12 +52,18 @@ type feature = {
   mutable blocked : bool;  (** overridden while pedals applied *)
   mutable was_overridden : bool;
   mutable latched : bool;  (** 'selected' flag held past the source change *)
-  mutable latch_left : float;
+  latch : latch;
 }
+
+(* The timers are all-float records, so that they are stored unboxed. *)
+and latch = { mutable latch_left : float }
 
 type state = {
   mutable cur : feature option;  (** current acceleration source; [None] = the driver *)
   mutable pend : feature option;
+}
+
+type timers = {
   mutable pend_t : float;
   mutable override_t : float;
   mutable last_steer : float;
@@ -68,6 +74,42 @@ let hard_stop_request ~v request =
   if v >= 0. then request < hard_brake else request > -.hard_brake
 
 let driver = Value.Sym "Driver"
+let is_cur st f = match st.cur with Some c -> c == f | None -> false
+let requesting ctx f = Sim.Component.(bool ctx f.io.active && bool ctx f.io.req_accel)
+let steering ctx f = Sim.Component.(bool ctx f.io.active && bool ctx f.io.req_steer)
+
+(* The index in [prio] of the first feature [p] holds for, or [-1]. Like
+   a filter, [p] reads every feature. *)
+let first p ctx prio =
+  let found = ref (-1) in
+  for i = 0 to Array.length prio - 1 do
+    if p ctx prio.(i) && !found < 0 then found := i
+  done;
+  !found
+
+(* Whether the top candidate [f] may take control from the driver. An
+   overridden feature stays blocked while the pedals are applied, but an
+   emergency stop request is never blocked (§5.2.3). The repaired arbiter
+   refuses to select a feature while the pedals are applied unless it is
+   demanding an emergency stop; the evaluated arbiter checks the pedals
+   only after selection, via the override logic. *)
+let selectable (defects : Defects.t) ctx ~pedals ~v f =
+  let open Sim.Component in
+  (not (f.blocked && pedals && not (hard_stop_request ~v (float ctx f.io.accel_req))))
+  && (defects.Defects.arbiter_selects_under_pedals
+     || (not pedals)
+     || hard_stop_request ~v (float ctx f.io.accel_req))
+
+let pend_on st tm ~dt f =
+  match st.pend with
+  | Some p when p == f -> tm.pend_t <- tm.pend_t +. dt
+  | _ ->
+      st.pend <- Some f;
+      tm.pend_t <- dt
+
+let unpend st tm =
+  st.pend <- None;
+  tm.pend_t <- 0.
 
 let component ?(timing = default_timing) (defects : Defects.t) =
   let { select_debounce; reselect_debounce; override_debounce; latch_time } = timing in
@@ -93,16 +135,19 @@ let component ?(timing = default_timing) (defects : Defects.t) =
           blocked = false;
           was_overridden = false;
           latched = false;
-          latch_left = 0.;
+          latch = { latch_left = 0. };
         }
       in
-      let features = List.map bind features in
-      let feature f = List.find (fun x -> x.fname = f) features in
+      let bound = List.map bind features in
+      let feature f = List.find (fun x -> x.fname = f) bound in
       let accel_priority = List.map feature accel_priority in
       let steer_priority =
         if defects.Defects.arbiter_steering_priority_reversed then List.rev accel_priority
         else accel_priority
       in
+      let features = Array.of_list bound in
+      let accel_priority = Array.of_list accel_priority in
+      let steer_priority = Array.of_list steer_priority in
       let lca = feature "LCA" and pa = feature "PA" and acc = feature "ACC" in
       let host_speed = slot host_speed and throttle_pedal = slot throttle_pedal in
       let brake_pedal = slot brake_pedal and gear = slot gear in
@@ -113,10 +158,8 @@ let component ?(timing = default_timing) (defects : Defects.t) =
       let va_source = slot va_source and steer_cmd = slot steer_cmd in
       let steer_source = slot steer_source and vst_source = slot vst_source in
       let driver_selected = slot driver_selected in
-      let st =
-        { cur = None; pend = None; pend_t = 0.; override_t = 0.; last_steer = 0. }
-      in
-      let is_cur f = match st.cur with Some c -> c == f | None -> false in
+      let st = { cur = None; pend = None } in
+      let tm = { pend_t = 0.; override_t = 0.; last_steer = 0. } in
       fun ctx ->
         let open Sim.Component in
         let dt = ctx.dt in
@@ -124,80 +167,60 @@ let component ?(timing = default_timing) (defects : Defects.t) =
         let throttle = float ctx throttle_pedal in
         let brake = float ctx brake_pedal in
         let pedals = throttle > 0.05 || brake > 0.05 in
-        let req_of f = float ctx f.io.accel_req in
-        let requesting f = bool ctx f.io.active && bool ctx f.io.req_accel in
-        if not pedals then List.iter (fun f -> f.blocked <- false) features;
+        if not pedals then
+          for i = 0 to Array.length features - 1 do
+            features.(i).blocked <- false
+          done;
         (* --- acceleration arbitration --- *)
-        let candidates = List.filter requesting accel_priority in
-        let top = match candidates with [] -> None | f :: _ -> Some f in
+        let top = first requesting ctx accel_priority in
         (* override evaluation of the currently selected feature *)
         (match st.cur with
-        | None -> st.override_t <- 0.
+        | None -> tm.override_t <- 0.
         | Some f ->
-            if requesting f then begin
-              if pedals && not (hard_stop_request ~v (req_of f)) then begin
-                st.override_t <- st.override_t +. dt;
-                if st.override_t >= override_debounce then begin
+            if requesting ctx f then begin
+              if pedals && not (hard_stop_request ~v (float ctx f.io.accel_req)) then begin
+                tm.override_t <- tm.override_t +. dt;
+                if tm.override_t >= override_debounce then begin
                   st.cur <- None;
                   f.blocked <- true;
                   f.was_overridden <- true;
-                  st.override_t <- 0.
+                  tm.override_t <- 0.
                 end
               end
-              else st.override_t <- 0.
+              else tm.override_t <- 0.
             end
             else begin
               (* the feature withdrew: fall back immediately *)
               st.cur <- None;
-              st.override_t <- 0.
+              tm.override_t <- 0.
             end);
-        (* selection of a new source. The repaired arbiter refuses to select
-           a feature while the pedals are applied unless it is demanding an
-           emergency stop; the evaluated arbiter checks the pedals only after
-           selection, via the override logic. *)
-        let pedal_gate f =
-          defects.Defects.arbiter_selects_under_pedals
-          || (not pedals)
-          || hard_stop_request ~v (req_of f)
-        in
-        let blocked_now f =
-          (* an overridden feature stays blocked while the pedals are applied —
-             but an emergency stop request is never blocked (§5.2.3) *)
-          f.blocked && pedals && not (hard_stop_request ~v (req_of f))
-        in
-        let pend_on f =
-          match st.pend with
-          | Some p when p == f -> st.pend_t <- st.pend_t +. dt
-          | _ ->
-              st.pend <- Some f;
-              st.pend_t <- dt
-        in
-        (match top with
-        | Some f when Option.is_none st.cur && (not (blocked_now f)) && pedal_gate f ->
-            (* defect-adjacent: LCA bypasses the debounce *)
-            if f == lca then st.cur <- Some f
-            else begin
-              let threshold =
-                if f.was_overridden then reselect_debounce else select_debounce
-              in
-              pend_on f;
-              if st.pend_t >= threshold then begin
-                st.cur <- Some f;
-                st.pend <- None;
-                st.pend_t <- 0.
-              end
-            end
-        | Some f when Option.is_some st.cur && not (is_cur f) ->
-            (* a higher-priority feature preempts after the debounce *)
-            pend_on f;
-            if st.pend_t >= select_debounce then begin
-              st.cur <- Some f;
-              st.pend <- None;
-              st.pend_t <- 0.
-            end
-        | _ ->
-            st.pend <- None;
-            st.pend_t <- 0.);
+        (* selection of a new source *)
+        (if top < 0 then unpend st tm
+         else
+           let f = accel_priority.(top) in
+           if Option.is_none st.cur && selectable defects ctx ~pedals ~v f then begin
+             (* defect-adjacent: LCA bypasses the debounce *)
+             if f == lca then st.cur <- Some f
+             else begin
+               let threshold =
+                 if f.was_overridden then reselect_debounce else select_debounce
+               in
+               pend_on st tm ~dt f;
+               if tm.pend_t >= threshold then begin
+                 st.cur <- Some f;
+                 unpend st tm
+               end
+             end
+           end
+           else if Option.is_some st.cur && not (is_cur st f) then begin
+             (* a higher-priority feature preempts after the debounce *)
+             pend_on st tm ~dt f;
+             if tm.pend_t >= select_debounce then begin
+               st.cur <- Some f;
+               unpend st tm
+             end
+           end
+           else unpend st tm);
         (* driver demand *)
         let driver_demand =
           if brake > 0.05 then
@@ -206,89 +229,85 @@ let component ?(timing = default_timing) (defects : Defects.t) =
             let dir = if sym ctx gear = "R" then -1. else 1. in
             dir *. 2.5 *. throttle
         in
-        let cmd = match st.cur with None -> driver_demand | Some f -> req_of f in
+        let cmd =
+          match st.cur with None -> driver_demand | Some f -> float ctx f.io.accel_req
+        in
         (* --- steering arbitration --- *)
-        let steer_candidates =
-          List.filter
-            (fun f -> bool ctx f.io.active && bool ctx f.io.req_steer)
-            steer_priority
-        in
+        let steer_top = first steering ctx steer_priority in
         let wheel = bool ctx steering_wheel_active in
-        let steer_winner =
-          if wheel then None
-          else match steer_candidates with [] -> None | f :: _ -> Some f
+        let winner = if wheel then -1 else steer_top in
+        let s_cmd =
+          if winner < 0 then tm.last_steer
+          else
+            let f = steer_priority.(winner) in
+            if f == lca && defects.Defects.lca_steering_ignored then tm.last_steer
+            else float ctx f.io.steer_req
         in
-        let s_cmd, s_src =
-          match steer_winner with
-          | None -> (st.last_steer, None)
-          | Some f ->
-              let value =
-                if f == lca && defects.Defects.lca_steering_ignored then st.last_steer
-                else float ctx f.io.steer_req
-              in
-              (value, Some f)
-        in
-        st.last_steer <- s_cmd;
+        tm.last_steer <- s_cmd;
         (* Defect: the steering stage determines which acceleration request
            value is passed along (§5.4.2). *)
         let cmd =
-          match steer_winner with
-          | Some f
-            when defects.Defects.arbiter_steering_priority_reversed
-                 && Option.is_some st.cur ->
-              req_of f
-          | _ -> cmd
+          if
+            winner >= 0
+            && defects.Defects.arbiter_steering_priority_reversed
+            && Option.is_some st.cur
+          then float ctx steer_priority.(winner).io.accel_req
+          else cmd
         in
         (* Defect: wrong slot routed when PA is the acceleration source. *)
         let cmd =
-          if is_cur pa && defects.Defects.pa_command_mismatch then
+          if is_cur st pa && defects.Defects.pa_command_mismatch then
             float ctx pa.io.steer_req
           else cmd
         in
         (* --- selected flags, with the latch defect --- *)
-        let selected_now f =
-          is_cur f
-          || (match s_src with Some g -> g == f | None -> false)
-          || (defects.Defects.arbiter_dual_selected && f == acc && is_cur lca)
-          (* Defect: the HMI engage request drives the 'selected' indicator
-             directly, even when the activation failed — the Fig. 5.15
-             phantom attribution. *)
-          || defects.Defects.arbiter_dual_selected
-             && f == acc
-             && bool ctx acc_engage
-             && bool ctx acc_enabled
-             && not (bool ctx acc.io.active)
-        in
-        List.iter
-          (fun f ->
-            if selected_now f then begin
-              f.latched <- true;
-              f.latch_left <- latch_time
-            end
-            else if
-              f.latched
-              && f.latch_left -. dt > 0.
-              && defects.Defects.arbiter_selected_latch
-            then f.latch_left <- f.latch_left -. dt
-            else f.latched <- false)
-          features;
+        for i = 0 to Array.length features - 1 do
+          let f = features.(i) in
+          let selected_now =
+            is_cur st f
+            || (winner >= 0 && steer_priority.(winner) == f)
+            || (defects.Defects.arbiter_dual_selected && f == acc && is_cur st lca)
+            (* Defect: the HMI engage request drives the 'selected' indicator
+               directly, even when the activation failed — the Fig. 5.15
+               phantom attribution. *)
+            || defects.Defects.arbiter_dual_selected
+               && f == acc
+               && bool ctx acc_engage
+               && bool ctx acc_enabled
+               && not (bool ctx acc.io.active)
+          in
+          if selected_now then begin
+            f.latched <- true;
+            f.latch.latch_left <- latch_time
+          end
+          else if
+            f.latched
+            && f.latch.latch_left -. dt > 0.
+            && defects.Defects.arbiter_selected_latch
+          then f.latch.latch_left <- f.latch.latch_left -. dt
+          else f.latched <- false
+        done;
         (* The flag-derived attribution (the only attribution visible outside
            the arbiter) follows the latched 'selected' flags: during the latch
            window a transient is still attributed to the subsystem (§5.4.1). *)
         let flag_attribution =
           match st.cur with
           | Some f -> f.fsym
-          | None -> (
-              match List.find_opt (fun f -> f.latched) accel_priority with
-              | Some f when defects.Defects.arbiter_selected_latch -> f.fsym
-              | _ -> driver)
+          | None ->
+              let latched = first (fun _ f -> f.latched) ctx accel_priority in
+              if latched >= 0 && defects.Defects.arbiter_selected_latch then
+                accel_priority.(latched).fsym
+              else driver
         in
-        let source = function Some f -> f.fsym | None -> driver in
+        let source = match st.cur with Some f -> f.fsym | None -> driver in
+        let steer_src = if winner >= 0 then steer_priority.(winner).fsym else driver in
         set_float ctx accel_cmd cmd;
-        set ctx accel_source (source st.cur);
+        set ctx accel_source source;
         set ctx va_source flag_attribution;
         set_float ctx steer_cmd s_cmd;
-        set ctx steer_source (source s_src);
-        set ctx vst_source (source s_src);
+        set ctx steer_source steer_src;
+        set ctx vst_source steer_src;
         set_bool ctx driver_selected (Option.is_none st.cur);
-        List.iter (fun f -> set_bool ctx f.selected_slot f.latched) features)
+        for i = 0 to Array.length features - 1 do
+          set_bool ctx features.(i).selected_slot features.(i).latched
+        done)

@@ -24,10 +24,12 @@ let jerk_rate = 2.0
 let min_engage_speed = 0.3
 let desired_gap = 6.0
 
+(* The controller's memory, all floats so that it is stored unboxed. *)
+type control = { mutable integ : float; mutable prev_req : float }
+
 let component (defects : Defects.t) =
   let active_state = ref false in
-  let integ = ref 0. in
-  let prev_req = ref 0. in
+  let c = { integ = 0.; prev_req = 0. } in
   let prev_engage = ref false in
   Sim.Component.make ~name:"ACC" ~outputs:(Feature_io.outputs "ACC") (fun slot ->
       let out = Feature_io.bind slot "ACC" in
@@ -52,7 +54,7 @@ let component (defects : Defects.t) =
            let gear_ok = defects.Defects.acc_no_gear_check || in_drive in
            if enabled && gear_ok && Float.abs v >= min_engage_speed then begin
              active_state := true;
-             integ := 0.
+             c.integ <- 0.
            end);
         prev_engage := engage;
         if not enabled then active_state := false;
@@ -60,42 +62,44 @@ let component (defects : Defects.t) =
         let detected = bool ctx object_detected in
         let range = float ctx object_range in
         let lead_v = float ctx lead_speed in
-        let target_of set_speed =
-          if detected && range < Float.max 10. (2.0 *. Float.abs v *. 1.5) then
-            Float.min set_speed (lead_v +. (0.25 *. (range -. desired_gap)))
-          else set_speed
-        in
-        let control set_speed =
-          let target = target_of set_speed in
-          let target =
-            if (not defects.Defects.acc_no_standstill_clamp) && target < 0. then 0.
-            else target
-          in
-          let err = target -. v in
-          let selected = sym ctx accel_source = "ACC" || sym ctx accel_source = "LCA" in
-          if selected || defects.Defects.acc_integrator_windup then
-            integ := !integ +. (err *. dt);
-          let raw = (kp *. err) +. (ki *. !integ) in
-          let raw = Float.max request_min (Float.min request_max raw) in
-          let raw =
-            if (not defects.Defects.acc_no_standstill_clamp) && v <= 0.01 then
-              Float.max 0. raw
-            else raw
-          in
-          (* jerk limiter *)
-          let step = jerk_rate *. dt in
-          let r = !prev_req +. Float.max (-.step) (Float.min step (raw -. !prev_req)) in
-          prev_req := r;
-          r
-        in
         let request =
-          if !active_state then control set
-          else if enabled && defects.Defects.acc_controls_when_disengaged then
-            (* uninitialized set speed: controls the vehicle toward 0 m/s *)
-            control 0.
+          if !active_state || (enabled && defects.Defects.acc_controls_when_disengaged)
+          then begin
+            (* engaged: control to the set speed; merely enabled with the
+               defect: the uninitialized set speed controls the vehicle
+               toward 0 m/s *)
+            let set_speed = if !active_state then set else 0. in
+            let target =
+              if detected && range < Float.max 10. (2.0 *. Float.abs v *. 1.5) then
+                Float.min set_speed (lead_v +. (0.25 *. (range -. desired_gap)))
+              else set_speed
+            in
+            let target =
+              if (not defects.Defects.acc_no_standstill_clamp) && target < 0. then 0.
+              else target
+            in
+            let err = target -. v in
+            let selected = sym ctx accel_source = "ACC" || sym ctx accel_source = "LCA" in
+            if selected || defects.Defects.acc_integrator_windup then
+              c.integ <- c.integ +. (err *. dt);
+            let raw = (kp *. err) +. (ki *. c.integ) in
+            let raw = Float.max request_min (Float.min request_max raw) in
+            let raw =
+              if (not defects.Defects.acc_no_standstill_clamp) && v <= 0.01 then
+                Float.max 0. raw
+              else raw
+            in
+            (* jerk limiter *)
+            let step = jerk_rate *. dt in
+            let r =
+              c.prev_req +. Float.max (-.step) (Float.min step (raw -. c.prev_req))
+            in
+            c.prev_req <- r;
+            r
+          end
           else begin
-            prev_req := 0.;
-            integ := 0.;
+            c.prev_req <- 0.;
+            c.integ <- 0.;
             0.
           end
         in

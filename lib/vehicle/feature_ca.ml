@@ -17,10 +17,13 @@ let brake_request = -9.0
 
 let release_jerk_limit = 2.0 (* m/s^3: the repaired CA releases gradually *)
 
+(* All floats, so that it is stored unboxed. *)
+type request = { mutable prev_req : float }
+
 let component (defects : Defects.t) =
   let engaged = ref false in
   let releasing = ref false in
-  let prev_req = ref 0. in
+  let r = { prev_req = 0. } in
   Sim.Component.make ~name:"CA" ~outputs:(Feature_io.outputs "CA") (fun slot ->
       let out = Feature_io.bind slot "CA" in
       let enabled = slot (enabled "CA") in
@@ -63,9 +66,9 @@ let component (defects : Defects.t) =
          end
          else if not (enabled && forward_gear) then begin
            engaged := false;
-           releasing := !releasing && !prev_req < -0.01
+           releasing := !releasing && r.prev_req < -0.01
          end);
-        if !releasing && !prev_req >= -0.01 then releasing := false;
+        if !releasing && r.prev_req >= -0.01 then releasing := false;
         let raw =
           if !engaged then
             if (not defects.Defects.ca_no_hysteresis) && Float.abs speed < 0.01 then -0.25
@@ -77,9 +80,9 @@ let component (defects : Defects.t) =
            jerk-limited, while the defective CA drops the request instantly —
            the Fig. 5.2 step and the 2B.CA violations. *)
         let request =
-          if raw <= !prev_req || defects.Defects.ca_no_hysteresis then raw
-          else Float.min raw (!prev_req +. (release_jerk_limit *. ctx.dt))
+          if raw <= r.prev_req || defects.Defects.ca_no_hysteresis then raw
+          else Float.min raw (r.prev_req +. (release_jerk_limit *. ctx.dt))
         in
-        prev_req := request;
+        r.prev_req <- request;
         Feature_io.write ctx out ~active:still_active ~accel_req:request
           ~req_accel:still_active ~steer_req:0. ~req_steer:false)

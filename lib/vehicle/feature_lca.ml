@@ -11,9 +11,12 @@ let steer_angle = 12.0 (* degrees *)
 let maneuver_delay = 0.05
 let maneuver_time = 2.5
 
+(* All floats, so that it is stored unboxed. *)
+type clock = { mutable active_since : float }
+
 let component (_defects : Defects.t) =
   let active_state = ref false in
-  let active_since = ref 0. in
+  let c = { active_since = 0. } in
   let prev_engage = ref false in
   Sim.Component.make ~name:"LCA" ~outputs:(Feature_io.outputs "LCA") (fun slot ->
       let out = Feature_io.bind slot "LCA" in
@@ -29,11 +32,11 @@ let component (_defects : Defects.t) =
         let acc_on = bool ctx acc_active in
         (if engage && (not !prev_engage) && enabled && acc_on then begin
            active_state := true;
-           active_since := now
+           c.active_since <- now
          end);
         prev_engage := engage;
         if not (enabled && acc_on) then active_state := false;
-        let elapsed = now -. !active_since in
+        let elapsed = now -. c.active_since in
         let maneuvering =
           !active_state
           && elapsed >= maneuver_delay

@@ -18,10 +18,13 @@ let ghost_profile now =
 
 let request_jerk_limit = 2.0 (* m/s^3: engaged-mode requests are ramped *)
 
+(* All floats, so that it is stored unboxed. *)
+type request = { mutable prev_req : float }
+
 let component (defects : Defects.t) =
   let active_state = ref false in
   let prev_engage = ref false in
-  let prev_req = ref 0. in
+  let r = { prev_req = 0. } in
   Sim.Component.make ~name:"PA" ~outputs:(Feature_io.outputs "PA") (fun slot ->
       let out = Feature_io.bind slot "PA" in
       let enabled = slot (enabled "PA") in
@@ -35,29 +38,25 @@ let component (defects : Defects.t) =
         prev_engage := engage;
         if not enabled then active_state := false;
         let v = float ctx host_speed in
-        let ramp target =
+        if !active_state then begin
+          (* align phase (searching for a space: steering authority is
+             claimed but the request is still neutral, and speed is held),
+             or creep phase from standstill; either request is ramped *)
+          let align = Float.abs v > 0.3 in
+          let target = if align then 0. else 0.3 in
           let step = request_jerk_limit *. ctx.dt in
-          let r =
-            !prev_req +. Float.max (-.step) (Float.min step (target -. !prev_req))
+          let req =
+            r.prev_req +. Float.max (-.step) (Float.min step (target -. r.prev_req))
           in
-          prev_req := r;
-          r
-        in
-        if !active_state then
-          if Float.abs v > 0.3 then
-            (* align phase: searching for a space — steering authority is
-               claimed but the request is still neutral, and speed is held *)
-            Feature_io.write ctx out ~active:true ~accel_req:(ramp 0.) ~req_accel:true
-              ~steer_req:0. ~req_steer:true
-          else
-            (* creep phase from standstill *)
-            Feature_io.write ctx out ~active:true ~accel_req:(ramp 0.3) ~req_accel:true
-              ~steer_req:0. ~req_steer:false
+          r.prev_req <- req;
+          Feature_io.write ctx out ~active:true ~accel_req:req ~req_accel:true
+            ~steer_req:0. ~req_steer:align
+        end
         else begin
           let g =
             if defects.Defects.pa_ghost_requests then ghost_profile ctx.now else 0.
           in
-          prev_req := g;
+          r.prev_req <- g;
           Feature_io.write ctx out ~active:false ~accel_req:g ~req_accel:false
             ~steer_req:0. ~req_steer:false
         end)

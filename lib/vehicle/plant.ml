@@ -42,13 +42,18 @@ let lead_vehicle objects =
         set_float ctx lead_pos (p +. (v *. ctx.dt));
         set_float ctx lead_speed v)
 
+(* The host's integrator state, all floats so that it is stored unboxed. *)
+type host_state = {
+  mutable jerk_state : float;  (** da/dt of the second-order response *)
+  mutable creep_left : float;  (** seconds of leaked creep torque left *)
+}
+
 (** Host longitudinal dynamics, including the engage-creep defect
     (Fig. 5.15) and collision detection (the thesis's early-termination
     condition). *)
 let host ?(dynamics = default_dynamics) (defects : Defects.t) =
   let { omega_n; zeta } = dynamics in
-  let jerk_state = ref 0. in
-  let creep_left = ref 0. in
+  let st = { jerk_state = 0.; creep_left = 0. } in
   Sim.Component.make ~name:"HostDynamics"
     ~outputs:
       [
@@ -79,21 +84,21 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
           && bool ctx acc_engage
           && Float.abs v < 0.05
           && not (bool ctx acc_active)
-        then creep_left := 3.0;
+        then st.creep_left <- 3.0;
         let creep =
-          if !creep_left > 0. then begin
-            creep_left := !creep_left -. dt;
+          if st.creep_left > 0. then begin
+            st.creep_left <- st.creep_left -. dt;
             0.8
           end
           else 0.
         in
         let u = u +. creep in
         (* Second-order response; [jerk_state] is da/dt. *)
-        let s = !jerk_state in
+        let s = st.jerk_state in
         let s' =
           s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt
         in
-        jerk_state := s';
+        st.jerk_state <- s';
         let a' = a +. (s' *. dt) in
         (* Standing still with no drive torque (or with the brake applied
            against the direction of travel): friction holds the vehicle. *)
@@ -176,15 +181,14 @@ let jerk_derivation () =
   Sim.Component.make ~name:"JerkDerivation"
     ~outputs:(List.map (fun (_, out) -> (out, Value.Float 0.)) tracked)
     (fun slot ->
-      let pairs =
-        Array.of_list (List.map (fun (src, out) -> (slot src, slot out)) tracked)
-      in
+      let pairs = List.map (fun (src, out) -> (slot src, slot out)) tracked in
+      let srcs = Array.of_list (List.map fst pairs) in
+      let outs = Array.of_list (List.map snd pairs) in
       fun ctx ->
-        Array.iteri
-          (fun k (src, out) ->
-            let v = Sim.Component.float ctx src in
-            let prev = if !primed then last.(k) else v in
-            last.(k) <- v;
-            Sim.Component.set_float ctx out ((v -. prev) /. ctx.Sim.Component.dt))
-          pairs;
+        for k = 0 to Array.length srcs - 1 do
+          let v = Sim.Component.float ctx srcs.(k) in
+          let prev = if !primed then last.(k) else v in
+          last.(k) <- v;
+          Sim.Component.set_float ctx outs.(k) ((v -. prev) /. ctx.Sim.Component.dt)
+        done;
         primed := true)

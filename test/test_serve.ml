@@ -165,7 +165,8 @@ let submit s ?deadline_s spec =
   Serve.Wire.Frame.write s.fd (Serve.Wire.Submit { spec; deadline_s })
 
 (* Grid specs. [quick] is one scenario (two simulations); [slow] spans
-   enough cells that tests can interrupt it mid-flight. *)
+   enough cells that tests can interrupt it mid-flight: its 20 cells take
+   about 0.75 s on 2 cores, several of the daemon's 0.2-s loop passes. *)
 let quick_spec =
   {
     Serve.Wire.seed = 42;
@@ -179,7 +180,7 @@ let slow_spec =
   {
     Serve.Wire.seed = 43;
     faults = [ "stuck=3:ca_accel_req"; "delay=150:accel_cmd" ];
-    scenarios = [ 1; 2; 3; 4; 5 ];
+    scenarios = List.init 10 (fun i -> i + 1);
     window = None;
     retries = 0;
   }
@@ -393,14 +394,17 @@ let test_deadline_kills_without_stalling_others () =
   let d = start_daemon () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
   (* A slowloris-ish client: submits a long campaign with a short
-     deadline and then never reads another frame. The campaign covers
-     all ten scenarios: [slow_spec]'s five run in about 0.8 s on 2
+     deadline and then never reads another frame. The campaign adds a
+     third fault to [slow_spec]: its 20 cells run in about 0.75 s on 2
      cores, so its last cell could start before the kill, which lands
      up to one 0.2-s pass of the server loop after the deadline. *)
   let s = connect d in
   expect_welcome s;
   submit s ~deadline_s:0.5
-    { slow_spec with Serve.Wire.scenarios = List.init 10 (fun i -> i + 1) };
+    {
+      slow_spec with
+      Serve.Wire.faults = slow_spec.Serve.Wire.faults @ [ "noise=0.25:object_closing_speed" ];
+    };
   (match recv s with
   | Serve.Wire.Accepted _ -> ()
   | _ -> Alcotest.fail "slow submission must be admitted");
@@ -630,7 +634,7 @@ let test_sigkill_restart_resumes_both () =
   expect_accept s1;
   let s2 = connect d in
   expect_welcome s2;
-  let other = { slow_spec with Serve.Wire.seed = 45; scenarios = [ 1; 2; 3 ] } in
+  let other = { slow_spec with Serve.Wire.seed = 45; scenarios = [ 1; 2; 3; 4; 5 ] } in
   submit s2 other;
   expect_accept s2;
   wait_progress ~at_least:2 s1;

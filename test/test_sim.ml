@@ -76,6 +76,18 @@ let test_early_termination () =
   let tr = Sim.World.run ~stop:"done" ~until:100. w in
   Alcotest.(check int) "stopped at n=3 (states 0..3)" 4 (Trace.length tr)
 
+(* Components keep their state in the steps bound by [World.make], so a
+   second run of one world would start where the first ended (a stimulus
+   whose cursor is past its last event, integrators already wound up). *)
+let test_world_runs_once () =
+  let s =
+    Sim.Stimulus.component ~name:"s" ~init:[ ("v", f 0.) ] [ Sim.Stimulus.set 0.2 "v" (f 1.) ]
+  in
+  let w = Sim.World.make ~dt:0.1 [ s ] in
+  ignore (Sim.World.run ~until:0.5 w);
+  Alcotest.check_raises "second run" (Invalid_argument "Sim.World.run: this world has already run")
+    (fun () -> ignore (Sim.World.run ~until:0.5 w))
+
 let test_determinism () =
   let run () =
     let tr = Elevator.Simulation.run () in
@@ -311,6 +323,10 @@ type expr =
   | Copy of string  (** the previous value of a variable *)
   | Bump of string  (** a type-preserving change of a variable's value *)
   | Clock  (** [Float now] *)
+  | Floats of float array
+      (** [set_float] of float [tick mod n]: one float rewrites its own
+          bits, two or more flip [0.]/[-0.] or NaN payloads *)
+  | Float_of of string  (** [set_float] of a variable's previous value *)
 
 type instr = { every : int; target : string; expr : expr }
 type comp = { cname : string; outputs : (string * Value.t) list; prog : instr list }
@@ -337,6 +353,8 @@ let reference ~dt ~until comps =
             | Copy x -> State.get prev x
             | Bump x -> bump (State.get prev x)
             | Clock -> Value.Float now
+            | Floats a -> Value.Float a.(tick_of ~dt now mod Array.length a)
+            | Float_of x -> Value.Float (Value.to_float (State.get prev x))
           in
           Some (ins.target, v))
       c.prog
@@ -355,29 +373,35 @@ let reference ~dt ~until comps =
   go 1 initial [ initial ]
 
 let component ~dt c =
+  let open Sim.Component in
   Sim.Component.make ~name:c.cname ~outputs:c.outputs (fun slot ->
       let bound =
         List.map
           (fun ins ->
-            let read =
+            let target = slot ins.target in
+            let write =
               match ins.expr with
-              | Const v -> fun _ -> v
+              | Const v -> fun ctx -> set ctx target v
               | Copy x ->
                   let s = slot x in
-                  fun ctx -> Sim.Component.get ctx s
+                  fun ctx -> set ctx target (get ctx s)
               | Bump x ->
                   let s = slot x in
-                  fun ctx -> bump (Sim.Component.get ctx s)
-              | Clock -> fun ctx -> Value.Float ctx.Sim.Component.now
+                  fun ctx -> set ctx target (bump (get ctx s))
+              | Clock -> fun ctx -> set ctx target (Value.Float ctx.now)
+              | Floats a ->
+                  fun ctx ->
+                    set_float ctx target a.(tick_of ~dt ctx.now mod Array.length a)
+              | Float_of x ->
+                  let s = slot x in
+                  fun ctx -> set_float ctx target (float ctx s)
             in
-            (ins.every, slot ins.target, read))
+            (ins.every, write))
           c.prog
       in
       fun ctx ->
         List.iter
-          (fun (every, target, read) ->
-            if tick_of ~dt ctx.Sim.Component.now mod every = 0 then
-              Sim.Component.set ctx target (read ctx))
+          (fun (every, write) -> if tick_of ~dt ctx.now mod every = 0 then write ctx)
           bound)
 
 let gen_comps =
@@ -395,6 +419,13 @@ let gen_comps =
       ]
   in
   let read_var = frequency [ (9, oneofl declared); (1, oneofl undeclared) ] in
+  (* Two NaNs that differ only in their payload bits. *)
+  let nan1 = Int64.float_of_bits 0x7FF8_0000_0000_0001L in
+  let nan2 = Int64.float_of_bits 0x7FF8_0000_0000_0002L in
+  let floats =
+    map Array.of_list
+      (list_size (int_range 1 3) (oneofl [ 0.; -0.; nan1; nan2; 1.5; 1.5 ]))
+  in
   let expr =
     frequency
       [
@@ -402,6 +433,8 @@ let gen_comps =
         (3, map (fun x -> Copy x) read_var);
         (3, map (fun x -> Bump x) read_var);
         (1, return Clock);
+        (3, map (fun a -> Floats a) floats);
+        (2, map (fun x -> Float_of x) read_var);
       ]
   in
   let instr =
@@ -425,6 +458,11 @@ let print_comps comps =
     | Copy x -> "copy " ^ x
     | Bump x -> "bump " ^ x
     | Clock -> "now"
+    | Floats a ->
+        "floats "
+        ^ String.concat "/"
+            (Array.to_list (Array.map (fun x -> Printf.sprintf "%Lx" (Int64.bits_of_float x)) a))
+    | Float_of x -> "float " ^ x
   in
   String.concat "; "
     (List.map
@@ -483,6 +521,7 @@ let () =
           Alcotest.test_case "early termination" `Quick test_early_termination;
           Alcotest.test_case "unwritten variables persist" `Quick test_unwritten_variables_persist;
           QCheck_alcotest.to_alcotest prop_slot_kernel_matches_reference;
+          Alcotest.test_case "a world runs once" `Quick test_world_runs_once;
         ] );
       ( "integration",
         [

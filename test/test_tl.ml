@@ -297,6 +297,90 @@ let prop_trace_roundtrip =
       List.for_all2 exact (List.init (Trace.length tr) (Trace.get tr)) rows
       && Marshal.to_string tr [] = Marshal.to_string (Trace.Builder.finish b) [])
 
+(* The kernel's way of feeding [add_frame]: two frame buffers used in
+   turn, each rewritten in place where its cells differ from the row to
+   record. A cell is the previous row's block again (recorded lazily by
+   the builder), a shared block, a fresh copy of an equal value, or
+   absent; columns go absent and come back, change kind, and repeat one
+   block for long enough to outgrow the builder's first capacity. The
+   rows and the packed bytes must equal [add] fed the same states. *)
+let prop_frames_reused_in_place =
+  let open QCheck.Gen in
+  let names = [| "x"; "y"; "z" |] in
+  let shared =
+    [|
+      Value.Float 0.; Value.Float (-0.); Value.Float Float.nan;
+      Value.Float (Int64.float_of_bits 0x7FF8_0000_0000_0002L); Value.Float 2.5;
+      Value.Int 0; Value.Bool true; Value.Sym "a"; Value.Sym "b";
+    |]
+  in
+  let fresh = function
+    | Value.Float x -> Value.Float (Int64.float_of_bits (Int64.bits_of_float x))
+    | Value.Int i -> Value.Int i
+    | Value.Bool x -> Value.Bool x
+    | Value.Sym s -> Value.Sym (String.sub s 0 (String.length s))
+  in
+  let cell =
+    frequency
+      [
+        (12, return `Keep);
+        (2, return `Absent);
+        (3, map (fun i -> `Shared i) (int_bound (Array.length shared - 1)));
+        (2, map (fun i -> `Fresh i) (int_bound (Array.length shared - 1)));
+      ]
+  in
+  let show = function
+    | `Keep -> "="
+    | `Absent -> "-"
+    | `Shared i -> Value.to_string shared.(i)
+    | `Fresh i -> "new " ^ Value.to_string shared.(i)
+  in
+  QCheck.Test.make ~name:"frames reused in place pack like rows" ~count:500
+    (QCheck.make
+       ~print:(fun rows ->
+         String.concat ";" (List.map (fun r -> String.concat "," (List.map show r)) rows))
+       (list_size (int_range 1 80) (list_repeat 3 cell)))
+    (fun rows ->
+      let buffers = [| Frame.make 3; Frame.make 3 |] in
+      let last = Frame.make 3 in
+      let b = Trace.Builder.of_slots ~hint:1 ~dt:1.0 names in
+      let states =
+        List.mapi
+          (fun i row ->
+            let f = buffers.(i mod 2) in
+            List.iteri
+              (fun s c ->
+                let v =
+                  match c with
+                  | `Keep -> last.(s)
+                  | `Absent -> Frame.absent
+                  | `Shared k -> shared.(k)
+                  | `Fresh k -> fresh shared.(k)
+                in
+                last.(s) <- v;
+                if f.(s) != v then f.(s) <- v)
+              row;
+            Trace.Builder.add_frame b f;
+            Frame.to_state names f)
+          rows
+      in
+      let tr = Trace.Builder.finish b in
+      let reference = Trace.Builder.create ~dt:1.0 () in
+      List.iter (Trace.Builder.add reference) states;
+      let reference = Trace.Builder.finish reference in
+      let bits s =
+        List.map
+          (fun (k, v) ->
+            (k, match v with Value.Float x -> `F (Int64.bits_of_float x) | v -> `V v))
+          (State.to_list s)
+      in
+      Trace.length tr = List.length rows
+      && List.for_all2
+           (fun i s -> bits (Trace.get tr i) = bits s)
+           (List.init (Trace.length tr) Fun.id)
+           states
+      && Marshal.to_string tr [] = Marshal.to_string reference [])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -305,6 +389,7 @@ let props =
       prop_rose_definition;
       prop_prev_for_one;
       prop_entails_is_always_implies;
+      prop_frames_reused_in_place;
     ]
 
 let () =
