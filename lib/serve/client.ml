@@ -14,6 +14,32 @@ type retry_cause = Backpressure | Transport of string
    resubmits — safe because submission is idempotent by digest. *)
 exception Retry of retry_cause
 
+let m_opened = Obs.Metrics.counter "serve.client.sessions_opened"
+let m_reused = Obs.Metrics.counter "serve.client.sessions_reused"
+let m_reconnects = Obs.Metrics.counter "serve.client.reconnects"
+
+(* A greeted connection. [heard] says whether a frame has arrived since
+   the current call took the session: a kept session that fails before
+   it hears anything was dead before the call began. *)
+type session = {
+  fd : Unix.file_descr;
+  buf : Wire.Frame.buf;
+  pid : int;  (** the process that opened it *)
+  mutable heard : bool;
+}
+
+let close s = try Unix.close s.fd with Unix.Unix_error _ -> ()
+
+(* This domain's kept sessions, at most one per socket path. A call takes
+   its session out of the table, so a nested call opens its own. *)
+let kept : (string, session) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let tbl = Hashtbl.create 4 in
+      Domain.at_exit (fun () ->
+          Hashtbl.iter (fun _ s -> close s) tbl;
+          Hashtbl.reset tbl);
+      tbl)
+
 let connect socket =
   (* A server-side chaos drop (or plain crash) between our write and its
      read turns into EPIPE on this end; as a signal it would kill the
@@ -21,47 +47,111 @@ let connect socket =
      disposition is idempotent, so every connect does it: a lazy here
      would raise when first forced from two domains at once. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* Close-on-exec: a kept descriptor inherited by a process spawned
+     later would hold the connection open after this one lets it go. *)
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.connect fd (Unix.ADDR_UNIX socket)
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   fd
 
-let recv fd buf =
-  match Wire.Frame.read fd buf with
-  | `Frame v -> v
+let recv s =
+  match Wire.Frame.read s.fd s.buf with
+  | `Frame v ->
+      s.heard <- true;
+      v
   | `Corrupt -> raise (Retry (Transport "corrupt frame from server"))
   | `Eof -> raise (Retry (Transport "server closed the connection"))
 
-(* Open a session (connect + hello/welcome) and run [k fd buf] on it,
-   mapping every [Unix_error] into [Retry] so the caller's retry loop
-   sees one failure currency. *)
-let with_session ~socket k =
+(* Run [f], mapping every [Unix_error] into [Retry] so the caller's retry
+   loop sees one failure currency. *)
+let transport f =
+  try f ()
+  with Unix.Unix_error (e, _, _) -> raise (Retry (Transport (Unix.error_message e)))
+
+let refusal = function
+  | Wire.Draining -> "server is draining"
+  | Wire.Bad_spec e -> e
+  | Wire.Queue_full -> "rejected: queue full"
+  | Wire.Over_quota -> "rejected: over quota"
+
+(* Connect and greet. A daemon that refuses the greeting for good (one
+   of another protocol generation) ends the call with its reason:
+   reconnecting cannot change its answer. *)
+let greet socket =
+  let s =
+    {
+      fd = connect socket;
+      buf = Wire.Frame.create ();
+      pid = Unix.getpid ();
+      heard = false;
+    }
+  in
   match
-    let fd = connect socket in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let buf = Wire.Frame.create () in
-        Wire.Frame.write fd
-          (Wire.Hello { proto = Wire.proto_version; client = "serve_client" });
-        match recv fd buf with
-        | Wire.Welcome _ -> k fd buf
-        | _ -> raise (Retry (Transport "unexpected greeting")))
+    Wire.Frame.write s.fd
+      (Wire.Hello { proto = Wire.proto_version; client = "serve_client" });
+    recv s
   with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-      raise (Retry (Transport (Unix.error_message e)))
+  | Wire.Welcome _ ->
+      Obs.Metrics.incr m_opened;
+      Ok s
+  | Wire.Rejected { retryable = false; reason; _ } ->
+      close s;
+      Error (refusal reason)
+  | _ ->
+      close s;
+      raise (Retry (Transport "unexpected greeting"))
+  | exception e ->
+      close s;
+      raise e
+
+(* Run [k] on this domain's session to [socket], greeting a new one if
+   none is kept. The session is kept again only after [k] returns — a
+   terminal answer — with no bytes left unread, and unless [keep] is
+   false; any exception closes it. A kept session that fails before it
+   hears a frame is replaced at once by a new one, uncharged: a daemon
+   restarted since the session was opened looks exactly like that. *)
+let with_session ?(keep = true) ~socket k =
+  let tbl = Domain.DLS.get kept in
+  let run s =
+    s.heard <- false;
+    match transport (fun () -> k s) with
+    | r ->
+        if keep && Wire.Frame.length s.buf = 0 && not (Hashtbl.mem tbl socket) then
+          Hashtbl.replace tbl socket s
+        else close s;
+        r
+    | exception e ->
+        close s;
+        raise e
+  in
+  let fresh () =
+    match transport (fun () -> greet socket) with Ok s -> run s | Error e -> Error e
+  in
+  match Hashtbl.find_opt tbl socket with
+  | None -> fresh ()
+  | Some s when s.pid <> Unix.getpid () ->
+      Hashtbl.remove tbl socket;
+      close s;
+      fresh ()
+  | Some s -> (
+      Hashtbl.remove tbl socket;
+      Obs.Metrics.incr m_reused;
+      match run s with
+      | r -> r
+      | exception Retry (Transport _) when not s.heard ->
+          Obs.Metrics.incr m_reconnects;
+          fresh ())
 
 let submit_and_wait ?(attempts = 10) ?(patience_s = 600.) ?deadline_s ?progress
     ~socket spec =
   let give_up_at = Obs.Clock.now () +. patience_s in
   let attempt () =
-    with_session ~socket (fun fd buf ->
-        Wire.Frame.write fd (Wire.Submit { spec; deadline_s });
+    with_session ~socket (fun s ->
+        Wire.Frame.write s.fd (Wire.Submit { spec; deadline_s });
         let rec wait () =
-          match recv fd buf with
+          match recv s with
           | Wire.Accepted _ -> wait ()
           | Wire.Progress { completed; total; _ } ->
               Option.iter (fun h -> h ~completed ~total) progress;
@@ -75,13 +165,7 @@ let submit_and_wait ?(attempts = 10) ?(patience_s = 600.) ?deadline_s ?progress
                  [patience_s] bounds how long we defer to it. *)
               Unix.sleepf (Float.max 0.05 retry_after_s);
               raise (Retry Backpressure)
-          | Wire.Rejected { retryable = false; reason; _ } ->
-              Error
-                (match reason with
-                | Wire.Draining -> "server is draining"
-                | Wire.Bad_spec e -> e
-                | Wire.Queue_full -> "rejected: queue full"
-                | Wire.Over_quota -> "rejected: over quota")
+          | Wire.Rejected { retryable = false; reason; _ } -> Error (refusal reason)
           | Wire.Welcome _ | Wire.Stats_reply _ | Wire.Draining_ack _ ->
               raise (Retry (Transport "unexpected response"))
         in
@@ -103,22 +187,21 @@ let submit_and_wait ?(attempts = 10) ?(patience_s = 600.) ?deadline_s ?progress
   in
   go attempts
 
-let one_shot ~socket rq handle =
+let one_shot ?keep ~socket rq handle =
   match
-    with_session ~socket (fun fd buf ->
-        Wire.Frame.write fd rq;
-        handle (recv fd buf))
+    with_session ?keep ~socket (fun s ->
+        Wire.Frame.write s.fd rq;
+        handle (recv s))
   with
   | r -> r
-  | exception Retry Backpressure -> Error "rejected: server saturated"
   | exception Retry (Transport reason) -> Error reason
 
 let stats ~socket =
   one_shot ~socket Wire.Stats (function
     | Wire.Stats_reply { json } -> Ok json
-    | _ -> Error "unexpected response to stats")
+    | _ -> raise (Retry (Transport "unexpected response to stats")))
 
 let drain ~socket =
-  one_shot ~socket Wire.Drain (function
+  one_shot ~keep:false ~socket Wire.Drain (function
     | Wire.Draining_ack { settled; checkpointed } -> Ok (settled, checkpointed)
-    | _ -> Error "unexpected response to drain")
+    | _ -> raise (Retry (Transport "unexpected response to drain")))

@@ -10,7 +10,32 @@
     reconnect budget; the discriminant is the wire field, never a match
     on rendered reason text. Only server-side verdicts — [Failed] and
     non-retryable rejections ([Bad_spec], [Draining]) — are
-    terminal. *)
+    terminal, and so is a daemon that refuses the greeting itself (one
+    of another protocol generation): the call ends at once with the
+    server's reason.
+
+    {1 Sessions}
+
+    Each domain keeps at most one greeted session per socket path, and
+    {!submit_and_wait}, {!stats} and {!drain} run on it, so a domain's
+    sequential calls to one daemon share one connection.
+    - A call takes the session out of the domain's table: a nested call
+      (from a [progress] hook) opens a session of its own.
+    - The session goes back after a terminal answer that leaves no
+      unread bytes; any exception closes it, and {!drain} closes it.
+    - A kept session whose first exchange of a call fails (EPIPE,
+      ECONNRESET, end of stream, a corrupt frame: the daemon restarted
+      since) is closed and the request resubmitted at once on a new
+      session. That retry is not charged against [attempts] and costs
+      no pause; a failure on a new session is charged as usual.
+    - Sockets are close-on-exec, so a process spawned later never holds
+      a kept connection open; a session opened by another process (a
+      fork) is never reused.
+    - A domain's sessions are closed when it exits ([Domain.at_exit]).
+
+    Counters [serve.client.sessions_opened], [serve.client.sessions_reused]
+    and [serve.client.reconnects] (the uncharged retries) count this
+    process's sessions. *)
 
 type result = { ticket : int; csv : string; durable : bool }
 (** [csv] is byte-identical to the batch CLI's campaign export;
@@ -36,9 +61,11 @@ val submit_and_wait :
 
 val stats : socket:string -> (string, string) Stdlib.result
 (** Fetch a live obs/1 telemetry snapshot (JSON string). One shot — no
-    retry loop; a dead server is an [Error]. *)
+    retry loop beyond replacing a dead kept session; a dead server is an
+    [Error]. *)
 
 val drain :
   socket:string -> (int * int, string) Stdlib.result
 (** Ask the server to drain and exit; returns (settled, checkpointed)
-    from the [Draining_ack]. One shot. *)
+    from the [Draining_ack]. One shot, as {!stats}; the session is closed
+    afterwards. *)

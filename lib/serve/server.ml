@@ -10,9 +10,12 @@
     meet through three structures guarded by one mutex — the backlog,
     the done queue and the [running] list — plus per-request atomics
     ([abort], [progress]) that the campaign machinery reads without any
-    lock. A lane picks the {e smallest} queued grid first (ties by
-    ticket), so a 1-cell campaign submitted behind a hundred-cell one
-    starts on the next free lane instead of head-of-line blocking.
+    lock. A lane writes a byte to a wake pipe the loop selects on after
+    each settled cell and each finished request, so the loop answers as
+    soon as there is something to send. A lane picks the {e smallest}
+    queued grid first (ties by ticket), so a 1-cell campaign submitted
+    behind a hundred-cell one starts on the next free lane instead of
+    head-of-line blocking.
     Executors never touch a socket; the main loop never simulates. *)
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +136,8 @@ type t = {
   done_q : (req * outcome) Queue.t;
   stop : bool Atomic.t;  (** executor shutdown + global abort probe *)
   drain_rq : bool Atomic.t;  (** set by the SIGTERM/SIGINT handler *)
+  wake_r : Unix.file_descr;  (** the main loop selects on it *)
+  wake_w : Unix.file_descr;  (** lanes and the signal handler write it *)
   mutable admissions : admission Scenarios.Journal.writer;
   unsettled : (string, int * Wire.spec) Hashtbl.t;
       (** digest -> (ticket, spec) of each [Pending] the journal holds
@@ -228,6 +233,33 @@ let digest_of ~(spec : Wire.spec) (grid : Scenarios.Campaign.grid) =
         (fun (d : Scenarios.Defs.t) -> d.Scenarios.Defs.number)
         grid.Scenarios.Campaign.grid_scenarios,
       spec.Wire.window )
+
+(* ------------------------------------------------------------------ *)
+(* Waking the main loop                                                *)
+
+(* One byte on the non-blocking wake pipe ends the main loop's [select].
+   A full pipe already wakes it, so EAGAIN drops the byte. *)
+let wake_byte = Bytes.make 1 'w'
+
+let rec wake s =
+  match Unix.single_write s.wake_w wake_byte 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake s
+
+(* Empty the pipe; called before [process_done], so a byte written after
+   it always wakes the next [select]. A read error ends the drain: EAGAIN
+   means the pipe is empty, and bytes left behind by any other error
+   only wake the loop once more. *)
+let drain_wakes s =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read s.wake_r b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
 
 (* ------------------------------------------------------------------ *)
 (* State helpers (all called with [s.m] held)                          *)
@@ -661,7 +693,9 @@ let run_request s (r : req) =
       ?window:r.spec.Wire.window
       ~journal:(cells_path s.cfg r.digest)
       ~resume:true ~retries:r.spec.Wire.retries
-      ~on_cell:(fun _cell -> Atomic.incr r.progress)
+      ~on_cell:(fun _cell ->
+        Atomic.incr r.progress;
+        wake s)
       ~abort ?chaos:s.cfg.chaos r.grid
   with
   | c ->
@@ -723,6 +757,7 @@ let executor s =
         Obs.Metrics.set g_concurrent (float_of_int (List.length s.running));
         Queue.push (r, outcome) s.done_q;
         Mutex.unlock s.m;
+        wake s;
         (* The daemon paces its own major heap. A finished request leaves
            garbage behind, above all the traces its cells evicted from
            the cache (about 2 MB each), while store hits allocate next to
@@ -947,6 +982,13 @@ let listen_tcp port =
   Unix.set_nonblock fd;
   fd
 
+(* Each pass settles what the lanes finished, sweeps deadlines, sends
+   progress and drops stalled clients, then waits in [select] until a
+   socket or the wake pipe is ready. Lanes wake it after every settled
+   cell and finished request, so results and progress leave at once and
+   running deadlines are checked at least once per cell; the 0.2-s
+   timeout is only the period of the stall and queued-deadline sweeps
+   on an otherwise quiet daemon. *)
 let rec main_loop s listeners =
   if Atomic.get s.drain_rq then begin
     Atomic.set s.drain_rq false;
@@ -962,7 +1004,7 @@ let rec main_loop s listeners =
   let finished = s.draining && s.running = [] && Queue.is_empty s.done_q in
   Mutex.unlock s.m;
   if not finished then begin
-    let rfds = listeners @ List.map (fun c -> c.cfd) s.clients in
+    let rfds = s.wake_r :: listeners @ List.map (fun c -> c.cfd) s.clients in
     let wfds =
       List.filter_map
         (fun c -> if Queue.is_empty c.outq then None else Some c.cfd)
@@ -974,7 +1016,8 @@ let rec main_loop s listeners =
         Mutex.lock s.m;
         List.iter
           (fun fd ->
-            if List.mem fd listeners then handle_accept s fd
+            if fd = s.wake_r then drain_wakes s
+            else if List.mem fd listeners then handle_accept s fd
             else
               match List.find_opt (fun c -> c.cfd = fd) s.clients with
               | Some c -> handle_client_read s c
@@ -1029,6 +1072,9 @@ let run cfg =
     | Some w -> (w, true)
     | None -> (Scenarios.Journal.create ~on_error:`Degrade (admissions_path cfg), false)
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let s =
     {
       cfg;
@@ -1038,6 +1084,8 @@ let run cfg =
       done_q = Queue.create ();
       stop = Atomic.make false;
       drain_rq = Atomic.make false;
+      wake_r;
+      wake_w;
       admissions;
       unsettled = Hashtbl.create 64;
       settled_since = 0;
@@ -1064,9 +1112,15 @@ let run cfg =
     recovered;
   gc_store s;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let on_term _ = Atomic.set s.drain_rq true in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_term);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_term);
+  let on_term _ =
+    Atomic.set s.drain_rq true;
+    wake s
+  in
+  let handlers =
+    List.map
+      (fun sg -> (sg, Sys.signal sg (Sys.Signal_handle on_term)))
+      [ Sys.sigterm; Sys.sigint ]
+  in
   let lunix = listen_unix cfg.socket in
   let ltcp = Option.map listen_tcp cfg.tcp_port in
   let listeners = lunix :: Option.to_list ltcp in
@@ -1076,6 +1130,9 @@ let run cfg =
   main_loop s listeners;
   final_flush s;
   List.iter Domain.join lanes;
+  (* The handlers write to the wake pipe, so they go first. *)
+  List.iter (fun (sg, old) -> Sys.set_signal sg old) handlers;
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ wake_r; wake_w ];
   Obs.Metrics.observe h_drain (Obs.Clock.now () -. s.drain_t0);
   Mutex.lock s.m;
   sync_gauges s;

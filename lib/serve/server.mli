@@ -79,6 +79,22 @@
     Live telemetry ([serve.*] counters, gauges and histograms) is
     served as an obs/1 snapshot over the [Stats] request.
 
+    {1 Latency}
+
+    One thread owns every socket and waits in [Unix.select]. Executor
+    lanes wake it through a non-blocking, close-on-exec pipe: a lane
+    writes one byte after each settled cell and after handing over each
+    finished request, and the SIGTERM/SIGINT handler writes one too (a
+    full pipe already wakes the loop, so a byte that does not fit is
+    dropped). The loop empties the pipe before it settles what the
+    lanes finished, so a result, a [Progress] frame or a deadline kill
+    leaves as soon as its cell settles, and an idle daemon answers a
+    one-cell request within a few milliseconds of its campaign. The
+    [select] timeout (0.2 s) remains only as the period of the sweeps
+    that nothing else triggers: slow readers past [stall_timeout_s] and
+    deadlines of requests still queued. The handlers are restored when
+    {!run} returns, before the pipe closes.
+
     {1 Memory}
 
     A store hit reads its result with [Unix] calls and its frames
@@ -127,5 +143,6 @@ val default_config : socket:string -> state_dir:string -> config
 val run : config -> unit
 (** Run the daemon until a drain completes (SIGTERM, SIGINT or a [Drain]
     request). Returns normally after the drain — the caller owns the
-    exit code. The process must have called {!Exec.Shard.init} first
-    thing in [main] when [shards] is used. *)
+    exit code — with the SIGTERM/SIGINT handlers it found restored. The
+    process must have called {!Exec.Shard.init} first thing in [main]
+    when [shards] is used. *)

@@ -166,7 +166,9 @@ let submit s ?deadline_s spec =
 
 (* Grid specs. [quick] is one scenario (two simulations); [slow] spans
    enough cells that tests can interrupt it mid-flight: its 20 cells take
-   about 0.75 s on 2 cores, several of the daemon's 0.2-s loop passes. *)
+   about 0.75 s on 2 cores, and the daemon sends progress, results and
+   deadline kills as each cell settles, so a test acts about one cell
+   into the grid. *)
 let quick_spec =
   {
     Serve.Wire.seed = 42;
@@ -219,6 +221,87 @@ let stats_counter d name =
   match Serve.Client.stats ~socket:d.socket with
   | Ok json -> counter_in json name
   | Error e -> Alcotest.failf "stats: %s" e
+
+(* A counter of this process: the client's own telemetry. *)
+let client_counter name = Obs.Metrics.value (Obs.Metrics.counter name)
+
+let store_hit ~socket spec =
+  match Serve.Client.submit_and_wait ~socket spec with
+  | Ok { Serve.Client.ticket = 0; _ } -> ()
+  | Ok _ -> Alcotest.fail "expected a store hit"
+  | Error e -> Alcotest.failf "submit: %s" e
+
+(* A daemon on a domain of this process, drained when [f] returns. *)
+let with_inprocess_daemon f =
+  let dir = fresh_dir () in
+  let cfg =
+    Serve.Server.default_config ~socket:(Filename.concat dir "d.sock") ~state_dir:dir
+  in
+  let socket = cfg.Serve.Server.socket in
+  let daemon = Domain.spawn (fun () -> Serve.Server.run cfg) in
+  let rec wait_ready n =
+    match Serve.Client.stats ~socket with
+    | Ok _ -> ()
+    | Error e ->
+        if n = 0 then Alcotest.failf "in-process daemon never came up: %s" e;
+        Unix.sleepf 0.01;
+        wait_ready (n - 1)
+  in
+  wait_ready 1000;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Serve.Client.drain ~socket);
+      Domain.join daemon)
+    (fun () -> f socket)
+
+(* A stand-in daemon on a domain of this process, for answers the real
+   one never gives. It serves one connection at a time until the client
+   closes it, answering each request on the [n]th connection (from 1)
+   with the frames [reply n rq], all in one write. [f] gets the socket
+   and the count of accepted connections. *)
+let with_fake_daemon reply f =
+  let socket = Filename.concat (fresh_dir ()) "fake.sock" in
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 8;
+  let accepted = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let ready fd =
+    match Unix.select [ fd ] [] [] 0.05 with [], _, _ -> false | _ -> true
+  in
+  let rec serve n fd buf =
+    if Atomic.get stop then ()
+    else if not (ready fd) then serve n fd buf
+    else if Serve.Wire.Frame.fill fd buf > 0 then begin
+      let rec answer () =
+        match Serve.Wire.Frame.decode buf with
+        | `Frame (rq : Serve.Wire.request) ->
+            Serve.Wire.Frame.write_all fd
+              (String.concat "" (List.map Serve.Wire.Frame.encode (reply n rq)));
+            answer ()
+        | `Need_more | `Corrupt -> ()
+      in
+      answer ();
+      serve n fd buf
+    end
+  in
+  let listener =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          if ready lfd then begin
+            let fd, _ = Unix.accept ~cloexec:true lfd in
+            let n = Atomic.fetch_and_add accepted 1 + 1 in
+            (try serve n fd (Serve.Wire.Frame.create ()) with Unix.Unix_error _ -> ());
+            Unix.close fd
+          end
+        done;
+        Unix.close lfd)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join listener)
+    (fun () -> f socket accepted)
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec                                                           *)
@@ -327,7 +410,10 @@ let test_backpressure_queue_full () =
   | Serve.Wire.Accepted _ | Serve.Wire.Progress _ | Serve.Wire.Result _ -> ()
   | Serve.Wire.Failed { reason; _ } -> Alcotest.failf "hog failed: %s" reason
   | _ -> ());
-  disconnect s1;
+  (* Shut down, not closed: the [finally] above closes the descriptor,
+     and a second close could hit the number a kept client session has
+     been given since. *)
+  Unix.shutdown s1.fd Unix.SHUTDOWN_ALL;
   (* s1's disconnect orphans — cancels — the slow campaign. *)
   match Serve.Client.submit_and_wait ~socket:d.socket quick_spec with
   | Ok { Serve.Client.csv; _ } ->
@@ -395,9 +481,8 @@ let test_deadline_kills_without_stalling_others () =
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
   (* A slowloris-ish client: submits a long campaign with a short
      deadline and then never reads another frame. The campaign adds a
-     third fault to [slow_spec]: its 20 cells run in about 0.75 s on 2
-     cores, so its last cell could start before the kill, which lands
-     up to one 0.2-s pass of the server loop after the deadline. *)
+     third fault to [slow_spec], 30 cells in all; the kill lands at the
+     first cell to settle after the deadline, well before the last. *)
   let s = connect d in
   expect_welcome s;
   submit s ~deadline_s:0.5
@@ -779,53 +864,54 @@ let test_admission_journal_bounded () =
 (* ------------------------------------------------------------------ *)
 (* Store hits and the major heap                                        *)
 
-(* A store hit session (connect, hello, submit, result) on an idle
-   in-process daemon. Its buffers are small and die young, so 2,000 of
-   them barely touch the major heap: a 64 KB buffer per connection or per
-   read (8 Ki words each) would. [Gc.minor] empties every domain's minor
-   heap and samples its counters, so [Gc.quick_stat] then counts the
-   daemon's domain as well as this one. *)
+(* Store hits on an idle in-process daemon, each on a fresh raw session
+   (connect, hello, submit, result, close), then each through the
+   client's kept session. Their buffers are small and die young, so
+   2,000 of them barely touch the major heap: a 64 KB buffer per
+   connection or per read (8 Ki words each) would. [Gc.minor] empties
+   every domain's minor heap and samples its counters, so
+   [Gc.quick_stat] then counts the daemon's domain as well as this
+   one. *)
 let test_store_hit_major_words () =
-  let dir = fresh_dir () in
-  let cfg =
-    Serve.Server.default_config ~socket:(Filename.concat dir "d.sock") ~state_dir:dir
+  with_inprocess_daemon @@ fun socket ->
+  let fresh_session () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        let s = { fd; buf = Serve.Wire.Frame.create () } in
+        Serve.Wire.Frame.write fd
+          (Serve.Wire.Hello { proto = Serve.Wire.proto_version; client = "test" });
+        expect_welcome s;
+        submit s quick_spec;
+        match recv s with
+        | Serve.Wire.Result { ticket = 0; _ } -> ()
+        | _ -> Alcotest.fail "expected a store hit")
   in
-  let socket = cfg.Serve.Server.socket in
-  let daemon = Domain.spawn (fun () -> Serve.Server.run cfg) in
-  let rec wait_ready n =
-    match Serve.Client.stats ~socket with
-    | Ok _ -> ()
-    | Error e ->
-        if n = 0 then Alcotest.failf "in-process daemon never came up: %s" e;
-        Unix.sleepf 0.01;
-        wait_ready (n - 1)
+  let kept_session () = store_hit ~socket quick_spec in
+  (match Serve.Client.submit_and_wait ~socket quick_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "submit: %s" e);
+  let check_words label hit =
+    hit ();
+    hit ();
+    let sessions = 2000 in
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    for _ = 1 to sessions do
+      hit ()
+    done;
+    Gc.minor ();
+    let per_hit =
+      ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int sessions
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.1f major words per hit, %s (< 256)" per_hit label)
+      true (per_hit < 256.)
   in
-  wait_ready 1000;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Serve.Client.drain ~socket);
-      Domain.join daemon)
-    (fun () ->
-      let hit () =
-        match Serve.Client.submit_and_wait ~socket quick_spec with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "submit: %s" e
-      in
-      hit ();
-      hit ();
-      let sessions = 2000 in
-      Gc.minor ();
-      let before = (Gc.quick_stat ()).Gc.major_words in
-      for _ = 1 to sessions do
-        hit ()
-      done;
-      Gc.minor ();
-      let per_session =
-        ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int sessions
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "%.1f major words per hit session (< 256)" per_session)
-        true (per_session < 256.))
+  check_words "fresh session" fresh_session;
+  check_words "kept session" kept_session
 
 (* ------------------------------------------------------------------ *)
 (* Chaos server fault points                                            *)
@@ -843,6 +929,152 @@ let test_chaos_server_faults_absorbed () =
   | Error e -> Alcotest.failf "submit under chaos: %s" e);
   Alcotest.(check bool) "chaos drops counted" true
     (stats_counter d "serve.chaos_drops" >= 1)
+
+(* ------------------------------------------------------------------ *)
+(* Kept client sessions                                                 *)
+
+(* A domain keeps one greeted session per daemon: 100 sequential store
+   hits open one connection, not 100. *)
+let test_one_session_per_domain () =
+  let d = start_daemon () in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  (match Serve.Client.submit_and_wait ~socket:d.socket quick_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "submit: %s" e);
+  let connections = stats_counter d "serve.connections" in
+  let opened = client_counter "serve.client.sessions_opened" in
+  let reused = client_counter "serve.client.sessions_reused" in
+  Domain.join
+    (Domain.spawn (fun () ->
+         for _ = 1 to 100 do
+           store_hit ~socket:d.socket quick_spec
+         done));
+  Alcotest.(check int) "one session opened" 1
+    (client_counter "serve.client.sessions_opened" - opened);
+  Alcotest.(check int) "then reused 99 times" 99
+    (client_counter "serve.client.sessions_reused" - reused);
+  Alcotest.(check int) "one connection for 100 store hits" 1
+    (stats_counter d "serve.connections" - connections)
+
+(* A daemon refusing the greeting for good (another protocol generation,
+   as [Serve.Server] refuses one) ends the call with its reason: one
+   connection, no retry loop. *)
+let test_refused_greeting () =
+  with_fake_daemon (fun _ -> function
+    | Serve.Wire.Hello { proto; _ } ->
+        [
+          Serve.Wire.Rejected
+            {
+              reason =
+                Serve.Wire.Bad_spec
+                  (Printf.sprintf "protocol %d; this server speaks %d" proto (proto + 1));
+              retryable = false;
+              retry_after_s = 1.;
+            };
+        ]
+    | _ -> [])
+  @@ fun socket accepted ->
+  let t0 = Obs.Clock.now () in
+  (match Serve.Client.submit_and_wait ~socket quick_spec with
+  | Ok _ -> Alcotest.fail "a refused greeting must end the call"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "reason %S names the protocol" e)
+        true
+        (Str.string_match (Str.regexp ".*protocol") e 0));
+  let dt = Obs.Clock.now () -. t0 in
+  Alcotest.(check int) "one connection" 1 (Atomic.get accepted);
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s (< 0.5 s)" dt)
+    true (dt < 0.5)
+
+(* A session whose buffer still holds bytes after its answer is out of
+   step with its daemon: it is closed, not kept. The stand-in daemon
+   sends a second, stale result behind the first. *)
+let test_unread_bytes_not_kept () =
+  let result csv = Serve.Wire.Result { ticket = 1; csv; durable = true } in
+  with_fake_daemon (fun n -> function
+    | Serve.Wire.Hello _ ->
+        [ Serve.Wire.Welcome { proto = Serve.Wire.proto_version; server = "fake" } ]
+    | Serve.Wire.Submit _ ->
+        if n = 1 then [ result "first"; result "stale" ] else [ result "second" ]
+    | _ -> [])
+  @@ fun socket accepted ->
+  let submit () =
+    match Serve.Client.submit_and_wait ~socket quick_spec with
+    | Ok { Serve.Client.csv; _ } -> csv
+    | Error e -> Alcotest.failf "submit: %s" e
+  in
+  Alcotest.(check string) "first answer" "first" (submit ());
+  Alcotest.(check string) "second answer, on a new session" "second" (submit ());
+  Alcotest.(check int) "two connections" 2 (Atomic.get accepted)
+
+(* A session kept from before a SIGKILL is dead: the first call after the
+   restart replaces it at once, without the 0.5-s pause of a charged
+   retry. *)
+let test_restart_replaces_kept_session () =
+  let d = start_daemon () in
+  (match Serve.Client.submit_and_wait ~socket:d.socket quick_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "submit: %s" e);
+  Unix.kill d.pid Sys.sigkill;
+  ignore (Unix.waitpid [] d.pid);
+  let d = restart_daemon d in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  let reconnects = client_counter "serve.client.reconnects" in
+  let t0 = Obs.Clock.now () in
+  store_hit ~socket:d.socket quick_spec;
+  let dt = Obs.Clock.now () -. t0 in
+  Alcotest.(check int) "one reconnect" 1
+    (client_counter "serve.client.reconnects" - reconnects);
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s (< 0.25 s)" dt)
+    true (dt < 0.25)
+
+(* A domain's kept sessions close when it exits: the daemon sees the
+   disconnect and its client count goes back down. *)
+let test_domain_exit_closes_sessions () =
+  let d = start_daemon () in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  let active () = stats_counter d "serve.active_clients" in
+  let before = active () in
+  let during =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match Serve.Client.submit_and_wait ~socket:d.socket quick_spec with
+           | Ok _ -> active ()
+           | Error e -> failwith e))
+  in
+  Alcotest.(check int) "the domain's session is held while it runs" (before + 1) during;
+  let rec settle n =
+    let now = active () in
+    if now = before || n = 0 then now
+    else begin
+      Unix.sleepf 0.01;
+      settle (n - 1)
+    end
+  in
+  Alcotest.(check int) "and closed when it exits" before (settle 200)
+
+(* An idle daemon answers each request as its campaign finishes, not at
+   the next timeout of its loop. One spec under ten windows: after the
+   first request, each only classifies. *)
+let test_idle_daemon_answers_at_once () =
+  with_inprocess_daemon @@ fun socket ->
+  let t0 = Obs.Clock.now () in
+  for i = 0 to 9 do
+    let spec =
+      { quick_spec with Serve.Wire.window = Some (0.007 +. (0.00001 *. float_of_int i)) }
+    in
+    match Serve.Client.submit_and_wait ~socket spec with
+    | Ok { Serve.Client.ticket; _ } when ticket > 0 -> ()
+    | Ok _ -> Alcotest.fail "expected a campaign, not a store hit"
+    | Error e -> Alcotest.failf "submit: %s" e
+  done;
+  let dt = Obs.Clock.now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 one-cell requests in %.3f s (< 1 s)" dt)
+    true (dt < 1.)
 
 (* ------------------------------------------------------------------ *)
 
@@ -863,6 +1095,16 @@ let () =
             test_roundtrip_and_store;
           Alcotest.test_case "bad specs rejected at admission" `Slow
             test_bad_spec;
+          Alcotest.test_case "one kept session serves a domain's calls" `Slow
+            test_one_session_per_domain;
+          Alcotest.test_case "a refused greeting ends the call" `Quick
+            test_refused_greeting;
+          Alcotest.test_case "a session with unread bytes is not kept" `Quick
+            test_unread_bytes_not_kept;
+          Alcotest.test_case "a domain's sessions close when it exits" `Slow
+            test_domain_exit_closes_sessions;
+          Alcotest.test_case "an idle daemon answers at once" `Slow
+            test_idle_daemon_answers_at_once;
         ] );
       ( "admission",
         [
@@ -879,6 +1121,8 @@ let () =
         [
           Alcotest.test_case "SIGKILL, restart, resume byte-identical" `Slow
             test_sigkill_restart_resume_identical;
+          Alcotest.test_case "a restart costs a kept session one free reconnect"
+            `Slow test_restart_replaces_kept_session;
         ] );
       ( "drain",
         [
