@@ -154,6 +154,15 @@ let wall = Obs.Clock.elapsed
 (* ------------------------------------------------------------------ *)
 (* Campaign-service round-trip: the daemon's overhead per request.      *)
 
+(* A serve row's temporary directory goes once its daemon has drained. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+
 (* An in-process daemon (own Domain, temp socket): the first submission
    runs a one-cell campaign and lands in the result store; the timed
    loop then measures the client round trip of a store hit on the
@@ -209,6 +218,7 @@ let serve_roundtrip_row () =
   | Ok _ -> ()
   | Error e -> failwith ("bench: serve drain failed: " ^ e));
   Domain.join daemon;
+  rm_rf dir;
   let ns = t *. 1e9 /. float_of_int rounds in
   pp_estimate "serve_roundtrip (store hit)" (Some ns);
   ("serve_roundtrip", ns)
@@ -354,6 +364,7 @@ let serve_contention_row ~concurrent ~name =
   | Error e -> failwith ("bench: serve drain failed: " ^ e));
   (try Unix.close fd with Unix.Unix_error _ -> ());
   Domain.join daemon;
+  rm_rf dir;
   let ns = t *. 1e9 in
   pp_estimate name (Some ns);
   (name, ns)

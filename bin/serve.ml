@@ -8,9 +8,9 @@
     v}
 
     Runs until drained (SIGTERM, SIGINT or a client [drain] request) and
-    exits 0 with every admitted request settled or checkpointed to the
-    admission journal. Restarting with the same $(b,--state-dir) resumes
-    the checkpointed work. *)
+    exits 0 with every admitted request settled or checkpointed to its
+    pending file. Restarting with the same $(b,--state-dir) resumes the
+    checkpointed work. *)
 
 open Cmdliner
 
@@ -26,11 +26,11 @@ let state_dir_arg =
     & opt string "campaignd.state"
     & info [ "state-dir" ] ~docv:"DIR"
         ~doc:
-          "Durability root: admission journal, per-request cell journals \
-           and the result store. Reusing a previous run's directory \
-           resumes its unfinished work.")
+          "Durability root: a pending file and a cell journal per \
+           unsettled or checkpointed request, and the result store. \
+           Reusing a previous run's directory resumes its unfinished work.")
 
-let run socket state_dir tcp_port queue quota concurrent store_budget deadline
+let run socket state_dir queue quota concurrent store_budget deadline
     stall retry_after domains shards seed chaos metrics =
   let chaos =
     match chaos with
@@ -45,8 +45,7 @@ let run socket state_dir tcp_port queue quota concurrent store_budget deadline
   let cfg =
     {
       (Serve.Server.default_config ~socket ~state_dir) with
-      Serve.Server.tcp_port;
-      queue_bound = max 1 queue;
+      Serve.Server.queue_bound = max 1 queue;
       quota = max 1 quota;
       concurrent = max 1 concurrent;
       store_budget_bytes = max 0 store_budget * 1024 * 1024;
@@ -64,13 +63,6 @@ let run socket state_dir tcp_port queue quota concurrent store_budget deadline
   Fmt.pr "campaignd: drained@."
 
 let cmd =
-  let tcp_port =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "tcp-port" ] ~docv:"PORT"
-          ~doc:"Also listen on loopback TCP port $(docv).")
-  in
   let queue =
     Arg.(
       value & opt int 8
@@ -178,7 +170,7 @@ let cmd =
          "Long-lived campaign evaluation daemon with admission control, \
           backpressure, deadlines, durability and graceful drain.")
     Term.(
-      const run $ socket_arg $ state_dir_arg $ tcp_port $ queue $ quota
+      const run $ socket_arg $ state_dir_arg $ queue $ quota
       $ concurrent $ store_budget $ deadline $ stall $ retry_after $ domains
       $ shards $ seed $ chaos $ metrics)
 

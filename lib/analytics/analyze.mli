@@ -37,7 +37,7 @@ val ingest : t -> string -> unit
     counted in [analytics.records_skipped] — a journal interrupted by
     SIGKILL or a device failure mines fine. The journal must hold
     [Scenarios.Campaign.cell] values (the same contract as
-    {!Scenarios.Journal.replay}: [Marshal] framing is not
+    {!Scenarios.Journal.fold}: [Marshal] framing is not
     self-describing across types). *)
 
 val records : t -> int

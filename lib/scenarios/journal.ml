@@ -140,15 +140,6 @@ let with_writer ?fresh ?on_error ?chaos path f =
 (* ------------------------------------------------------------------ *)
 (* Replay                                                               *)
 
-type 'a replay = {
-  entries : (string * 'a) list;
-  records : int;
-  duplicates : int;
-  dropped_bytes : int;
-}
-
-let empty_replay = { entries = []; records = 0; duplicates = 0; dropped_bytes = 0 }
-
 type fold_stats = {
   fold_records : int;
   fold_valid_bytes : int;
@@ -160,8 +151,7 @@ let empty_fold_stats =
 
 let fold (type a acc) path ~(init : acc) ~(f : acc -> string -> a -> acc) :
     acc * fold_stats =
-  (* Every full pass over a journal counts as a replay, whether it goes
-     through the list-materializing [replay] or streams through here. *)
+  (* Every full pass over a journal counts as a replay. *)
   Obs.Metrics.incr m_replays;
   if not (Sys.file_exists path) then (init, empty_fold_stats)
   else begin
@@ -195,22 +185,3 @@ let repair path =
     Obs.Metrics.incr ~by:stats.fold_dropped_bytes m_repaired
   end;
   stats.fold_dropped_bytes
-
-let replay (type a) path : a replay =
-  if not (Sys.file_exists path) then empty_replay
-  else begin
-    let latest : (string, a) Hashtbl.t = Hashtbl.create 64 in
-    let order = ref [] in
-    let duplicates = ref 0 in
-    let (), stats =
-      fold path ~init:() ~f:(fun () key (v : a) ->
-          if Hashtbl.mem latest key then incr duplicates else order := key :: !order;
-          Hashtbl.replace latest key v)
-    in
-    {
-      entries = List.rev_map (fun k -> (k, Hashtbl.find latest k)) !order;
-      records = stats.fold_records;
-      duplicates = !duplicates;
-      dropped_bytes = stats.fold_dropped_bytes;
-    }
-  end

@@ -12,8 +12,9 @@
     Replay is tolerant by construction: an absent or empty file replays as
     empty; a torn or bit-flipped tail is detected (magic, length bound,
     CRC, unmarshal) and dropped, keeping every intact record before it;
-    duplicate keys resolve to the last occurrence, so re-running a
-    partially journaled campaign is idempotent.
+    a reader that keeps the last occurrence of each key (as the resume
+    path does) makes re-running a partially journaled campaign
+    idempotent.
 
     The value type is fixed by the caller at use site. Journaled values
     must be closure-free pure data: the payload is [Marshal]ed without
@@ -113,12 +114,11 @@ val fold : string -> init:'acc -> f:('acc -> string -> 'a -> 'acc) -> 'acc * fol
     one record's payload, so a multi-gigabyte journal replays in constant
     memory. Duplicate keys are {e not} collapsed — [f] sees every intact
     append, last occurrence last, so a last-wins consumer (the resume
-    path, {!replay}) gets it by simply overwriting.
+    path) gets it by simply overwriting.
 
     An absent file folds as [init]. Torn, truncated or bit-flipped tails
     never raise: the first record that fails validation ends the fold and
-    the remaining bytes are counted in [fold_dropped_bytes], exactly as
-    in {!replay} (which is implemented on top of this). *)
+    the remaining bytes are counted in [fold_dropped_bytes]. *)
 
 val repair : string -> int
 (** [repair path] truncates a torn or corrupt tail off the journal in
@@ -129,23 +129,6 @@ val repair : string -> int
     record, so everything written after the tear could never be read
     back. The resume path calls this before reopening the journal for
     appending. *)
-
-type 'a replay = {
-  entries : (string * 'a) list;
-      (** intact records in first-appearance order; for a duplicated key
-          the {e last} appended value wins *)
-  records : int;  (** intact records read, duplicates included *)
-  duplicates : int;  (** records whose key had already appeared *)
-  dropped_bytes : int;
-      (** trailing bytes discarded as torn or corrupt (0 for a clean
-          file) *)
-}
-
-val replay : string -> 'a replay
-(** Read every intact record of the journal at [path]. An absent file
-    replays as empty. Never raises on torn, truncated or bit-flipped
-    data: the first record that fails validation ends the replay and the
-    remaining bytes are counted in [dropped_bytes]. *)
 
 val crc32 : string -> int32
 (** The CRC-32 (IEEE 802.3, as in gzip) of a string — exposed for tests

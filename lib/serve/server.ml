@@ -55,7 +55,6 @@ let h_drain = Obs.Metrics.histogram "serve.drain_s"
 
 type config = {
   socket : string;
-  tcp_port : int option;
   state_dir : string;
   queue_bound : int;
   quota : int;
@@ -73,7 +72,6 @@ type config = {
 let default_config ~socket ~state_dir =
   {
     socket;
-    tcp_port = None;
     state_dir;
     queue_bound = 8;
     quota = 4;
@@ -87,13 +85,6 @@ let default_config ~socket ~state_dir =
     chaos = None;
     metrics_path = None;
   }
-
-(* The admission journal record: [Pending] is written before a request
-   is acknowledged, [Settled] when its outcome no longer needs a future
-   incarnation (completed, crashed, or deliberately abandoned). A
-   checkpointed request keeps its [Pending] — that is the durable to-do
-   the next incarnation recovers. *)
-type admission = Pending of Wire.spec | Settled
 
 type client = {
   cfd : Unix.file_descr;
@@ -138,11 +129,6 @@ type t = {
   drain_rq : bool Atomic.t;  (** set by the SIGTERM/SIGINT handler *)
   wake_r : Unix.file_descr;  (** the main loop selects on it *)
   wake_w : Unix.file_descr;  (** lanes and the signal handler write it *)
-  mutable admissions : admission Scenarios.Journal.writer;
-  unsettled : (string, int * Wire.spec) Hashtbl.t;
-      (** digest -> (ticket, spec) of each [Pending] the journal holds
-          with no [Settled] after it: what a rewrite keeps *)
-  mutable settled_since : int;  (** [Settled] appends since the last rewrite *)
   fault : ([ `Accept | `Read | `Write ] -> bool) option;
   live : (string, req) Hashtbl.t;  (** digest -> unsettled request *)
   mutable draining : bool;
@@ -155,7 +141,10 @@ type t = {
   mutable drain_t0 : float;
 }
 
-let admissions_path cfg = Filename.concat cfg.state_dir "admissions.jnl"
+(* An unsettled request's durable to-do: one SJL1 record, (digest, spec),
+   named by the digest. *)
+let pending_dir cfg = Filename.concat cfg.state_dir "pending"
+let pending_path cfg digest = Filename.concat (pending_dir cfg) digest
 
 let cells_path cfg digest =
   Filename.concat cfg.state_dir ("cells-" ^ digest ^ ".jnl")
@@ -290,64 +279,37 @@ let synced path flags write =
       write fd;
       Unix.fsync fd)
 
-(* The admission journal gains a [Pending] and a [Settled] per admitted
-   request, so it is rewritten to hold only the [Pending] records still
-   unsettled: at startup, and on the main loop (which owns every append)
-   after each [compact_every] [Settled] appends. The rewrite is published
-   as a stored CSV is: the new file is written and fsynced under a
-   temporary name, renamed over the old one, and the rename made durable
-   by fsyncing the directory. It returns the writer now appending to the
-   new file, or [None] with the old file untouched. *)
-let compact_every = 64
-
-let rewrite_admissions cfg records =
-  let path = admissions_path cfg in
+(* Publish [data] at [path] so that a crash leaves the old file or the
+   new one, never a torn one: written and fsynced under a temporary
+   name, renamed into place, and the rename made durable by fsyncing
+   [dir]. [false] means it failed, with no temporary file left and [path]
+   as it was, unless only the directory fsync failed. *)
+let publish ~dir path data =
   let tmp = path ^ ".tmp" in
-  match Scenarios.Journal.create ~fresh:true ~on_error:`Degrade tmp with
-  | exception Sys_error _ -> None
-  | w -> (
-      List.iter
-        (fun (digest, spec) -> Scenarios.Journal.append w ~key:digest (Pending spec))
-        records;
-      match
-        if Scenarios.Journal.degraded w then raise Exit;
-        Unix.rename tmp path;
-        synced cfg.state_dir [ Unix.O_RDONLY ] ignore
-      with
-      | () -> Some w
-      | exception (Exit | Unix.Unix_error _ | Fun.Finally_raised _) ->
-          (try Scenarios.Journal.close w with Scenarios.Journal.Io_error _ -> ());
-          (try Sys.remove tmp with Sys_error _ -> ());
-          None)
+  match
+    synced tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
+        ignore (Unix.write_substring fd data 0 (String.length data) : int));
+    Unix.rename tmp path;
+    synced dir [ Unix.O_RDONLY ] ignore
+  with
+  | () -> true
+  | exception (Unix.Unix_error _ | Fun.Finally_raised _) ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      false
 
-let compact_admissions s =
-  s.settled_since <- 0;
-  (* Ticket order is admission order, as the records stood in the file. *)
-  let records =
-    Hashtbl.fold
-      (fun digest (ticket, spec) acc -> (ticket, (digest, spec)) :: acc)
-      s.unsettled []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  in
-  match rewrite_admissions s.cfg records with
-  | Some w ->
-      let old = s.admissions in
-      s.admissions <- w;
-      (try Scenarios.Journal.close old with Scenarios.Journal.Io_error _ -> ())
-  | None -> degrade s
+(* A retired request's pending file, then its cell journal. *)
+let remove_request_files cfg digest =
+  List.iter
+    (fun path -> try Sys.remove path with Sys_error _ -> ())
+    [ pending_path cfg digest; cells_path cfg digest ]
 
-let journal_pending s (r : req) =
-  Scenarios.Journal.append s.admissions ~key:r.digest (Pending r.spec);
-  Hashtbl.replace s.unsettled r.digest (r.ticket, r.spec);
-  if Scenarios.Journal.degraded s.admissions then degrade s
-
-let journal_settled s digest =
-  Scenarios.Journal.append s.admissions ~key:digest Settled;
-  Hashtbl.remove s.unsettled digest;
-  if Scenarios.Journal.degraded s.admissions then degrade s;
-  s.settled_since <- s.settled_since + 1;
-  if s.settled_since >= compact_every then compact_admissions s
+(* A settled request's retirement. [sync] makes it durable, so that work
+   abandoned on purpose cannot come back after a crash. *)
+let retire s digest ~sync =
+  remove_request_files s.cfg digest;
+  if sync then
+    try synced (pending_dir s.cfg) [ Unix.O_RDONLY ] ignore
+    with Unix.Unix_error _ | Fun.Finally_raised _ -> degrade s
 
 let kill_reason = function
   | `Deadline -> "deadline exceeded"
@@ -407,16 +369,22 @@ and kill_req s (r : req) ~kill =
 and settle s (r : req) (outcome : outcome) =
   if r.state <> `Settled then begin
     r.state <- `Settled;
+    (* Durability: a drain checkpoint keeps the request's pending file
+       and cell journal, the hand-off to the next incarnation; every
+       other outcome retires them. A request that no longer owns its
+       digest leaves them alone: they belong to the request admitted
+       under the same digest while this one was being killed. Only work
+       that did not complete makes its retirement durable; a completed
+       request that comes back after a crash is retired by its stored
+       result at recovery, or runs again to the same bytes. *)
     (match Hashtbl.find_opt s.live r.digest with
-    | Some r' when r' == r -> Hashtbl.remove s.live r.digest
+    | Some r' when r' == r -> (
+        Hashtbl.remove s.live r.digest;
+        match outcome with
+        | Checkpointed when r.kill = None -> ()
+        | Completed _ -> retire s r.digest ~sync:false
+        | Checkpointed | Crashed _ -> retire s r.digest ~sync:true)
     | _ -> ());
-    (* Durability: a drain checkpoint keeps its [Pending] record — that
-       is the hand-off to the next incarnation. Every other outcome
-       (completed, crashed, deliberately killed) retires it. *)
-    let keep_pending =
-      match outcome with Checkpointed -> r.kill = None | _ -> false
-    in
-    if not keep_pending then journal_settled s r.digest;
     let resp =
       match outcome with
       | Completed { csv; durable } ->
@@ -586,7 +554,7 @@ let admit s c (spec : Wire.spec) deadline_s =
           | _ ->
               if c.live >= s.cfg.quota then reject s c Wire.Over_quota
               else
-                (* Degradation tier 1: a server that lost its journal
+                (* Degradation tier 1: a server that lost its durability
                    halves its appetite — less buffered work that a crash
                    would silently forget. *)
                 let bound =
@@ -596,10 +564,14 @@ let admit s c (spec : Wire.spec) deadline_s =
                 if in_flight s >= bound then reject s c Wire.Queue_full
                 else begin
                   let r = make_req s ~spec ~grid ~digest ~deadline_s in
-                  (* [Pending] hits the disk before the client hears
+                  (* The pending file is on disk before the client hears
                      [Accepted]: an acknowledged request is one a crash
                      cannot lose. *)
-                  journal_pending s r;
+                  let published =
+                    publish ~dir:(pending_dir s.cfg) (pending_path s.cfg digest)
+                      (Scenarios.Journal.Record.encode (digest, spec))
+                  in
+                  if not published then degrade s;
                   Hashtbl.replace s.live digest r;
                   attach c r;
                   let position = in_flight s in
@@ -614,27 +586,10 @@ let admit s c (spec : Wire.spec) deadline_s =
 (* ------------------------------------------------------------------ *)
 (* Executor domain                                                     *)
 
-(* The stored CSV is the request's durable record: fsynced before the
-   rename that publishes it, and the rename made durable by fsyncing the
-   directory. Only then is the request's cell journal redundant, so it
-   is deleted; a request whose store fails keeps its journal. *)
-let store_result s digest csv =
-  let tmp = result_path s.cfg digest ^ ".tmp" in
-  match
-    synced tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] (fun fd ->
-        ignore (Unix.write_substring fd csv 0 (String.length csv) : int));
-    Unix.rename tmp (result_path s.cfg digest);
-    synced (results_dir s.cfg) [ Unix.O_RDONLY ] ignore
-  with
-  | () ->
-      (try Sys.remove (cells_path s.cfg digest) with Sys_error _ -> ());
-      true
-  | exception (Unix.Unix_error _ | Fun.Finally_raised _) -> false
-
 (* Size-budgeted store GC: a long-lived daemon must not grow its result
    store without bound. Evict least-recently-used first (mtime — store
    hits refresh it) until the directory fits [store_budget_bytes]
-   (0 = unbounded). Evicting a digest is safe: the admissions check
+   (0 = unbounded). Evicting a digest is safe: the admission check
    falls through to re-execution. Runs on executor lanes after each
    store and once at startup; concurrent sweeps can race each other's
    [Sys.remove], so every removal is try-wrapped. *)
@@ -700,7 +655,8 @@ let run_request s (r : req) =
   with
   | c ->
       let csv = Scenarios.Export.campaign_csv c in
-      let stored = store_result s r.digest csv in
+      (* The stored CSV is the completed request's durable record. *)
+      let stored = publish ~dir:(results_dir s.cfg) (result_path s.cfg r.digest) csv in
       if stored then gc_store s;
       Obs.Metrics.observe h_run (Obs.Clock.now () -. t0);
       let durable =
@@ -773,38 +729,45 @@ let executor s =
 (* ------------------------------------------------------------------ *)
 (* Recovery and drain                                                  *)
 
-(* Startup recovery, before the admission journal opens for appending:
-   any [Pending] without a [Settled] after it is work a previous
-   incarnation acknowledged but never finished — SIGKILL, power loss, a
-   drain checkpoint. One whose result is stored (finished, but the
-   [Settled] append was lost) or whose spec no longer resolves (the
-   catalogue changed under the journal) is retired; the rest come back
-   in journal order, for {!run} to rewrite the journal with and
-   re-enqueue with no waiters. The cell journal makes each re-run
-   incremental, and the client that cared will resubmit the same digest
-   and attach (or hit the result store). *)
+(* Startup recovery: each file in [pending/] is a request that a
+   previous incarnation acknowledged and never retired (SIGKILL, power
+   loss, a drain checkpoint). Files are read in name order. A file that
+   does not fold back to one record keyed by its own name (a [.tmp]
+   leftover of an interrupted publish, a damaged file), one whose result
+   is stored (it completed, but its retirement was lost) and one whose
+   spec no longer resolves (the catalogue changed under it) are removed
+   with their cell journals; the rest come back for {!run} to re-enqueue
+   with no waiters. The cell journal makes each re-run incremental, and
+   the client that cared will resubmit the same digest and attach (or
+   hit the result store). *)
 let recoverable cfg =
-  let replay =
-    (Scenarios.Journal.replay (admissions_path cfg) : admission Scenarios.Journal.replay)
-  in
+  let dir = pending_dir cfg in
+  let names = Sys.readdir dir in
+  Array.sort compare names;
   List.filter_map
-    (fun (digest, adm) ->
-      match adm with
-      | Settled -> None
-      | Pending spec -> (
-          if Sys.file_exists (result_path cfg digest) then None
-          else
+    (fun name ->
+      let request =
+        match
+          Scenarios.Journal.fold (Filename.concat dir name) ~init:[]
+            ~f:(fun acc digest (spec : Wire.spec) -> (digest, spec) :: acc)
+        with
+        | [ (digest, spec) ], { Scenarios.Journal.fold_dropped_bytes = 0; _ }
+          when digest = name && not (Sys.file_exists (result_path cfg digest)) -> (
             match resolve_spec spec with
-            | Error _ -> None
-            | Ok grid -> Some (digest, spec, grid)))
-    replay.Scenarios.Journal.entries
+            | Ok grid -> Some (digest, spec, grid)
+            | Error _ -> None)
+        | _ -> None
+      in
+      if Option.is_none request then remove_request_files cfg name;
+      request)
+    (Array.to_list names)
 
 let begin_drain s ~drainer =
   if not s.draining then begin
     s.draining <- true;
     s.drain_t0 <- Obs.Clock.now ();
     Obs.Metrics.set g_draining 1.;
-    (* Queued work checkpoints instantly: its [Pending] record IS the
+    (* Queued work checkpoints instantly: its pending file IS the
        checkpoint. Each running campaign aborts at a cell boundary, so
        the drain costs at most one cell of wall clock per lane plus the
        flush. *)
@@ -974,14 +937,6 @@ let listen_unix path =
   Unix.set_nonblock fd;
   fd
 
-let listen_tcp port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  fd
-
 (* Each pass settles what the lanes finished, sweeps deadlines, sends
    progress and drops stalled clients, then waits in [select] until a
    socket or the wake pipe is ready. Lanes wake it after every settled
@@ -989,7 +944,7 @@ let listen_tcp port =
    running deadlines are checked at least once per cell; the 0.2-s
    timeout is only the period of the stall and queued-deadline sweeps
    on an otherwise quiet daemon. *)
-let rec main_loop s listeners =
+let rec main_loop s lfd =
   if Atomic.get s.drain_rq then begin
     Atomic.set s.drain_rq false;
     Mutex.lock s.m;
@@ -1004,7 +959,7 @@ let rec main_loop s listeners =
   let finished = s.draining && s.running = [] && Queue.is_empty s.done_q in
   Mutex.unlock s.m;
   if not finished then begin
-    let rfds = s.wake_r :: listeners @ List.map (fun c -> c.cfd) s.clients in
+    let rfds = s.wake_r :: lfd :: List.map (fun c -> c.cfd) s.clients in
     let wfds =
       List.filter_map
         (fun c -> if Queue.is_empty c.outq then None else Some c.cfd)
@@ -1017,7 +972,7 @@ let rec main_loop s listeners =
         List.iter
           (fun fd ->
             if fd = s.wake_r then drain_wakes s
-            else if List.mem fd listeners then handle_accept s fd
+            else if fd = lfd then handle_accept s lfd
             else
               match List.find_opt (fun c -> c.cfd = fd) s.clients with
               | Some c -> handle_client_read s c
@@ -1030,7 +985,7 @@ let rec main_loop s listeners =
             | None -> ())
           writable;
         Mutex.unlock s.m);
-    main_loop s listeners
+    main_loop s lfd
   end
 
 (* Post-drain: give buffered replies a short, bounded chance to reach
@@ -1061,17 +1016,9 @@ let final_flush s =
   List.iter (fun c -> close_client s c) s.clients
 
 let run cfg =
-  mkdir_p cfg.state_dir;
   mkdir_p (results_dir cfg);
+  mkdir_p (pending_dir cfg);
   let recovered = recoverable cfg in
-  let admissions, compacted =
-    match
-      rewrite_admissions cfg
-        (List.map (fun (digest, spec, _) -> (digest, spec)) recovered)
-    with
-    | Some w -> (w, true)
-    | None -> (Scenarios.Journal.create ~on_error:`Degrade (admissions_path cfg), false)
-  in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -1086,9 +1033,6 @@ let run cfg =
       drain_rq = Atomic.make false;
       wake_r;
       wake_w;
-      admissions;
-      unsettled = Hashtbl.create 64;
-      settled_since = 0;
       fault = Option.bind cfg.chaos Exec.Chaos.server_fault;
       live = Hashtbl.create 64;
       draining = false;
@@ -1101,12 +1045,10 @@ let run cfg =
       drain_t0 = 0.;
     }
   in
-  if not compacted then degrade s;
   List.iter
     (fun (digest, spec, grid) ->
       let r = make_req s ~spec ~grid ~digest ~deadline_s:None in
       Hashtbl.replace s.live digest r;
-      Hashtbl.replace s.unsettled digest (r.ticket, spec);
       s.backlog <- s.backlog @ [ r ];
       Obs.Metrics.incr m_recovered)
     recovered;
@@ -1121,13 +1063,11 @@ let run cfg =
       (fun sg -> (sg, Sys.signal sg (Sys.Signal_handle on_term)))
       [ Sys.sigterm; Sys.sigint ]
   in
-  let lunix = listen_unix cfg.socket in
-  let ltcp = Option.map listen_tcp cfg.tcp_port in
-  let listeners = lunix :: Option.to_list ltcp in
+  let lfd = listen_unix cfg.socket in
   let lanes =
     List.init (max 1 cfg.concurrent) (fun _ -> Domain.spawn (fun () -> executor s))
   in
-  main_loop s listeners;
+  main_loop s lfd;
   final_flush s;
   List.iter Domain.join lanes;
   (* The handlers write to the wake pipe, so they go first. *)
@@ -1138,6 +1078,5 @@ let run cfg =
   sync_gauges s;
   Mutex.unlock s.m;
   Option.iter (fun p -> Obs.Export.write_file ~name:"serve" p) cfg.metrics_path;
-  Scenarios.Journal.close s.admissions;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
+  (try Unix.close lfd with Unix.Unix_error _ -> ());
   try Sys.remove cfg.socket with Sys_error _ -> ()

@@ -3,9 +3,9 @@
     A long-lived server in front of the execution stack: it keeps the
     warm {!Exec.Shard} fleet, the in-process outcome cache and the trace
     store resident across requests, and serves campaign evaluation over
-    a Unix (and optionally TCP) socket speaking {!Wire}. One request =
-    one campaign grid; the reply carries the same CSV the batch CLI
-    writes, byte for byte.
+    a Unix-domain socket speaking {!Wire}. One request = one campaign
+    grid; the reply carries the same CSV the batch CLI writes, byte for
+    byte.
 
     {1 Robustness model}
 
@@ -35,37 +35,46 @@
     - {e Disconnect detection}: a request whose every client has gone
       away is abandoned the same way; orphaned work never poisons the
       fleet.
-    - {e Durability}: every admitted request is journaled ([Pending])
-      before it is acknowledged, and every cell result is journaled as
-      it settles. A SIGKILLed server finds the orphans on restart,
-      re-enqueues them ([serve.recovered]) and resumes from the cell
-      journal — the eventual CSV is byte-identical to an uninterrupted
-      run. Completed results live in an on-disk store keyed by the
-      request digest, so resubmitting a finished spec is a store hit.
-      The admission journal ([admissions.jnl]) stays bounded: it is
-      rewritten to hold only the [Pending] records still unsettled, at
-      startup before it is opened for appending (a [Pending] whose
-      result is already stored, or whose spec no longer resolves, is
-      retired there) and on the main loop after every 64 [Settled]
-      appends. A rewrite is written and fsynced under a temporary name,
-      renamed over the journal and made durable by fsyncing the state
-      directory; a rewrite that fails leaves the old file in place and
-      flips the server degraded.
-      A stored result is the request's durable record: it is fsynced
-      before the rename that publishes it, the rename is made durable
-      by fsyncing the results directory, and only then is the request's
-      cell journal deleted (a failed store or a checkpoint keeps it).
+    - {e Durability}: every admitted request has a pending file,
+      [pending/<digest>] in the state directory, before it is
+      acknowledged, and every cell result is journaled as it settles
+      ([cells-<digest>.jnl]). A SIGKILLed server lists [pending/] on
+      restart, re-enqueues the requests it finds there
+      ([serve.recovered]) and resumes each from its cell journal — the
+      eventual CSV is byte-identical to an uninterrupted run. Completed
+      results live in an on-disk store keyed by the request digest, so
+      resubmitting a finished spec is a store hit. A pending file (a
+      one-record SJL1 journal holding [(digest, spec)]) and a stored
+      result are published alike: written and fsynced under a temporary
+      name, renamed into place, and the rename made durable by fsyncing
+      the directory.
+      A settled request is retired: its pending file and cell journal
+      are removed, and when it did not complete (crashed, past its
+      deadline, orphaned) the removal is made durable by fsyncing
+      [pending/], so abandoned work cannot come back. A drain checkpoint
+      keeps both files. A request retires only while it still owns its
+      digest: the files of one admitted under the same digest while it
+      was being killed stay. Recovery removes, with its cell journal, a
+      pending file that does not read back as one record keyed by its
+      own name, whose result is stored, or whose spec no longer
+      resolves. The state directory therefore holds a pending file and
+      a cell journal only for an unsettled or checkpointed request,
+      however long the daemon lives. An [admissions.jnl] left by an
+      older daemon is not read: its pending requests are not
+      re-enqueued, but a resubmission still resumes from its
+      [cells-<digest>.jnl].
       The store is size-budgeted ([store_budget_bytes]): past the
       budget the least-recently-used results (mtime; a hit refreshes
       it) are evicted ([serve.store_bytes] gauge,
       [serve.store_evictions] counter), and an evicted digest simply
       re-executes on the next submission.
     - {e Graceful drain}: SIGTERM (or a [Drain] request) stops
-      admission, checkpoints the queue (journaled [Pending] survives to
-      the next incarnation), cooperatively aborts the running campaign
+      admission, checkpoints the queue (its pending files survive to the
+      next incarnation), cooperatively aborts the running campaign
       at a cell boundary — completed cells are already journaled — and
       exits 0 once every waiter is answered.
-    - {e Degradation tiers}: a journal device failure flips the server
+    - {e Degradation tiers}: a pending file that cannot be published,
+      or a retirement that cannot be made durable, flips the server
       degraded ([serve.degraded] gauge, [durable = false] in results)
       and halves the admission bound — a sick server sheds load instead
       of dying; {!Exec.Shard}'s in-process fallback covers total spawn
@@ -107,10 +116,9 @@
 
 type config = {
   socket : string;  (** Unix-domain socket path *)
-  tcp_port : int option;  (** optional loopback TCP listener *)
   state_dir : string;
-      (** admission journal, cell journals of unfinished requests,
-          result store *)
+      (** pending files and cell journals of unsettled or checkpointed
+          requests, result store *)
   queue_bound : int;  (** admission queue bound (>= 1) *)
   quota : int;  (** per-client concurrent-request quota (>= 1) *)
   concurrent : int;

@@ -20,30 +20,38 @@ let with_path name f =
 
 let entries_t = Alcotest.(list (pair string (pair int string)))
 
+(* Every intact record in append order, with what the fold saw. *)
+let fold_all path =
+  let entries, stats =
+    Journal_access.fold path ~init:[] ~f:(fun acc k (v : int * string) -> (k, v) :: acc)
+  in
+  (List.rev entries, stats)
+
 let test_round_trip () =
   with_path "roundtrip" @@ fun path ->
   Journal_access.with_writer path (fun w ->
       Journal_access.append w ~key:"a" (1, "one");
       Journal_access.append w ~key:"b" (2, "two");
       Journal_access.append w ~key:"c" (3, "three"));
-  let r = Journal_access.replay path in
+  let entries, stats = fold_all path in
   Alcotest.check entries_t "entries in append order"
     [ ("a", (1, "one")); ("b", (2, "two")); ("c", (3, "three")) ]
-    r.Journal_access.entries;
-  Alcotest.(check int) "3 records" 3 r.Journal_access.records;
-  Alcotest.(check int) "no duplicates" 0 r.Journal_access.duplicates;
-  Alcotest.(check int) "nothing dropped" 0 r.Journal_access.dropped_bytes
+    entries;
+  Alcotest.(check int) "3 records" 3 stats.Journal_access.fold_records;
+  Alcotest.(check int) "nothing dropped" 0 stats.Journal_access.fold_dropped_bytes
 
 let test_absent_and_empty () =
   with_path "absent" @@ fun path ->
-  let r = (Journal_access.replay path : (int * string) Journal_access.replay) in
-  Alcotest.check entries_t "absent file: empty" [] r.Journal_access.entries;
-  Alcotest.(check int) "absent file: nothing dropped" 0 r.Journal_access.dropped_bytes;
+  let entries, stats = fold_all path in
+  Alcotest.check entries_t "absent file: empty" [] entries;
+  Alcotest.(check int) "absent file: nothing dropped" 0
+    stats.Journal_access.fold_dropped_bytes;
   (* An empty file (created, nothing appended) also replays clean. *)
   Journal_access.with_writer path (fun _ -> ());
-  let r = (Journal_access.replay path : (int * string) Journal_access.replay) in
-  Alcotest.check entries_t "empty file: empty" [] r.Journal_access.entries;
-  Alcotest.(check int) "empty file: nothing dropped" 0 r.Journal_access.dropped_bytes
+  let entries, stats = fold_all path in
+  Alcotest.check entries_t "empty file: empty" [] entries;
+  Alcotest.(check int) "empty file: nothing dropped" 0
+    stats.Journal_access.fold_dropped_bytes
 
 let test_truncated_tail () =
   with_path "torn" @@ fun path ->
@@ -53,11 +61,10 @@ let test_truncated_tail () =
   (* Tear the final record mid-payload, as a crash mid-append would. *)
   let size = (Unix.stat path).Unix.st_size in
   Unix.truncate path (size - 5);
-  let r = Journal_access.replay path in
-  Alcotest.check entries_t "intact prefix survives"
-    [ ("a", (1, "one")) ]
-    r.Journal_access.entries;
-  Alcotest.(check bool) "torn bytes counted" true (r.Journal_access.dropped_bytes > 0)
+  let entries, stats = fold_all path in
+  Alcotest.check entries_t "intact prefix survives" [ ("a", (1, "one")) ] entries;
+  Alcotest.(check bool) "torn bytes counted" true
+    (stats.Journal_access.fold_dropped_bytes > 0)
 
 let test_bit_flip () =
   with_path "flip" @@ fun path ->
@@ -77,12 +84,12 @@ let test_bit_flip () =
       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
       ignore (Unix.lseek fd (size - 3) Unix.SEEK_SET);
       assert (Unix.write fd b 0 1 = 1));
-  let r = Journal_access.replay path in
+  let entries, stats = fold_all path in
   Alcotest.check entries_t "corrupt record rejected, prefix kept"
     [ ("a", (1, "one")) ]
-    r.Journal_access.entries;
+    entries;
   Alcotest.(check bool) "corrupt bytes counted" true
-    (r.Journal_access.dropped_bytes > 0)
+    (stats.Journal_access.fold_dropped_bytes > 0)
 
 let test_duplicate_last_wins () =
   with_path "dup" @@ fun path ->
@@ -90,25 +97,29 @@ let test_duplicate_last_wins () =
       Journal_access.append w ~key:"a" (1, "stale");
       Journal_access.append w ~key:"b" (2, "two");
       Journal_access.append w ~key:"a" (3, "fresh"));
-  let r = Journal_access.replay path in
-  Alcotest.check entries_t "last occurrence wins, first-appearance order"
+  (* A consumer that overwrites by key, as the resume path does, ends
+     with each key's last occurrence. *)
+  let latest = Hashtbl.create 4 in
+  let (), stats =
+    Journal_access.fold path ~init:() ~f:(fun () k (v : int * string) ->
+        Hashtbl.replace latest k v)
+  in
+  Alcotest.check entries_t "last occurrence wins"
     [ ("a", (3, "fresh")); ("b", (2, "two")) ]
-    r.Journal_access.entries;
-  Alcotest.(check int) "all intact records counted" 3 r.Journal_access.records;
-  Alcotest.(check int) "one duplicate" 1 r.Journal_access.duplicates
+    (List.map (fun k -> (k, Hashtbl.find latest k)) [ "a"; "b" ]);
+  Alcotest.(check int) "all intact records counted" 3 stats.Journal_access.fold_records
 
 let test_fresh_truncates_append_extends () =
   with_path "fresh" @@ fun path ->
   Journal_access.with_writer path (fun w -> Journal_access.append w ~key:"a" (1, "one"));
   Journal_access.with_writer path (fun w -> Journal_access.append w ~key:"b" (2, "two"));
-  let r = Journal_access.replay path in
-  Alcotest.(check int) "default append mode extends" 2 (List.length r.Journal_access.entries);
+  Alcotest.(check int) "default append mode extends" 2
+    (List.length (fst (fold_all path)));
   Journal_access.with_writer ~fresh:true path (fun w ->
       Journal_access.append w ~key:"c" (3, "three"));
-  let r = Journal_access.replay path in
   Alcotest.check entries_t "fresh mode truncates"
     [ ("c", (3, "three")) ]
-    r.Journal_access.entries
+    (fst (fold_all path))
 
 let test_fold_streams_with_stats () =
   with_path "fold" @@ fun path ->
@@ -117,7 +128,7 @@ let test_fold_streams_with_stats () =
       Journal_access.append w ~key:"b" (2, "two");
       Journal_access.append w ~key:"a" (3, "fresh"));
   (* fold streams every intact record in append order — duplicates
-     included; last-wins collapsing is replay's job, not fold's. *)
+     included; last-wins collapsing is the consumer's job, not fold's. *)
   let keys, stats =
     Journal_access.fold path ~init:[] ~f:(fun acc k ((_ : int), (_ : string)) ->
         k :: acc)
@@ -143,10 +154,9 @@ let test_repair_reclaims_torn_tail () =
   Alcotest.(check bool) "torn bytes reclaimed" true (dropped > 0);
   Journal_access.with_writer path (fun w ->
       Journal_access.append w ~key:"c" (3, "three"));
-  let r = Journal_access.replay path in
   Alcotest.check entries_t "post-repair appends replay"
     [ ("a", (1, "one")); ("c", (3, "three")) ]
-    r.Journal_access.entries;
+    (fst (fold_all path));
   Alcotest.(check int) "file is clean again" 0 (Journal_access.repair path)
 
 let test_crc32_vector () =
@@ -207,12 +217,12 @@ let test_write_fault_degrades_and_replay_keeps_prefix () =
     (counter "journal.appends_dropped" - dropped0);
   (* Replay integrity: the intact prefix survives, the torn record is
      rejected, and nothing after it ever reached the file. *)
-  let r = Journal_access.replay path in
+  let entries, stats = fold_all path in
   Alcotest.check entries_t "only the pre-fault prefix replays"
     [ ("a", (1, "one")) ]
-    r.Journal_access.entries;
+    entries;
   Alcotest.(check bool) "the torn record's bytes counted as dropped" true
-    (r.Journal_access.dropped_bytes > 0)
+    (stats.Journal_access.fold_dropped_bytes > 0)
 
 let test_fsync_fault_degrades () =
   with_path "ffault" @@ fun path ->
@@ -223,10 +233,8 @@ let test_fsync_fault_degrades () =
       Journal_access.append w ~key:"a" (1, "one");
       Alcotest.(check bool) "degraded by the fsync failure" true
         (Journal_access.degraded w));
-  let r = Journal_access.replay path in
-  Alcotest.check entries_t "the flushed record replays"
-    [ ("a", (1, "one")) ]
-    r.Journal_access.entries
+  Alcotest.check entries_t "the flushed record replays" [ ("a", (1, "one")) ]
+    (fst (fold_all path))
 
 let test_closed_writer_rejected () =
   with_path "closed" @@ fun path ->
@@ -255,7 +263,7 @@ let test_closure_refused () =
   Alcotest.(check string) "file unchanged" before (read ());
   Alcotest.check entries_t "the earlier record still replays alone"
     [ ("a", (1, "one")) ]
-    (Journal_access.replay path).Journal_access.entries
+    (fst (fold_all path))
 
 (* ------------------------------------------------------------------ *)
 (* Campaign resume contract                                             *)

@@ -80,7 +80,33 @@ let fresh_dir =
     Unix.mkdir d 0o755;
     d
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+
 type daemon = { pid : int; socket : string; state : string }
+
+(* Every daemon this runner spawned, with its state dir. One that a
+   failed test left running is killed when the runner exits, so that it
+   cannot keep the runner's output open, and its state dir removed. *)
+let spawned = ref []
+
+let () =
+  at_exit (fun () ->
+      List.iter
+        (fun (pid, state) ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ ->
+              Unix.kill pid Sys.sigkill;
+              ignore (Unix.waitpid [] pid);
+              rm_rf state
+          | _ -> ()
+          | exception Unix.Unix_error _ -> ())
+        !spawned)
 
 (* Spawn a daemon (a re-execution of this binary) and block until its
    socket accepts. *)
@@ -96,6 +122,7 @@ let spawn ~socket ~state args =
       [| Sys.executable_name |]
       env Unix.stdin Unix.stderr Unix.stderr
   in
+  spawned := (pid, state) :: !spawned;
   let deadline = Obs.Clock.now () +. 10. in
   let rec wait () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -120,13 +147,35 @@ let start_daemon ?(args = []) () =
 let restart_daemon ?(args = []) (d : daemon) =
   spawn ~socket:d.socket ~state:d.state args
 
+(* Drain the daemon, reap it and remove its state dir: it is stopped for
+   good. A drain that fails must not hang the suite: the daemon gets a
+   SIGTERM and 10 s to exit, then a SIGKILL, and the test fails with the
+   drain's error. *)
 let stop_daemon (d : daemon) =
-  (match Serve.Client.drain ~socket:d.socket with
-  | Ok _ -> ()
-  | Error _ -> ());
-  match Unix.waitpid [] d.pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _, status ->
+  let drained = Serve.Client.drain ~socket:d.socket in
+  let status =
+    match drained with
+    | Ok _ -> snd (Unix.waitpid [] d.pid)
+    | Error _ ->
+        Unix.kill d.pid Sys.sigterm;
+        let deadline = Obs.Clock.now () +. 10. in
+        let rec reap () =
+          match Unix.waitpid [ Unix.WNOHANG ] d.pid with
+          | 0, _ when Obs.Clock.now () < deadline ->
+              Unix.sleepf 0.05;
+              reap ()
+          | 0, _ ->
+              Unix.kill d.pid Sys.sigkill;
+              snd (Unix.waitpid [] d.pid)
+          | _, status -> status
+        in
+        reap ()
+  in
+  rm_rf d.state;
+  match (drained, status) with
+  | Error e, _ -> Alcotest.failf "drain failed: %s" e
+  | Ok _, Unix.WEXITED 0 -> ()
+  | Ok _, status ->
       let s =
         match status with
         | Unix.WEXITED n -> Printf.sprintf "exit %d" n
@@ -222,6 +271,33 @@ let stats_counter d name =
   | Ok json -> counter_in json name
   | Error e -> Alcotest.failf "stats: %s" e
 
+(* Poll a daemon counter until [ok] holds, for at most 10 s. *)
+let await_counter d name ok =
+  let deadline = Obs.Clock.now () +. 10. in
+  let rec poll () =
+    let n = stats_counter d name in
+    if not (ok n) then begin
+      if Obs.Clock.now () > deadline then Alcotest.failf "%s stuck at %d" name n;
+      Unix.sleepf 0.002;
+      poll ()
+    end
+  in
+  poll ()
+
+(* The files a state dir keeps for unsettled or checkpointed requests:
+   cell journals and pending files. *)
+let cell_journals d =
+  Array.to_list (Sys.readdir d.state)
+  |> List.filter (String.starts_with ~prefix:"cells-")
+  |> List.sort compare
+
+let pending_dir d = Filename.concat d.state "pending"
+let pending_files d = List.sort compare (Array.to_list (Sys.readdir (pending_dir d)))
+
+let check_retired d =
+  Alcotest.(check (list string)) "no cell journal left" [] (cell_journals d);
+  Alcotest.(check (list string)) "no pending file left" [] (pending_files d)
+
 (* A counter of this process: the client's own telemetry. *)
 let client_counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
@@ -251,7 +327,8 @@ let with_inprocess_daemon f =
   Fun.protect
     ~finally:(fun () ->
       ignore (Serve.Client.drain ~socket);
-      Domain.join daemon)
+      Domain.join daemon;
+      rm_rf dir)
     (fun () -> f socket)
 
 (* A stand-in daemon on a domain of this process, for answers the real
@@ -260,7 +337,8 @@ let with_inprocess_daemon f =
    with the frames [reply n rq], all in one write. [f] gets the socket
    and the count of accepted connections. *)
 let with_fake_daemon reply f =
-  let socket = Filename.concat (fresh_dir ()) "fake.sock" in
+  let dir = fresh_dir () in
+  let socket = Filename.concat dir "fake.sock" in
   let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX socket);
   Unix.listen lfd 8;
@@ -300,7 +378,8 @@ let with_fake_daemon reply f =
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;
-      Domain.join listener)
+      Domain.join listener;
+      rm_rf dir)
     (fun () -> f socket accepted)
 
 (* ------------------------------------------------------------------ *)
@@ -514,7 +593,10 @@ let test_deadline_kills_without_stalling_others () =
   wait_kill ();
   disconnect s;
   Alcotest.(check bool) "deadline kill counted" true
-    (stats_counter d "serve.deadline_kills" >= 1)
+    (stats_counter d "serve.deadline_kills" >= 1);
+  (* Both requests settled before their waiters heard of it: neither
+     keeps a file. *)
+  check_retired d
 
 (* ------------------------------------------------------------------ *)
 (* Durability                                                           *)
@@ -540,8 +622,8 @@ let test_sigkill_restart_resume_identical () =
   Unix.kill d.pid Sys.sigkill;
   ignore (Unix.waitpid [] d.pid);
   disconnect s;
-  (* Restart on the same state dir: the admission journal still holds
-     the [Pending], the cell journal the settled cells. Resubmitting
+  (* Restart on the same state dir: the pending file still holds the
+     request, the cell journal the settled cells. Resubmitting
      the same spec attaches to the recovered request (or hits the
      store) and the bytes must equal an uninterrupted batch run. *)
   let d = restart_daemon d in
@@ -589,6 +671,7 @@ let test_sigterm_drain_under_load () =
   (match Unix.waitpid [] d.pid with
   | _, Unix.WEXITED 0 -> ()
   | _, _ -> Alcotest.fail "drained daemon must exit 0");
+  rm_rf d.state;
   (* New admissions during/after drain: connection refused or Draining
      rejection — either way the socket is gone now. *)
   match Serve.Client.submit_and_wait ~attempts:1 ~patience_s:2.
@@ -706,10 +789,13 @@ let test_abort_leaves_other () =
   Alcotest.(check string) "survivor CSV byte-identical"
     (batch_csv medium_spec) (wait_result s2);
   Alcotest.(check bool) "orphaning counted" true
-    (stats_counter d "serve.orphaned" >= 1)
+    (stats_counter d "serve.orphaned" >= 1);
+  (* The orphan settles, as a failure, at its next cell boundary. *)
+  await_counter d "serve.requests_failed" (fun n -> n >= 1);
+  check_retired d
 
 (* SIGKILL with two campaigns mid-flight: restart recovers BOTH from
-   the admission journal, resumes each from its cell journal, and the
+   their pending files, resumes each from its cell journal, and the
    resubmitted results stay byte-identical. *)
 let test_sigkill_restart_resumes_both () =
   let d = start_daemon ~args:[ "concurrent=2" ] () in
@@ -765,9 +851,8 @@ let test_store_eviction () =
         expected csv
   | Error e -> Alcotest.failf "post-eviction submit: %s" e
 
-(* The stored CSV is a completed request's durable record, so its cell
-   journal is deleted once the store succeeds: the state dir keeps no
-   cells-*.jnl however many distinct requests complete. *)
+(* A completed request retires its pending file and cell journal: the
+   state dir keeps neither however many distinct requests complete. *)
 let test_completed_requests_leave_no_cell_journal () =
   let d = start_daemon () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
@@ -780,34 +865,23 @@ let test_completed_requests_leave_no_cell_journal () =
           Alcotest.(check bool) "durable" true durable
       | Error e -> Alcotest.failf "submit: %s" e)
     specs;
-  let files dir suffix =
+  check_retired d;
+  let stored =
     List.filter
-      (fun f -> Filename.check_suffix f suffix)
-      (Array.to_list (Sys.readdir dir))
+      (fun f -> Filename.check_suffix f ".csv")
+      (Array.to_list (Sys.readdir (Filename.concat d.state "results")))
   in
-  let cell_journals =
-    List.filter (String.starts_with ~prefix:"cells-") (files d.state ".jnl")
-  in
-  Alcotest.(check (list string)) "no cell journal left" [] cell_journals;
-  Alcotest.(check int) "one stored result per request" 3
-    (List.length (files (Filename.concat d.state "results") ".csv"))
+  Alcotest.(check int) "one stored result per request" 3 (List.length stored)
 
 (* ------------------------------------------------------------------ *)
-(* A bounded admission journal                                          *)
+(* Pending files                                                        *)
 
-(* The daemon's admission record, declared here with the same shape so
-   the test can replay [admissions.jnl] (a Marshal image carries no type
-   names). *)
-type admission = Pending of Serve.Wire.spec | Settled [@@warning "-37"]
-
-let admissions d = Filename.concat d.state "admissions.jnl"
-
-(* Each admitted request appends a [Pending] and a [Settled], about 166 B
-   together, so 160 requests would leave about 27 KB; rewrites keep the
-   file to at most one rewrite interval's worth. Then a request
-   checkpointed by a drain is the journal's only record after a restart,
-   and the one request recovered. *)
-let test_admission_journal_bounded () =
+(* Each admitted request publishes a pending file and retires it, with
+   its cell journal, when it settles: 160 completed requests leave
+   neither. A drain checkpoint keeps both files of the request it
+   interrupts; a restart recovers exactly that request, which retires
+   them once it completes. *)
+let test_pending_files_bounded () =
   let d = start_daemon () in
   let spec i =
     { quick_spec with Serve.Wire.window = Some (0.005 +. (0.00001 *. float_of_int i)) }
@@ -825,11 +899,7 @@ let test_admission_journal_bounded () =
              done)));
   Alcotest.(check int) "every request completed" n
     (stats_counter d "serve.requests_completed");
-  let size = (Unix.stat (admissions d)).Unix.st_size in
-  Alcotest.(check bool)
-    (Printf.sprintf "journal bounded (%d B after %d requests)" size n)
-    true (size < 16 * 1024);
-  (* A drain checkpoints the running campaign: its [Pending] stays. *)
+  check_retired d;
   let s = connect d in
   Fun.protect
     ~finally:(fun () -> disconnect s)
@@ -848,18 +918,60 @@ let test_admission_journal_bounded () =
       match Unix.waitpid [] d.pid with
       | _, Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "drained daemon must exit 0");
+  (match pending_files d with
+  | [ digest ] ->
+      (match
+         Scenarios.Journal.fold
+           (Filename.concat (pending_dir d) digest)
+           ~init:[]
+           ~f:(fun acc key (spec : Serve.Wire.spec) -> (key, spec) :: acc)
+       with
+      | [ (key, spec) ], _ ->
+          Alcotest.(check string) "keyed by its name" digest key;
+          Alcotest.(check bool) "the checkpointed spec" true (spec = slow_spec)
+      | _ -> Alcotest.fail "expected one record in the pending file");
+      Alcotest.(check (list string)) "its cell journal kept"
+        [ "cells-" ^ digest ^ ".jnl" ]
+        (cell_journals d)
+  | files ->
+      Alcotest.failf "expected one pending file after the drain, found %d"
+        (List.length files));
+  let drained = pending_files d in
   let d = restart_daemon d in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  (* The recovered request has most of its grid left to run. *)
+  Alcotest.(check (list string)) "recovery keeps the pending file" drained
+    (pending_files d);
   Alcotest.(check int) "exactly the checkpointed request recovered" 1
     (stats_counter d "serve.recovered");
-  let replay : admission Scenarios.Journal.replay =
-    Scenarios.Journal.replay (admissions d)
-  in
-  match replay with
-  | { entries = [ (_, Pending spec) ]; records = 1; _ } ->
-      Alcotest.(check bool) "the record is the checkpointed spec" true (spec = slow_spec)
-  | { records; _ } ->
-      Alcotest.failf "expected one Pending record after the restart, found %d" records
+  (match Serve.Client.submit_and_wait ~socket:d.socket slow_spec with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "resubmit after restart: %s" e);
+  check_retired d
+
+(* A kill takes effect at the next cell boundary, and a submission of the
+   same spec inside that window is admitted as a new request under the
+   same digest. The killed request must leave the new one's files alone
+   when it settles, so that a crash still recovers the new one. *)
+let test_same_digest_resubmission_recovered () =
+  let d = start_daemon () in
+  let s1 = connect d in
+  expect_welcome s1;
+  submit s1 slow_spec;
+  wait_progress s1;
+  disconnect s1;
+  await_counter d "serve.orphaned" (fun n -> n >= 1);
+  let s2 = connect d in
+  expect_welcome s2;
+  submit s2 slow_spec;
+  wait_progress s2;
+  Unix.kill d.pid Sys.sigkill;
+  ignore (Unix.waitpid [] d.pid);
+  disconnect s2;
+  let d = restart_daemon d in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  Alcotest.(check int) "the resubmitted request recovered" 1
+    (stats_counter d "serve.recovered")
 
 (* ------------------------------------------------------------------ *)
 (* Store hits and the major heap                                        *)
@@ -1123,6 +1235,8 @@ let () =
             test_sigkill_restart_resume_identical;
           Alcotest.test_case "a restart costs a kept session one free reconnect"
             `Slow test_restart_replaces_kept_session;
+          Alcotest.test_case "a same-digest resubmission is recovered" `Slow
+            test_same_digest_resubmission_recovered;
         ] );
       ( "drain",
         [
@@ -1151,8 +1265,8 @@ let () =
         ] );
       ( "journal",
         [
-          Alcotest.test_case "admission journal bounded; checkpoint recovered"
-            `Slow test_admission_journal_bounded;
+          Alcotest.test_case "pending files bounded; checkpoint recovered" `Slow
+            test_pending_files_bounded;
         ] );
       ( "chaos",
         [
