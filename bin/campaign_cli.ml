@@ -132,24 +132,13 @@ let hang_timeout =
            cells — after $(docv) seconds without results or heartbeats \
            (default 30).")
 
-let batch_deadline =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "batch-deadline" ] ~docv:"SECS"
-        ~doc:
-          "Hard bound on one sharded batch's in-flight time: a worker \
-           exceeding it is killed and its cells requeued, even if it is \
-           still heartbeating (catches busy-looping tasks). Off by \
-           default.")
-
 (* The campaign a command line selects, as its seed and a thunk that
    runs it: Cmdliner evaluates this term before the command's own setup
    (such as creating an output directory), which must come first. *)
 let term =
   let domains = domains ~doc:"Run the grid on $(docv) domains (1 = sequential)." in
   let campaign domains shards seed faults scenarios journal resume retries chaos
-      hang_timeout_s deadline_s =
+      hang_timeout_s =
     if resume && journal = None then begin
       Fmt.epr "--resume requires --journal PATH@.";
       exit 1
@@ -174,10 +163,10 @@ let term =
           chaos
       in
       Scenarios.Campaign.run ?domains ?shards ?journal ~resume ~retries ?chaos
-        ?hang_timeout_s ?deadline_s grid
+        ?hang_timeout_s grid
     in
     (seed, run)
   in
   Term.(
     const campaign $ domains $ shards $ seed $ faults $ scenarios $ journal $ resume
-    $ retries $ chaos $ hang_timeout $ batch_deadline)
+    $ retries $ chaos $ hang_timeout)

@@ -94,10 +94,10 @@ let cmd =
       value & opt int 64
       & info [ "store-budget" ] ~docv:"MB"
           ~doc:
-            "Result-store size budget in MiB; past it the least-recently-used \
-             results are evicted (0 = unbounded). An evicted digest simply \
-             re-executes — incrementally, via its cell journal — on the next \
-             submission.")
+            "Result-store size budget in MiB; past it the oldest stored \
+             results are evicted first (0 = unbounded). An evicted digest \
+             simply re-executes — incrementally, via its cell journal — on \
+             the next submission.")
   in
   let deadline =
     Arg.(

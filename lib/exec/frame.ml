@@ -14,7 +14,6 @@ module type S = sig
   val read : Unix.file_descr -> buf -> [ `Frame of 'a | `Eof | `Corrupt ]
   val write : Unix.file_descr -> 'a -> unit
   val write_all : Unix.file_descr -> string -> unit
-  val input : in_channel -> size:int -> 'a option
 end
 
 module Make (F : sig
@@ -147,17 +146,4 @@ end) : S = struct
     go 0
 
   let write fd v = write_all fd (encode v)
-
-  let input ic ~size =
-    let h = Bytes.create header_len in
-    match really_input ic h 0 header_len with
-    | exception End_of_file -> None
-    | () -> (
-        match header h 0 with
-        | Some (len, crc) when len <= size - pos_in ic -> (
-            let payload = Bytes.create len in
-            match really_input ic payload 0 len with
-            | exception End_of_file -> None
-            | () -> unmarshal payload 0 len crc)
-        | _ -> None)
 end

@@ -9,7 +9,9 @@
     ({!Shard.Frame}, payloads marshalled with [Closures] since both ends
     run one binary), ["SRV1"] for the service socket ([Serve.Wire.Frame])
     and ["SJL1"] for the scenario journal ([Scenarios.Journal.Record]).
-    The last two carry pure data: {!S.encode} refuses a closure. *)
+    The last two carry pure data: {!S.encode} refuses a closure. Every
+    stream, the journal file included, is written with {!S.write_all}
+    and read with {!S.fill} and {!S.decode} on a descriptor. *)
 
 module type S = sig
   val header_len : int
@@ -76,13 +78,6 @@ module type S = sig
 
   val write_all : Unix.file_descr -> string -> unit
   (** Write a whole encoded string (blocking, EINTR-safe). *)
-
-  val input : in_channel -> size:int -> 'a option
-  (** [input ic ~size] reads the record at the position of [ic], a file
-      of [size] bytes; [None] on a short, bad or corrupt record, as
-      {!decode} judges one. The caller takes [size] once: asking a
-      channel for its length costs two [lseek]s per record. The payload
-      is checked as {!decode} checks it. *)
 end
 
 module Make (_ : sig

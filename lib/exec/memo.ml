@@ -17,14 +17,14 @@ type ('k, 'v) t = {
 
 type stats = { hits : int; misses : int; evictions : int }
 
-let create ?(size = 64) ?capacity ?(weight = fun _ -> 1) ?name () =
+let create ?capacity ?(weight = fun _ -> 1) ?name () =
   let capacity =
     match capacity with
     | Some c when c < 1 -> invalid_arg "Memo.create: capacity must be >= 1"
     | c -> c
   in
   {
-    table = Hashtbl.create size;
+    table = Hashtbl.create 64;
     inflight = Hashtbl.create 8;
     order = Queue.create ();
     capacity;

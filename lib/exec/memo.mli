@@ -26,10 +26,8 @@ type stats = {
   evictions : int;  (** entries dropped to stay under [capacity] *)
 }
 
-val create :
-  ?size:int -> ?capacity:int -> ?weight:('v -> int) -> ?name:string -> unit -> ('k, 'v) t
-(** [size] is the initial hash-table size (a hint, {e not} a bound).
-    [capacity] (default: unbounded) is a hard bound on the summed
+val create : ?capacity:int -> ?weight:('v -> int) -> ?name:string -> unit -> ('k, 'v) t
+(** [capacity] (default: unbounded) is a hard bound on the summed
     [weight] of the live entries (default weight 1, so by default it
     bounds their number): when an insertion exceeds it the oldest entries
     (FIFO over insertion order) are evicted and counted in

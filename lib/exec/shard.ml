@@ -466,7 +466,7 @@ let notify on_result index v =
 
 let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
     ?(chaos = Chaos.none) ?(hang_timeout_s = default_hang_timeout_s)
-    ?deadline_s (f : a -> b) (xs : a list) : (b, Pool.error) result list =
+    (f : a -> b) (xs : a list) : (b, Pool.error) result list =
   if in_worker () then
     invalid_arg "Shard.try_map: nested sharding inside a shard worker";
   let n = List.length xs in
@@ -548,8 +548,8 @@ let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
             ->
               on_death w
       (* A worker is dead the moment its pipe reaches EOF, errors, yields
-         a corrupt frame, or misses its liveness deadline: close its fd
-         and reap it ({!dismiss} — every death path releases the
+         a corrupt frame, or falls silent past [hang_timeout_s]: close its
+         fd and reap it ({!dismiss} — every death path releases the
          descriptor), put its in-flight work back on the queue (crash
          recovery, bounded by the restart budget — not a retry: the task
          still runs once as far as the caller can tell), and respawn into
@@ -696,23 +696,15 @@ let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
                (* Hang sweep: a worker holding a batch that has been silent
                   past [hang_timeout_s] (no results, no heartbeats — the
                   process is wedged: SIGSTOP, open-pipe hang, C-stub
-                  deadlock) or past the optional per-batch [deadline_s]
-                  (heartbeating but never finishing — a busy-looping task)
-                  is killed and its cells requeued under the restart budget.
-                  A merely slow worker heartbeats and is never swept. *)
+                  deadlock) is killed and its cells requeued under the
+                  restart budget. A merely slow worker heartbeats and is
+                  never swept. *)
                List.iter
                  (fun w ->
-                   if w.alive && w.inflight <> [] then begin
-                     let silent = t -. w.last_heard > hang_timeout_s in
-                     let overran =
-                       match deadline_s with
-                       | Some d -> t -. w.batch_started > d
-                       | None -> false
-                     in
-                     if silent || overran then begin
-                       Obs.Metrics.incr m_hangs;
-                       on_death w
-                     end
+                   let silent = t -. w.last_heard > hang_timeout_s in
+                   if w.alive && w.inflight <> [] && silent then begin
+                     Obs.Metrics.incr m_hangs;
+                     on_death w
                    end)
                  alive;
                let alive = List.filter (fun w -> w.alive) fleet.members in
@@ -725,14 +717,7 @@ let try_map (type a b) ?shards ?(domains = 1) ?on_result ?abort
                    List.fold_left
                      (fun acc w ->
                        if w.inflight = [] then acc
-                       else
-                         let h = w.last_heard +. hang_timeout_s in
-                         let h =
-                           match deadline_s with
-                           | Some d -> Float.min h (w.batch_started +. d)
-                           | None -> h
-                         in
-                         Float.min acc h)
+                       else Float.min acc (w.last_heard +. hang_timeout_s))
                      Float.infinity alive
                  in
                  let timeout =

@@ -69,13 +69,14 @@
     a write lock with result frames so the two never interleave. The
     coordinator tracks the instant it last heard from each busy worker
     (any bytes: results or heartbeats) and declares it hung when the
-    silence exceeds [hang_timeout_s]; an optional per-batch [deadline_s]
-    additionally bounds total batch duration, catching a task that
-    busy-loops while its process stays healthy enough to heartbeat. A
-    hung worker is SIGKILLed and treated exactly like a crash: cells
-    requeued, respawn under the restart budget, [shard.hangs_detected]
-    incremented. A merely slow worker keeps heartbeating and is never
-    killed by [hang_timeout_s].
+    silence exceeds [hang_timeout_s]: heartbeat silence is the fleet's
+    only liveness rule. A hung worker is SIGKILLed and treated exactly
+    like a crash: cells requeued, respawn under the restart budget,
+    [shard.hangs_detected] incremented. A merely slow worker keeps
+    heartbeating and is never killed. A task that busy-loops while its
+    worker heartbeats is not caught: a cell simulates a bounded number of
+    ticks, so such a task is a bug, and it would hang the in-process
+    runner, which has no watchdog, all the same.
 
     {1 Graceful degradation}
 
@@ -147,11 +148,6 @@ val init : unit -> unit
     would rerun that executable's [main] instead, typically rerunning
     the whole program per worker. *)
 
-val in_worker : unit -> bool
-(** Whether this process is a shard worker. Mostly useful for
-    diagnostics; user code never observes it as [true] except from
-    inside a task function. *)
-
 val warm : ?shards:int -> ?domains:int -> unit -> unit
 (** [warm ~shards ~domains ()] spawns (or completes) the calling domain's
     resident fleet for that shape without running any tasks, so a
@@ -172,7 +168,6 @@ val try_map :
   ?abort:(unit -> bool) ->
   ?chaos:Chaos.t ->
   ?hang_timeout_s:float ->
-  ?deadline_s:float ->
   ('a -> 'b) ->
   'a list ->
   ('b, Pool.error) result list
@@ -220,10 +215,6 @@ val try_map :
     - [hang_timeout_s] — declare a busy worker hung after this much
       silence (default 30 s; heartbeats every 0.2 s keep a healthy
       worker far inside it). See {e Liveness} above.
-    - [deadline_s] — optional hard bound on one batch's in-flight time,
-      catching busy-looping tasks that keep heartbeating. Off by
-      default: a deadline kills {e slow but correct} batches, so pick
-      one only when an upper bound on batch duration is really known.
 
     A task that raised in a healthy worker fails with {!Worker_failure}.
 

@@ -3,8 +3,9 @@
     report a detection-coverage matrix.
 
     Each cell compares an injected run against the fault-free baseline of
-    the same scenario (same defects, default [Vehicle.Defects.repaired] so
-    new violations are attributable to the fault):
+    the same scenario, both with every defect repaired
+    ([Vehicle.Defects.repaired]), so new violations are attributable to
+    the fault:
 
     - {e detected} — the fault produced a goal-level effect (a new
       vehicle-level violation, or a new collision) that some subgoal
@@ -239,9 +240,11 @@ let classify_cell ~window ~seed (fault : Inject.Fault.t)
     invocation, and a resume key must survive process death. Everything
     the cell's outcome depends on is closure-free pure data — the scenario
     {e number} (scenario definitions are versioned with the binary), the
-    fault, the campaign seed, the window and the defect set — so the key
-    is stable across runs and independent of grid position: resuming with
-    a reordered or enlarged grid still reuses every completed cell. *)
+    fault, the campaign seed, the window and the defect set ({!run}
+    always passes [Vehicle.Defects.repaired], digested all the same so
+    that keys stay those earlier journals hold) — so the key is stable
+    across runs and independent of grid position: resuming with a
+    reordered or enlarged grid still reuses every completed cell. *)
 let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
   Exec.Memo.digest (s.Defs.number, fault, seed, window, defects)
 
@@ -288,9 +291,10 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     from it: worker faults and spawn failures apply to the sharded
     branch, journal faults to any journaled run. Every fault in
     the catalogue is recoverable, so the matrix under any chaos plan is
-    bit-for-bit the chaos-free one. [hang_timeout_s] / [deadline_s]
-    configure the sharded coordinator's liveness sweep
-    ({!Exec.Shard.try_map}). The sharded branch runs on the calling
+    bit-for-bit the chaos-free one. [hang_timeout_s] configures the
+    sharded coordinator's liveness sweep ({!Exec.Shard.try_map}): a busy
+    worker silent that long is killed and its cells requeued. The
+    sharded branch runs on the calling
     domain's resident worker fleet, so concurrent campaigns driven from
     separate coordinator domains — the serve daemon's executor lanes —
     get disjoint worker processes without naming them.
@@ -309,10 +313,11 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     {!Exec.Pool.Aborted} (regardless of [retries]) — completed cells are
     already journaled, so a resumed run continues exactly past the abort
     point. *)
-let run ?domains ?shards ?use_cache ?(defects = Vehicle.Defects.repaired)
-    ?(window = Runner.default_window) ?journal ?(resume = false) ?(retries = 0)
-    ?on_cell ?abort ?chaos ?hang_timeout_s ?deadline_s (g : grid) : t =
+let run ?domains ?shards ?(window = Runner.default_window) ?journal
+    ?(resume = false) ?(retries = 0) ?on_cell ?abort ?chaos ?hang_timeout_s
+    (g : grid) : t =
   let retries = max 0 retries in
+  let defects = Vehicle.Defects.repaired in
   let pairs =
     List.concat_map
       (fun f -> List.map (fun s -> (f, s)) g.grid_scenarios)
@@ -354,11 +359,11 @@ let run ?domains ?shards ?use_cache ?(defects = Vehicle.Defects.repaired)
     slots;
   let simulate (fault, s) =
     let baseline =
-      Obs.span "cell.baseline" (fun () -> Runner.run ?use_cache ~defects ~window s)
+      Obs.span "cell.baseline" (fun () -> Runner.run ~defects ~window s)
     in
     let injected =
       Obs.span "cell.injected" (fun () ->
-          Runner.run ?use_cache ~defects
+          Runner.run ~defects
             ~inject:(Inject.Plan.make ~seed:g.seed [ fault ])
             ~window s)
     in
@@ -377,7 +382,7 @@ let run ?domains ?shards ?use_cache ?(defects = Vehicle.Defects.repaired)
              most the cells in flight). *)
           fun ~on_result f xs ->
             Exec.Shard.try_map ~shards:s ?domains ~on_result ?abort ?chaos
-              ?hang_timeout_s ?deadline_s f xs
+              ?hang_timeout_s f xs
       | None -> Exec.Supervise.in_process ?domains ?abort ()
     in
     let keys = Array.of_list (List.map (fun (_, k, _) -> k) todo) in
@@ -398,10 +403,10 @@ let run ?domains ?shards ?use_cache ?(defects = Vehicle.Defects.repaired)
         match journal with
         | None -> execute None
         | Some path ->
-            (* [`Degrade]: a campaign survives losing its journal device —
-               results keep flowing in memory, the robustness summary
-               carries the [degraded] flag, and only durability is lost. *)
-            Journal.with_writer ~fresh:(not resume) ~on_error:`Degrade ?chaos path
+            (* A campaign survives losing its journal device: results
+               keep flowing in memory, the robustness summary carries the
+               [degraded] flag, and only durability is lost. *)
+            Journal.with_writer ~fresh:(not resume) ?chaos path
               (fun w ->
                 let r = execute (Some w) in
                 journal_degraded := Journal.degraded w;

@@ -1,10 +1,11 @@
 (** Crash-safe, append-only result journal (see journal.mli).
 
     Each record is one {!Exec.Frame} record with magic ["SJL1"], whose
-    payload is [Marshal.to_string (key, value) []]. A replay accepts the
-    longest valid prefix of records and drops the rest: a record can only
-    be torn by a crash mid-append, and append order means nothing after
-    the tear can be intact anyway. *)
+    payload is [Marshal.to_string (key, value) []], written and read
+    through {!Record} on a descriptor. A replay accepts the longest valid
+    prefix of records and drops the rest: a record can only be torn by a
+    crash mid-append, and append order means nothing after the tear can
+    be intact anyway. *)
 
 module Record = Exec.Frame.Make (struct
   let magic = "SJL1"
@@ -16,13 +17,10 @@ let crc32 = Exec.Crc32.digest
 (* ------------------------------------------------------------------ *)
 (* Writer                                                               *)
 
-exception Io_error of { path : string; op : string; error : string }
-
 type 'a writer = {
-  oc : out_channel;
+  fd : Unix.file_descr;
   path : string;
   lock : Mutex.t;  (** appends may come from pool worker domains *)
-  on_error : [ `Raise | `Degrade ];
   fault : ([ `Write | `Fsync ] -> bool) option;
       (** the writer's own hook derived from its chaos plan
           ({!Exec.Chaos.journal_fault}): consulted once per append for
@@ -44,16 +42,12 @@ let m_dropped = Obs.Metrics.counter "journal.appends_dropped"
 let m_repaired = Obs.Metrics.counter "journal.repaired_bytes"
 let h_fsync = Obs.Metrics.histogram "journal.fsync_s"
 
-let create ?(fresh = false) ?(on_error = `Raise) ?(chaos = Exec.Chaos.none) path =
-  let flags =
-    [ Open_wronly; Open_creat; Open_binary ]
-    @ if fresh then [ Open_trunc ] else [ Open_append ]
-  in
+let create ?(fresh = false) ?(chaos = Exec.Chaos.none) path =
+  let mode = if fresh then Unix.O_TRUNC else Unix.O_APPEND in
   {
-    oc = open_out_gen flags 0o644 path;
+    fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC; mode ] 0o644;
     path;
     lock = Mutex.create ();
-    on_error;
     fault = Exec.Chaos.journal_fault chaos;
     closed = false;
     degraded = false;
@@ -84,41 +78,28 @@ let append w ~key v =
             (* Injected torn write: half the record reaches the file,
                then the device errors — the on-disk shape of a crash
                mid-append combined with EIO. *)
-            output_string w.oc (String.sub record 0 (String.length record / 2));
-            flush w.oc;
+            Record.write_all w.fd (String.sub record 0 (String.length record / 2));
             raise (Unix.Unix_error (Unix.EIO, "write", w.path))
           end;
-          output_string w.oc record;
-          flush w.oc;
+          Record.write_all w.fd record;
           (* The record is only durable once the kernel has it on disk: a
-             flushed-but-unsynced append can still vanish with the page
+             written-but-unsynced append can still vanish with the page
              cache on power loss, breaking the resume-equals-uninterrupted
              contract. *)
           let t0 = Obs.Clock.now () in
           if fault `Fsync then
             raise (Unix.Unix_error (Unix.ENOSPC, "fsync", w.path));
-          Unix.fsync (Unix.descr_of_out_channel w.oc);
+          Unix.fsync w.fd;
           Obs.Metrics.observe h_fsync (Obs.Clock.now () -. t0)
         with
         | () ->
             Obs.Metrics.incr m_appends;
             Obs.Metrics.incr ~by:(String.length record) m_bytes
-        | exception (Unix.Unix_error _ | Sys_error _ as e) ->
+        | exception Unix.Unix_error _ ->
+            (* A campaign survives losing its journal device: results
+               keep flowing in memory and only durability is lost. *)
             Obs.Metrics.incr m_write_errors;
-            (* Raw device errors never escape as themselves: callers and
-               the degradation path below match on the typed error. *)
-            let err =
-              match e with
-              | Unix.Unix_error (code, op, _) ->
-                  Io_error
-                    { path = w.path; op; error = Unix.error_message code }
-              | Sys_error msg ->
-                  Io_error { path = w.path; op = "write"; error = msg }
-              | _ -> assert false
-            in
-            (match w.on_error with
-            | `Raise -> raise err
-            | `Degrade -> w.degraded <- true))
+            w.degraded <- true)
 
 let close w =
   Mutex.lock w.lock;
@@ -127,14 +108,14 @@ let close w =
     (fun () ->
       if not w.closed then begin
         w.closed <- true;
-        match close_out w.oc with
-        | () -> ()
-        | exception Sys_error msg ->
-            raise (Io_error { path = w.path; op = "close"; error = msg })
+        (* Every record was written and fsynced before its append
+           returned: nothing is buffered, so a failing close loses
+           nothing. *)
+        try Unix.close w.fd with Unix.Unix_error _ -> ()
       end)
 
-let with_writer ?fresh ?on_error ?chaos path f =
-  let w = create ?fresh ?on_error ?chaos path in
+let with_writer ?fresh ?chaos path f =
+  let w = create ?fresh ?chaos path in
   Fun.protect ~finally:(fun () -> close w) (fun () -> f w)
 
 (* ------------------------------------------------------------------ *)
@@ -153,27 +134,41 @@ let fold (type a acc) path ~(init : acc) ~(f : acc -> string -> a -> acc) :
     acc * fold_stats =
   (* Every full pass over a journal counts as a replay. *)
   Obs.Metrics.incr m_replays;
-  if not (Sys.file_exists path) then (init, empty_fold_stats)
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let size = in_channel_length ic in
-        let rec loop acc records =
-          let pos = pos_in ic in
-          match (Record.input ic ~size : (string * a) option) with
-          | None ->
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> (init, empty_fold_stats)
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let buf = Record.create () in
+          let decode () : [ `Frame of string * a | `Need_more | `Corrupt ] =
+            Record.decode buf
+          in
+          (* [filled] bytes have been read so far, so the undecoded ones
+             start at [filled - Record.length buf]: just past the last
+             intact record. *)
+          let rec loop acc records filled =
+            let valid = filled - Record.length buf in
+            let stop () =
+              let size = (Unix.fstat fd).Unix.st_size in
               ( acc,
                 {
                   fold_records = records;
-                  fold_valid_bytes = pos;
-                  fold_dropped_bytes = size - pos;
+                  fold_valid_bytes = valid;
+                  fold_dropped_bytes = size - valid;
                 } )
-          | Some (key, v) -> loop (f acc key v) (records + 1)
-        in
-        loop init 0)
-  end
+            in
+            match decode () with
+            | `Frame (key, v) -> loop (f acc key v) (records + 1) filled
+            | `Corrupt -> stop ()
+            | `Need_more -> (
+                match Record.fill fd buf with
+                | 0 -> stop ()
+                | n -> loop acc records (filled + n)
+                | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+                    loop acc records filled)
+          in
+          loop init 0 0)
 
 (* Truncation must run with the file closed for writing: the resume path
    calls this before it reopens the journal in append mode, so the next

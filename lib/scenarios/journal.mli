@@ -29,54 +29,42 @@
 module Record : Exec.Frame.S
 (** The journal's instance of {!Exec.Frame}: magic ["SJL1"], payloads
     marshalled without [Closures]. A record's payload is the
-    [(key, value)] pair; {!fold} reads records with
-    {!Exec.Frame.S.input}. *)
-
-exception Io_error of { path : string; op : string; error : string }
-(** A device-level failure (ENOSPC, EIO, a [Sys_error]) in a journal
-    operation: which file, which operation ([op] is the syscall name —
-    ["write"], ["fsync"], ["close"]), and the errno message. Raw
-    [Unix.Unix_error] / [Sys_error] never escape {!append}; callers — and
-    the [`Degrade] policy below — match on this instead. *)
+    [(key, value)] pair. The writer appends records with
+    {!Exec.Frame.S.write_all} and {!fold} reads them with
+    {!Exec.Frame.S.fill} and {!Exec.Frame.S.decode}, both on a
+    descriptor, as the shard pipe and the service socket do. *)
 
 type 'a writer
 
-val create :
-  ?fresh:bool ->
-  ?on_error:[ `Raise | `Degrade ] ->
-  ?chaos:Exec.Chaos.t ->
-  string ->
-  'a writer
-(** [create ?fresh path] opens [path] for appending, creating it if
-    absent. [~fresh:true] (default [false]) truncates an existing file
-    first — a new run rather than a resumed one.
+val create : ?fresh:bool -> ?chaos:Exec.Chaos.t -> string -> 'a writer
+(** [create ?fresh path] opens [path] for appending (close-on-exec),
+    creating it if absent. [~fresh:true] (default [false]) truncates an
+    existing file first — a new run rather than a resumed one.
 
-    [on_error] is the degradation policy for device failures inside
-    {!append}: [`Raise] (default) raises the typed {!Io_error};
-    [`Degrade] marks the writer {!degraded} and keeps going — the
-    campaign keeps running, just without durability. Degradation is
+    A device failure inside {!append} (ENOSPC, EIO) never escapes: it
+    marks the writer {!degraded}, counts in [journal.write_errors], and
+    the campaign keeps running, just without durability. Degradation is
     {e terminal} for the writer: replay stops at the first invalid
     record, so after one torn append no later record could ever be
     replayed anyway; every subsequent append is skipped and counted in
-    [journal.appends_dropped], while the failed append itself counts in
-    [journal.write_errors].
+    [journal.appends_dropped].
 
     [chaos] is a test/CI-only fault plan (default {!Exec.Chaos.none});
     the writer derives its own hook from it
     ({!Exec.Chaos.journal_fault}), so its opportunities are this
     writer's appends. A firing [jwrite] tears the record (half the
     bytes reach the file) and fails with EIO; a firing [jfsync] fails
-    the append with ENOSPC after the full record was flushed. *)
+    the append with ENOSPC after the full record was written.
+
+    @raise Unix.Unix_error when [path] cannot be opened. *)
 
 val append : 'a writer -> key:string -> 'a -> unit
 (** Append one record and fsync it to disk before returning.
-    Domain-safe.
+    Domain-safe. A device failure degrades the writer (see {!create});
+    use {!degraded} to observe it.
 
-    @raise Io_error on a device failure under the [`Raise] policy. Under
-    [`Degrade] the error is absorbed (see {!create}); use {!degraded} to
-    observe it.
-    @raise Invalid_argument if the value contains a closure (under either
-    policy); nothing is written and the file is unchanged. *)
+    @raise Invalid_argument if the value contains a closure; nothing is
+    written and the file is unchanged. *)
 
 val degraded : 'a writer -> bool
 (** Whether a device failure has switched this writer to degraded
@@ -85,14 +73,11 @@ val degraded : 'a writer -> bool
     campaign robustness [degraded] flag. *)
 
 val close : 'a writer -> unit
+(** Close the descriptor. Every record was written and fsynced before
+    its {!append} returned, so nothing is buffered and a [close(2)]
+    error is ignored. *)
 
-val with_writer :
-  ?fresh:bool ->
-  ?on_error:[ `Raise | `Degrade ] ->
-  ?chaos:Exec.Chaos.t ->
-  string ->
-  ('a writer -> 'b) ->
-  'b
+val with_writer : ?fresh:bool -> ?chaos:Exec.Chaos.t -> string -> ('a writer -> 'b) -> 'b
 (** [create], run, then [close] (also on exception). *)
 
 type fold_stats = {
@@ -102,19 +87,21 @@ type fold_stats = {
       (** byte offset of the end of the last intact record — the length
           {!repair} would truncate the file to *)
   fold_dropped_bytes : int;
-      (** trailing bytes discarded as torn or corrupt (0 for a clean
-          file) *)
+      (** trailing bytes discarded as torn or corrupt: the file's size
+          less [fold_valid_bytes] (0 for a clean file) *)
 }
 (** What {!fold} saw besides the records themselves. *)
 
 val fold : string -> init:'acc -> f:('acc -> string -> 'a -> 'acc) -> 'acc * fold_stats
 (** [fold path ~init ~f] streams every intact record of the journal at
     [path] through [f acc key value] in append order, without ever
-    materializing the record list: live state is [f]'s accumulator plus
-    one record's payload, so a multi-gigabyte journal replays in constant
-    memory. Duplicate keys are {e not} collapsed — [f] sees every intact
-    append, last occurrence last, so a last-wins consumer (the resume
-    path) gets it by simply overwriting.
+    materializing the record list: records are read into one
+    {!Exec.Frame} buffer and unmarshalled where they lie, so live state is
+    [f]'s accumulator plus a buffer about the size of the largest record,
+    and a multi-gigabyte journal replays in constant memory. Duplicate
+    keys are {e not} collapsed — [f] sees every intact append, last
+    occurrence last, so a last-wins consumer (the resume path) gets it by
+    simply overwriting.
 
     An absent file folds as [init]. Torn, truncated or bit-flipped tails
     never raise: the first record that fails validation ends the fold and

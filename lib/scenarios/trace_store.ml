@@ -19,7 +19,7 @@ let budget_bytes = 64 * 1024 * 1024
    because a byte count must ride along with each miss. *)
 let store : (string, Trace.t * Vehicle.Monitors.result list) Exec.Memo.t =
   let weight (trace, _) = Trace.approx_bytes trace in
-  Exec.Memo.create ~size:64 ~capacity:budget_bytes ~weight ()
+  Exec.Memo.create ~capacity:budget_bytes ~weight ()
 
 let find_or_simulate key supply =
   let ran = ref false in
@@ -33,6 +33,5 @@ let find_or_simulate key supply =
   Obs.Metrics.incr (if !ran then m_misses else m_hits);
   v
 
-let length () = Exec.Memo.length store
 let stats () = Exec.Memo.stats store
 let clear () = Exec.Memo.clear store

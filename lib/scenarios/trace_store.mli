@@ -32,9 +32,6 @@ val budget_bytes : int
 (** The most trace bytes ({!Tl.Trace.approx_bytes}) the store keeps
     (64 MiB); the oldest traces are evicted past it. *)
 
-val length : unit -> int
-(** Live entries. *)
-
 val stats : unit -> Exec.Memo.stats
 (** Cumulative hit/miss/eviction counters of the underlying table. *)
 

@@ -528,11 +528,7 @@ let admit s c (spec : Wire.spec) deadline_s =
           let path = result_path s.cfg digest in
           if Sys.file_exists path then
             match read_file path with
-            | csv ->
-                (* LRU touch: a hit refreshes the file's mtime so the
-                   eviction order tracks use, not just creation. *)
-                (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
-                Some csv
+            | csv -> Some csv
             | exception (Unix.Unix_error _ | End_of_file) -> None
           else None
         in
@@ -587,12 +583,12 @@ let admit s c (spec : Wire.spec) deadline_s =
 (* Executor domain                                                     *)
 
 (* Size-budgeted store GC: a long-lived daemon must not grow its result
-   store without bound. Evict least-recently-used first (mtime — store
-   hits refresh it) until the directory fits [store_budget_bytes]
-   (0 = unbounded). Evicting a digest is safe: the admission check
-   falls through to re-execution. Runs on executor lanes after each
-   store and once at startup; concurrent sweeps can race each other's
-   [Sys.remove], so every removal is try-wrapped. *)
+   store without bound. Evict the oldest result first (mtime: a result
+   is written once, when it is stored) until the directory fits
+   [store_budget_bytes] (0 = unbounded). Evicting a digest is safe: the
+   admission check falls through to re-execution. Runs on executor lanes
+   after each store and once at startup; concurrent sweeps can race each
+   other's [Sys.remove], so every removal is try-wrapped. *)
 let gc_store s =
   let dir = results_dir s.cfg in
   match Sys.readdir dir with
@@ -653,6 +649,13 @@ let run_request s (r : req) =
         wake s)
       ~abort ?chaos:s.cfg.chaos r.grid
   with
+  | { Scenarios.Campaign.robustness = { quarantined; _ }; _ } when quarantined > 0 ->
+      (* A quarantined cell is missing from the matrix. The store key
+         leaves [retries] out, so storing the thinned CSV would answer
+         every later submission of the spec with it, one without retries
+         included: the request fails instead, as the batch CLI does
+         without retries. *)
+      Crashed (Printf.sprintf "%d cell(s) quarantined" quarantined)
   | c ->
       let csv = Scenarios.Export.campaign_csv c in
       (* The stored CSV is the completed request's durable record. *)

@@ -63,11 +63,17 @@
       older daemon is not read: its pending requests are not
       re-enqueued, but a resubmission still resumes from its
       [cells-<digest>.jnl].
+      Only a complete matrix is stored: a campaign that quarantined a
+      cell (a request with [retries > 0] whose cell failed every
+      attempt) settles as a crash, [Failed "<n> cell(s) quarantined"],
+      stores nothing and retires its files. The store key leaves
+      [retries] out, so a stored thinned CSV would answer every later
+      submission of the spec, one without retries included.
       The store is size-budgeted ([store_budget_bytes]): past the
-      budget the least-recently-used results (mtime; a hit refreshes
-      it) are evicted ([serve.store_bytes] gauge,
-      [serve.store_evictions] counter), and an evicted digest simply
-      re-executes on the next submission.
+      budget the oldest results (by mtime, their publish time) are
+      evicted ([serve.store_bytes] gauge, [serve.store_evictions]
+      counter), and an evicted digest simply re-executes on the next
+      submission.
     - {e Graceful drain}: SIGTERM (or a [Drain] request) stops
       admission, checkpoints the queue (its pending files survive to the
       next incarnation), cooperatively aborts the running campaign
@@ -125,7 +131,8 @@ type config = {
       (** executor lanes: campaigns run at once, each on a [1/concurrent]
           fleet share (>= 1; 1 = the sequential daemon) *)
   store_budget_bytes : int;
-      (** result-store size budget; LRU eviction past it (0 = unbounded) *)
+      (** result-store size budget; oldest-first eviction past it
+          (0 = unbounded) *)
   default_deadline_s : float option;
       (** deadline applied to requests that do not carry their own *)
   stall_timeout_s : float;

@@ -291,37 +291,39 @@ let test_lone_header_allocates_as_received { name; codec } () =
           go ();
           Alcotest.(check int) "all bytes held" received (F.length buf)))
 
-(* The journal reads its records off an [in_channel]: a file cut
-   anywhere yields exactly the records wholly before the cut. *)
-let prop_journal_input_cut =
+(* The journal folds its records off a descriptor with the in-place
+   reader: a file cut anywhere yields exactly the records wholly before
+   the cut, the offset just past them as the valid length, and the rest
+   of the file as dropped bytes. *)
+let prop_journal_fold_cut =
   let module R = Scenarios.Journal.Record in
   let arb = QCheck.(pair values_arb (int_range 0 1000)) in
-  QCheck.Test.make ~name:"SJL1 channel reader stops at a cut" ~count:50 arb
-    (fun (values, cut) ->
-      let records = List.map R.encode values in
+  QCheck.Test.make ~name:"SJL1 fold stops at a cut" ~count:50 arb (fun (values, cut) ->
+      let entries = List.mapi (fun i v -> (string_of_int i, v)) values in
+      let records = List.map R.encode entries in
       let file = String.concat "" records in
       let cut = cut mod (String.length file + 1) in
       let rec intact acc off = function
-        | (r, v) :: rest when off + String.length r <= cut ->
-            intact (v :: acc) (off + String.length r) rest
-        | _ -> List.rev acc
+        | (r, e) :: rest when off + String.length r <= cut ->
+            intact (e :: acc) (off + String.length r) rest
+        | _ -> (List.rev acc, off)
       in
+      let expected, valid = intact [] 0 (List.combine records entries) in
       let path = Filename.temp_file "frame_test_" ".jnl" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
           Out_channel.with_open_bin path (fun oc ->
               output_string oc (String.sub file 0 cut));
-          let read =
-            In_channel.with_open_bin path (fun ic ->
-                let rec go acc =
-                  match (R.input ic ~size:cut : value option) with
-                  | Some v -> go (v :: acc)
-                  | None -> List.rev acc
-                in
-                go [])
+          let read, stats =
+            Scenarios.Journal.fold path ~init:[] ~f:(fun acc k (v : value) ->
+                (k, v) :: acc)
           in
-          List.equal same (intact [] 0 (List.combine records values)) read))
+          let same_entry (k, v) (k', v') = k = k' && same v v' in
+          List.equal same_entry expected (List.rev read)
+          && stats.Scenarios.Journal.fold_records = List.length expected
+          && stats.Scenarios.Journal.fold_valid_bytes = valid
+          && stats.Scenarios.Journal.fold_dropped_bytes = cut - valid))
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32 against a bit-at-a-time reference                            *)
@@ -418,7 +420,7 @@ let () =
             Alcotest.test_case (c.name ^ " lone 256 MiB header") `Quick
               (test_lone_header_allocates_as_received c))
           codecs );
-      ("journal reader", [ QCheck_alcotest.to_alcotest prop_journal_input_cut ]);
+      ("journal reader", [ QCheck_alcotest.to_alcotest prop_journal_fold_cut ]);
       ( "crc32",
         [
           QCheck_alcotest.to_alcotest prop_crc32_reference;

@@ -338,9 +338,10 @@ let test_smoke_campaign_matrix () =
     nan_cells
 
 (** Same-seed campaigns are bit-for-bit identical sequential vs parallel.
-    [use_cache:false] forces both runs to actually simulate — a shared
-    cache would make the comparison vacuous. Campaign records are
-    closure-free, so whole-record structural equality applies. *)
+    Clearing the outcome cache before each run forces both to actually
+    simulate — a shared cache would make the comparison vacuous.
+    Campaign records are closure-free, so whole-record structural
+    equality applies. *)
 let test_campaign_determinism () =
   let grid =
     Scenarios.Campaign.
@@ -356,8 +357,10 @@ let test_campaign_determinism () =
         grid_scenarios = [ Scenarios.Defs.get 1; Scenarios.Defs.get 7 ];
       }
   in
-  let sequential = Scenarios.Campaign.run ~domains:1 ~use_cache:false grid in
-  let parallel = Scenarios.Campaign.run ~domains:4 ~use_cache:false grid in
+  Scenarios.Runner.clear_cache ();
+  let sequential = Scenarios.Campaign.run ~domains:1 grid in
+  Scenarios.Runner.clear_cache ();
+  let parallel = Scenarios.Campaign.run ~domains:4 grid in
   Alcotest.(check bool) "sequential = parallel, bit for bit" true
     (sequential = parallel)
 

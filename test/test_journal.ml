@@ -176,32 +176,11 @@ let plan spec =
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
-let test_write_fault_raises_typed_io_error () =
-  with_path "wfault_raise" @@ fun path ->
-  (* Under the default `Raise policy a device failure surfaces as the
-     typed Io_error carrying the path and the failing syscall — never as
-     a raw Unix_error or Sys_error. *)
-  let w = Journal_access.create ~chaos:(plan "jwrite@2") path in
-  Fun.protect
-    ~finally:(fun () -> Journal_access.close w)
-    (fun () ->
-      Journal_access.append w ~key:"a" (1, "one");
-      match Journal_access.append w ~key:"b" (2, "two") with
-      | () -> Alcotest.fail "the faulted append must raise"
-      | exception Journal_access.Io_error { path = p; op; error } ->
-          Alcotest.(check string) "path carried" path p;
-          Alcotest.(check string) "op is the failing syscall" "write" op;
-          Alcotest.(check bool) "errno message present" true
-            (String.length error > 0);
-          Alcotest.(check bool) "writer not degraded under `Raise" false
-            (Journal_access.degraded w))
-
 let test_write_fault_degrades_and_replay_keeps_prefix () =
   with_path "wfault_degrade" @@ fun path ->
   let errors0 = counter "journal.write_errors" in
   let dropped0 = counter "journal.appends_dropped" in
-  Journal_access.with_writer ~on_error:`Degrade ~chaos:(plan "jwrite@2") path
-    (fun w ->
+  Journal_access.with_writer ~chaos:(plan "jwrite@2") path (fun w ->
       Journal_access.append w ~key:"a" (1, "one");
       Alcotest.(check bool) "healthy so far" false (Journal_access.degraded w);
       (* The faulted append tears the record on disk and is absorbed. *)
@@ -229,7 +208,7 @@ let test_fsync_fault_degrades () =
   (* An fsync failure (ENOSPC) after a fully flushed record: the record
      is on disk, but durability is gone — the writer degrades all the
      same, and the flushed record still replays. *)
-  Journal_access.with_writer ~on_error:`Degrade ~chaos:(plan "jfsync@1") path (fun w ->
+  Journal_access.with_writer ~chaos:(plan "jfsync@1") path (fun w ->
       Journal_access.append w ~key:"a" (1, "one");
       Alcotest.(check bool) "degraded by the fsync failure" true
         (Journal_access.degraded w));
@@ -247,19 +226,16 @@ let test_closed_writer_rejected () =
 
 let test_closure_refused () =
   (* Journaled values are closure-free: a closure is refused at append
-     time, under either error policy, and not one byte reaches the file. *)
+     time, and not one byte reaches the file. *)
   with_path "closure" @@ fun path ->
   let read () = In_channel.with_open_bin path In_channel.input_all in
   Journal_access.with_writer path (fun w ->
       Journal_access.append w ~key:"a" (1, "one"));
   let before = read () in
-  List.iter
-    (fun on_error ->
-      Journal_access.with_writer ~on_error path (fun w ->
-          match Journal_access.append w ~key:"b" (2, fun () -> "two") with
-          | () -> Alcotest.fail "a closure was journaled"
-          | exception Invalid_argument _ -> ()))
-    [ `Raise; `Degrade ];
+  Journal_access.with_writer path (fun w ->
+      match Journal_access.append w ~key:"b" (2, fun () -> "two") with
+      | () -> Alcotest.fail "a closure was journaled"
+      | exception Invalid_argument _ -> ());
   Alcotest.(check string) "file unchanged" before (read ());
   Alcotest.check entries_t "the earlier record still replays alone"
     [ ("a", (1, "one")) ]
@@ -409,8 +385,6 @@ let () =
         ] );
       ( "device failures",
         [
-          Alcotest.test_case "write fault raises typed Io_error" `Quick
-            test_write_fault_raises_typed_io_error;
           Alcotest.test_case "write fault degrades; replay keeps the prefix"
             `Quick test_write_fault_degrades_and_replay_keeps_prefix;
           Alcotest.test_case "fsync fault degrades" `Quick

@@ -873,6 +873,27 @@ let test_completed_requests_leave_no_cell_journal () =
   in
   Alcotest.(check int) "one stored result per request" 3 (List.length stored)
 
+(* A campaign that quarantined a cell is not a result. The store key
+   leaves [retries] out, so a stored thinned CSV would answer every later
+   submission of the spec, one without retries included. Under a plan
+   that tears every shard frame no cell ever settles: both submissions
+   fail, nothing is stored, and the second is no store hit. *)
+let test_quarantined_matrix_not_stored () =
+  let d = start_daemon ~args:[ "shards=1"; "chaos=torn~1" ] () in
+  Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
+  let retried = { quick_spec with Serve.Wire.retries = 1 } in
+  (match Serve.Client.submit_and_wait ~socket:d.socket retried with
+  | Ok _ -> Alcotest.fail "a campaign with a quarantined cell must fail"
+  | Error reason ->
+      Alcotest.(check string) "the reason" "1 cell(s) quarantined" reason);
+  Alcotest.(check (list string)) "nothing stored" []
+    (Array.to_list (Sys.readdir (Filename.concat d.state "results")));
+  (match Serve.Client.submit_and_wait ~socket:d.socket quick_spec with
+  | Ok _ -> Alcotest.fail "a campaign without retries whose cell failed must fail"
+  | Error _ -> ());
+  Alcotest.(check int) "no store hit" 0 (stats_counter d "serve.store_hits");
+  check_retired d
+
 (* ------------------------------------------------------------------ *)
 (* Pending files                                                        *)
 
@@ -1262,6 +1283,8 @@ let () =
             test_completed_requests_leave_no_cell_journal;
           Alcotest.test_case "a store hit allocates little in the major heap"
             `Slow test_store_hit_major_words;
+          Alcotest.test_case "a quarantined matrix is never stored" `Slow
+            test_quarantined_matrix_not_stored;
         ] );
       ( "journal",
         [

@@ -511,39 +511,6 @@ let test_sigstopped_worker_recovered () =
   Alcotest.(check bool) "recovered within the liveness deadline (+ slack)"
     true (elapsed < 30.)
 
-let test_busy_loop_caught_by_deadline () =
-  (* A task stuck in an OCaml busy-loop keeps the worker's heartbeat
-     domain beating, so the silence sweep never fires; only the explicit
-     per-batch deadline can catch it. First dispatch spins (flag file
-     absent); the requeued dispatch sees the flag and returns. 4 tasks on
-     1 worker travel one per batch. *)
-  let flag = Filename.temp_file "shard_busy" ".flag" in
-  Sys.remove flag;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists flag then Sys.remove flag)
-  @@ fun () ->
-  let hangs0 = counter "shard.hangs_detected" in
-  let task x =
-    if x = 2 && not (Sys.file_exists flag) then begin
-      Out_channel.with_open_bin flag (fun oc ->
-          Out_channel.output_string oc "spinning");
-      (* Bounded spin: if deadline detection ever regresses this poisons
-         the result instead of hanging the suite. *)
-      let t0 = Unix.gettimeofday () in
-      while Unix.gettimeofday () -. t0 < 30. do
-        ignore (Sys.opaque_identity 0)
-      done;
-      -1
-    end
-    else x * 4
-  in
-  let reports = Exec.Shard.try_map ~shards:1 ~deadline_s:1.0 task [ 0; 1; 2; 3 ] in
-  Alcotest.(check (list int)) "spinner killed, requeued and settled"
-    [ 0; 4; 8; 12 ]
-    (List.map get_done reports);
-  Alcotest.(check bool) "busy-loop caught by the batch deadline" true
-    (counter "shard.hangs_detected" > hangs0)
-
 let test_slow_worker_not_killed () =
   (* Slow-but-healthy: the worker delays its results past the hang
      timeout while heartbeating throughout. Liveness must keep its hands
@@ -786,8 +753,6 @@ let () =
             test_hang_detected_and_requeued;
           Alcotest.test_case "SIGSTOPped worker recovered" `Quick
             test_sigstopped_worker_recovered;
-          Alcotest.test_case "busy-loop caught by batch deadline" `Quick
-            test_busy_loop_caught_by_deadline;
           Alcotest.test_case "slow-but-heartbeating worker spared" `Quick
             test_slow_worker_not_killed;
           Alcotest.test_case "total spawn failure falls back in-process"
