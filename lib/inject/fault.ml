@@ -87,7 +87,8 @@ type runtime = {
   fault : t;
   gen : Prng.t;
   queue : Value.t Queue.t;  (** delay line (fed every tick, window or not) *)
-  mutable last : Value.t option;  (** last value passed through un-faulted *)
+  mutable last : Value.t;
+      (** last value passed through un-faulted; {!Frame.absent} for none *)
   mutable drift : float;  (** accumulated ramp while active *)
   mutable gate_passing : bool;  (** intermittent: currently transparent? *)
   mutable gate_left : float;  (** seconds until the gate toggles *)
@@ -98,7 +99,7 @@ let runtime ~seed fault =
     fault;
     gen = Prng.create seed;
     queue = Queue.create ();
-    last = None;
+    last = Frame.absent;
     drift = 0.;
     gate_passing = true;
     gate_left = 0.;
@@ -110,7 +111,11 @@ let perturb v f =
   | Value.Int x -> Value.Float (float_of_int x +. f)
   | v -> v (* non-numeric targets pass through unperturbed *)
 
-let hold_last rt v = match rt.last with Some l -> l | None -> v
+let hold_last rt v = if rt.last == Frame.absent then v else rt.last
+
+(* Passing a value allocates nothing, and an unchanged one skips the
+   write barrier too. *)
+let pass rt v = if rt.last != v then rt.last <- v
 
 (* The delay line is fed unconditionally so that a window-activated delay
    has history to serve from its first active tick. *)
@@ -126,7 +131,7 @@ let delayed rt k v =
 let interpose rt ~dt ~now v =
   if not (active rt.fault now) then begin
     (match rt.fault.model with Delay k -> ignore (delayed rt k v) | _ -> ());
-    rt.last <- Some v;
+    pass rt v;
     rt.drift <- 0.;
     v
   end
@@ -153,7 +158,7 @@ let interpose rt ~dt ~now v =
             -.period *. Float.log (Float.max (1. -. Prng.float rt.gen) 0x1p-53)
         end;
         if rt.gate_passing then begin
-          rt.last <- Some v;
+          pass rt v;
           v
         end
         else hold_last rt v

@@ -28,8 +28,9 @@ let interposer ~dt plan =
 
 (** [frame_interposer ~dt plan ~slot] — the same faults on the kernel's
     frames: each target is resolved to its slot once, and every tick
-    rewrites the slot's cell through {!Fault.interpose}. A target with no
-    slot, or not yet written, is a no-op, as in {!interposer}. *)
+    rewrites the slot's cell through {!Fault.interpose} and
+    [Tl.Frame.set], which logs the slot when its cell changes. A target
+    with no slot, or not yet written, is a no-op, as in {!interposer}. *)
 let frame_interposer ~dt plan ~slot =
   let bound =
     List.filter_map
@@ -41,11 +42,9 @@ let frame_interposer ~dt plan ~slot =
   fun ~now (frame : Tl.Frame.t) ->
     for k = 0 to Array.length slots - 1 do
       let s = slots.(k) in
-      let v = frame.(s) in
-      if v != Tl.Frame.absent then begin
-        let v' = Fault.interpose rts.(k) ~dt ~now v in
-        if v' != v then frame.(s) <- v'
-      end
+      let v = Tl.Frame.cell frame s in
+      if v != Tl.Frame.absent then
+        Tl.Frame.set frame s (Fault.interpose rts.(k) ~dt ~now v)
     done
 
 let pp ppf p =

@@ -16,7 +16,8 @@ val frame_interposer :
     (via [Vehicle.System.simulate]) with [~slot:(Sim.World.slot world)].
     Each target is resolved to its slot once; fault [i] draws from a
     private PRNG seeded [Prng.derive seed i] and faults apply in plan
-    order. *)
+    order. Every write goes through [Tl.Frame.set], so a faulted cell is
+    logged and the kernel copies and records it. *)
 
 val interposer : dt:float -> t -> now:float -> Tl.State.t -> Tl.State.t
 (** The same transform on [State.t] snapshots (for

@@ -26,14 +26,14 @@ let classify ~window (s : Defs.t) trace results : outcome =
       (fun n -> (n, Vehicle.Monitors.classify ~window results n))
       (List.init 9 (fun i -> i + 1))
   in
-  let last = Trace.get trace (Trace.length trace - 1) in
+  let last = Trace.length trace - 1 in
   {
     scenario = s;
     trace;
     results;
     reports;
-    collided = State.bool last Vehicle.Signals.collision;
-    end_time = Trace.time trace (Trace.length trace - 1);
+    collided = Value.to_bool (Trace.value trace last Vehicle.Signals.collision);
+    end_time = Trace.time trace last;
   }
 
 (* Ticks simulated, so that a snapshot's [cell.sim] span time divided by

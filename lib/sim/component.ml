@@ -26,36 +26,39 @@ type context = {
 let get ctx s = Frame.get ctx.names ctx.prev s
 
 (* The typed readers mirror [State.float]/[bool]/[sym], errors included;
-   the common case reads the cell without the absence check. *)
-let float ctx s =
-  match ctx.prev.(s) with
+   the common case reads the cell without the absence check. The readers
+   and writers run on every read and write of every tick, so they are
+   inlined. *)
+let[@inline] float ctx s =
+  match Frame.cell ctx.prev s with
   | Value.Float f -> f
   | Value.Int i -> float_of_int i
   | _ -> Value.to_float (get ctx s)
 
-let bool ctx s = match ctx.prev.(s) with Value.Bool b -> b | _ -> Value.to_bool (get ctx s)
+let[@inline] bool ctx s =
+  match Frame.cell ctx.prev s with Value.Bool b -> b | _ -> Value.to_bool (get ctx s)
 
 let sym ctx s =
   match get ctx s with
   | Value.Sym x -> x
   | v -> Value.type_error "variable %s: expected a symbol, got %a" ctx.names.(s) Value.pp v
 
-(* A write that leaves the cell physically unchanged is skipped: the
-   kernel copies and the trace recorder records only the cells that
-   changed, and both detect a change by [!=]. *)
-let set ctx s v = if ctx.next.(s) != v then ctx.next.(s) <- v
+(* Every write goes through [Frame.set], which logs the slot when its cell
+   changes: the kernel copies and the trace recorder records only logged
+   slots. A write that leaves the cell physically unchanged logs nothing. *)
+let[@inline] set ctx s v = Frame.set ctx.next s v
 
 (* Bit for bit, never [Float.equal]: [0.] and [-0.], or two NaN payloads,
    are different values to a trace column. *)
-let set_float ctx s x =
-  match ctx.next.(s) with
+let[@inline] set_float ctx s x =
+  match Frame.cell ctx.next s with
   | Value.Float y when Int64.bits_of_float y = Int64.bits_of_float x -> ()
-  | _ -> ctx.next.(s) <- Value.Float x
+  | _ -> Frame.set ctx.next s (Value.Float x)
 
 (* Shared booleans: writing a flag allocates nothing. *)
 let vtrue = Value.Bool true
 let vfalse = Value.Bool false
-let set_bool ctx s b = set ctx s (if b then vtrue else vfalse)
+let[@inline] set_bool ctx s b = Frame.set ctx.next s (if b then vtrue else vfalse)
 
 type t = {
   name : string;

@@ -54,12 +54,17 @@ val sym : context -> slot -> string
 
     Cells are pointer-stable: a write that would not change a cell keeps
     the block already there, so a run allocates a cell only when its
-    value changes, and the kernel and the trace recorder find the cells
-    that changed by physical comparison. No code may therefore rely on a
-    fresh block per write. *)
+    value changes. No code may therefore rely on a fresh block per write.
+
+    Every write goes through {!Tl.Frame.set}, which logs the slot in the
+    next frame's change log when its cell changes; the kernel copies and
+    the trace recorder records only logged slots. A step must write
+    through these setters: no code may write a cell of [next] (or of
+    [prev]) any other way. *)
 
 val set : context -> slot -> Value.t -> unit
-(** Leaves the cell alone when it already holds [v] physically. *)
+(** Leaves the cell alone when it already holds [v] physically; logs the
+    slot otherwise. *)
 
 val set_float : context -> slot -> float -> unit
 (** Leaves the cell alone when it holds a [Value.Float] with the same bits

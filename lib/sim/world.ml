@@ -16,7 +16,7 @@ type t = {
   dt : float;
   names : string array;  (** slot → variable *)
   slots : (string, int) Hashtbl.t;  (** variable → slot *)
-  initial : Frame.t;
+  initial : Value.t array;  (** slot → initial cell, {!Frame.absent} for none *)
   steps : (Component.context -> unit) array;  (** bound, in world order *)
   mutable ran : bool;
       (** the components' state lives in their bound steps: a second run
@@ -58,7 +58,7 @@ let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
   let steps = Array.of_list (List.map (fun c -> c.Component.bind intern) components) in
   bound := true;
   let names = Array.of_list (List.rev !names) in
-  let initial = Frame.make !n in
+  let initial = Array.make !n Frame.absent in
   List.iter (fun (name, v) -> initial.(Hashtbl.find slots name) <- v) init;
   { dt; names; slots; initial; steps; ran = false }
 
@@ -70,29 +70,25 @@ let run_steps world ctx =
     world.steps.(k) ctx
   done
 
+(* [next] starts as a copy of [prev] with an empty log, so after the
+   steps its log lists the variables they rebound. *)
 let step world now prev_state =
   let prev = Frame.of_state world.names prev_state in
-  let next = Array.copy prev in
+  let next = Frame.make (Array.length world.names) in
+  Frame.copy_logged ~src:prev next;
   run_steps world { Component.now; dt = world.dt; prev; next; names = world.names };
   let st = ref prev_state in
-  Array.iteri
-    (fun s v -> if v != prev.(s) then st := State.set world.names.(s) v !st)
-    next;
+  for k = 0 to Frame.logged next - 1 do
+    let s = Frame.logged_slot next k in
+    let v = Frame.cell next s in
+    if v != Frame.cell prev s then st := State.set world.names.(s) v !st
+  done;
   !st
 
 let state_transform world f ~now frame =
   let st = Frame.to_state world.names frame in
   let st' = f ~now st in
   if st' != st then Frame.load world.names st' frame
-
-(* [next] becomes a copy of [prev]. [next] holds the state before [prev],
-   and cells are pointer-stable, so only the cells that changed in the
-   last tick are written. *)
-let copy_changed (prev : Frame.t) (next : Frame.t) =
-  for s = 0 to Array.length prev - 1 do
-    let v = Array.unsafe_get prev s in
-    if Array.unsafe_get next s != v then Array.unsafe_set next s v
-  done
 
 let run ?stop ?transform ~until world : Trace.t =
   if world.ran then invalid_arg "Sim.World.run: this world has already run";
@@ -108,23 +104,30 @@ let run ?stop ?transform ~until world : Trace.t =
     match stop with None -> false | Some s -> Value.to_bool (Frame.get world.names frame s)
   in
   let buf = Trace.Builder.of_slots ~hint:(n_max + 1) ~dt:world.dt world.names in
-  (* Both frames start as the initial state; each tick swaps them. *)
+  (* State 0 is written into a fresh frame, so its log lists every
+     present cell; the other frame starts absent and becomes a copy of it
+     at the first tick. *)
+  let n = Array.length world.names in
+  let first = Frame.make n in
+  Array.iteri (Frame.set first) world.initial;
   let ctx =
     {
       Component.now = 0.;
       dt = world.dt;
-      prev = Array.copy world.initial;
-      next = Array.copy world.initial;
+      prev = Frame.make n;
+      next = first;
       names = world.names;
     }
   in
   Trace.Builder.add_frame buf ctx.next;
   let rec go i =
     if i <= n_max then begin
+      (* The frame before last becomes a copy of the last one: it differs
+         only in the slots the last one logged. *)
       let prev = ctx.next in
       ctx.next <- ctx.prev;
       ctx.prev <- prev;
-      copy_changed prev ctx.next;
+      Frame.copy_logged ~src:prev ctx.next;
       ctx.now <- float_of_int i *. world.dt;
       run_steps world ctx;
       (match transform with None -> () | Some f -> f ~now:ctx.now ctx.next);

@@ -6,12 +6,14 @@
     ({!Tl.Frame}), the previous and the next state, and one
     {!Component.context}. At each tick the two are swapped and the next
     frame becomes a copy of the previous one (so variables not written
-    keep their values): it held the state before, and cells are
-    pointer-stable ({!Component.set_float}), so only the cells that
-    changed are copied. Every component then reads the previous frame and
-    writes the next one. The recorded trace therefore has exactly the
-    one-state observation delay assumed by the thesis's goal semantics,
-    and a tick performs no string, hash-table or map operation.
+    keep their values): it held the state before, so only the slots the
+    previous frame's change log lists are copied ({!Tl.Frame.copy_logged}).
+    Every component then reads the previous frame and writes the next one
+    through {!Tl.Frame.set}, which logs each slot it changes, and the trace
+    records only the logged slots. The recorded trace therefore has exactly
+    the one-state observation delay assumed by the thesis's goal
+    semantics, and a tick performs no string, hash-table or map operation
+    and visits only the slots that changed.
 
     A world runs once. Its components keep their state (stimulus cursors,
     integrators, latches) in the steps bound by {!make}, so a second run
@@ -58,18 +60,22 @@ val run :
     is recorded or tested by [stop] — the runtime fault-injection hook
     ({!Inject.Plan.frame_interposer}): with the double-buffered kernel, an
     interposed value is exactly what every component and monitor observes
-    on the following tick. The initial state is not transformed.
+    on the following tick. The initial state is not transformed. A
+    transform writes only through {!Tl.Frame.set} (or {!Tl.Frame.load}),
+    so that every cell it changes is logged, copied and recorded.
     @raise Tl.State.Unbound when [stop] names no variable of the world.
     @raise Invalid_argument when the world has already run. *)
 
 val step : t -> float -> State.t -> State.t
 (** [step world now prev] — the state at time [now] from the previous
-    state: [prev] with every variable the components write rebound. A
-    [State.t] adapter over one kernel tick. *)
+    state: [prev] with every variable whose cell the components change
+    rebound, read from the next frame's change log. A [State.t] adapter
+    over one kernel tick. *)
 
 val state_transform :
   t -> (now:float -> State.t -> State.t) -> now:float -> Frame.t -> unit
 (** [state_transform world f] — [f] as a [transform] for {!run}: each frame
-    is viewed as a state, passed through [f], and loaded back. Variables
-    [f] removes become absent; variables it adds outside the world's
-    slots are dropped. *)
+    is viewed as a state, passed through [f], and loaded back through
+    {!Tl.Frame.load}, which logs every cell it changes. Variables [f]
+    removes become absent; variables it adds outside the world's slots
+    are dropped. *)

@@ -94,6 +94,12 @@ let get tr i =
   done;
   State.of_list !bindings
 
+let value tr i name =
+  if i < 0 || i >= tr.len then invalid_arg "index out of bounds";
+  match find_column tr name with
+  | Some c when present c i -> cell_value c.col i
+  | _ -> raise (State.Unbound name)
+
 (** Wall-clock time of state [i] (state 0 is at time 0). *)
 let time tr i = float_of_int i *. tr.dt
 
@@ -162,7 +168,7 @@ module Builder = struct
       index = Hashtbl.create 64;
       names;
       slots = Array.make (Array.length names) None;
-      cells = Frame.make (Array.length names);
+      cells = Array.make (Array.length names) Frame.absent;
     }
 
   let create ?(hint = 1024) ~dt () =
@@ -364,14 +370,16 @@ module Builder = struct
     State.iter (fun name v -> ignore (column_of b name row v)) st;
     b.rows <- row + 1
 
-  (* Only a cell that is not physically the one of the previous row is
-     recorded, after its column catches up to the previous row. *)
+  (* Only the frame's logged slots are visited, and a cell that is
+     physically the one of the previous row is not recorded; any other is,
+     after its column catches up to the previous row. *)
   let add_frame b (f : Frame.t) =
     let row = b.rows in
     if row >= b.cap then b.cap <- b.cap * 2;
     let slots = b.slots and cells = b.cells in
-    for s = 0 to Array.length slots - 1 do
-      let v = f.(s) and p = cells.(s) in
+    for k = 0 to Frame.logged f - 1 do
+      let s = Frame.logged_slot f k in
+      let v = Frame.cell f s and p = cells.(s) in
       if v != p then begin
         cells.(s) <- v;
         match slots.(s) with

@@ -38,6 +38,12 @@ val get : t -> int -> State.t
     [State.t] per call — hot per-state loops should read columns via
     {!column} instead). @raise Invalid_argument when out of bounds. *)
 
+val value : t -> int -> string -> Value.t
+(** [value tr i v] — [State.get (get tr i) v] read from [v]'s column
+    alone, without materializing the state.
+    @raise State.Unbound when state [i] does not bind [v].
+    @raise Invalid_argument when [i] is out of bounds. *)
+
 val time : t -> int -> float
 (** Wall-clock time of state [i] (state 0 is at time 0). *)
 
@@ -117,10 +123,16 @@ module Builder : sig
   val add_frame : b -> Frame.t -> unit
   (** Append one frame, exactly as [add (Frame.to_state names f)] would,
       without building the state: {!Frame.absent} cells are recorded as
-      absent. The builder keeps the cell it found in each slot at the
-      previous row: a cell that is physically the same is not recorded
-      again until the slot next changes or {!finish} runs. Cells are
-      immutable, so the caller may reuse and mutate its frames in place
+      absent. Only the frame's logged slots ({!Frame.logged}) are
+      visited, so the log must list every slot whose cell differs from
+      the frame of the previous row; at row 0, from a frame of absent
+      cells (as a frame fresh from {!Frame.make} or {!Frame.of_state}
+      logs). The kernel's frames keep this contract: each one is made a
+      copy of the previous row by {!Frame.copy_logged} and written only
+      through {!Frame.set}. The builder keeps the cell it found in each
+      slot at the previous row: a cell that is physically the same is
+      not recorded again until the slot next changes or {!finish} runs.
+      Cells are immutable, so the caller may reuse and rewrite its frames
       between calls (the kernel alternates two). *)
 
   val length : b -> int

@@ -340,8 +340,9 @@ let bump = function
 let tick_of ~dt now = int_of_float (Float.round (now /. dt))
 
 (* The reference: one [State.t] map per tick, every component reading the
-   previous state and its bindings applied in order. *)
-let reference ~dt ~until comps =
+   previous state and its bindings applied in order, then [transform]
+   rewriting the computed state, given the previous one. *)
+let reference ?(transform = fun ~now:_ ~prev:_ st -> st) ~dt ~until comps =
   let eval now prev c =
     List.filter_map
       (fun ins ->
@@ -368,6 +369,7 @@ let reference ~dt ~until comps =
       let next =
         List.fold_left (fun next c -> State.update (eval now prev c) next) prev comps
       in
+      let next = transform ~now ~prev next in
       go (i + 1) next (next :: acc)
   in
   go 1 initial [ initial ]
@@ -476,38 +478,233 @@ let print_comps comps =
                  c.prog)))
        comps)
 
+(* A transform as data: writes applied after the components at every
+   [every]th tick, in order, then [faults] through the injection plan
+   seeded [seed]. Each write targets one variable and is skipped where
+   the world has no slot for it. *)
+type write =
+  | Rewrite of string  (** a fresh value: the cell bumped (skipped when absent) *)
+  | Restore of string
+      (** the cell's value at the previous tick: the same block, or absent *)
+  | Twice of string * Value.t
+      (** the same slot written twice: bumped (when present), then [v] *)
+  | Remove of string  (** the cell made absent *)
+
+type transform = { writes : (int * write) list; seed : int; faults : Inject.Fault.t list }
+
+let remove x st = State.of_list (List.filter (fun (k, _) -> k <> x) (State.to_list st))
+
+(* The writes on states: the reference's, and the [State.t] transform's. *)
+let write_state ~prev st = function
+  | Rewrite x -> (
+      match State.find_opt x st with Some v -> State.set x (bump v) st | None -> st)
+  | Restore x -> (
+      match State.find_opt x prev with Some v -> State.set x v st | None -> remove x st)
+  | Twice (x, v) ->
+      let st =
+        match State.find_opt x st with Some u -> State.set x (bump u) st | None -> st
+      in
+      State.set x v st
+  | Remove x -> remove x st
+
+let write_target = function Rewrite x | Restore x | Twice (x, _) | Remove x -> x
+
+(* The reference transform: the writes on the [Map] state, then each
+   fault's value-level core on its target, from runtimes seeded as
+   [Inject.Plan] seeds them. [has x]: the world has a slot for [x]. *)
+let reference_transform ~dt ~has t =
+  let rts =
+    List.mapi
+      (fun i f -> Inject.Fault.runtime ~seed:(Inject.Prng.derive t.seed i) f)
+      t.faults
+  in
+  fun ~now ~prev st ->
+    let st =
+      List.fold_left
+        (fun st (every, w) ->
+          if tick_of ~dt now mod every = 0 && has (write_target w) then
+            write_state ~prev st w
+          else st)
+        st t.writes
+    in
+    List.fold_left2
+      (fun st f rt ->
+        match State.find_opt f.Inject.Fault.target st with
+        | Some v ->
+            State.set f.Inject.Fault.target (Inject.Fault.interpose rt ~dt ~now v) st
+        | None -> st)
+      st t.faults rts
+
+(* The same transform on the kernel's frames: every write through
+   [Frame.set], a [Restore] from the cell its slot held when the previous
+   tick's transform returned, the faults through [Plan.frame_interposer]. *)
+let frame_transform ~dt world initial t =
+  let slot = Sim.World.slot world in
+  let writes =
+    List.filter_map
+      (fun (every, w) -> Option.map (fun s -> (every, s, w)) (slot (write_target w)))
+      t.writes
+  in
+  let last =
+    List.map
+      (fun (_, s, w) ->
+        let v = State.find_opt (write_target w) initial in
+        (s, ref (Option.value ~default:Frame.absent v)))
+      writes
+  in
+  let faults =
+    Inject.Plan.frame_interposer ~dt (Inject.Plan.make ~seed:t.seed t.faults) ~slot
+  in
+  fun ~now frame ->
+    List.iter2
+      (fun (every, s, w) (_, last) ->
+        if tick_of ~dt now mod every = 0 then
+          match w with
+          | Rewrite _ ->
+              let v = Frame.cell frame s in
+              if v != Frame.absent then Frame.set frame s (bump v)
+          | Restore _ -> Frame.set frame s !last
+          | Twice (_, v) ->
+              let u = Frame.cell frame s in
+              if u != Frame.absent then Frame.set frame s (bump u);
+              Frame.set frame s v
+          | Remove _ -> Frame.set frame s Frame.absent)
+      writes last;
+    faults ~now frame;
+    List.iter (fun (s, last) -> last := Frame.cell frame s) last
+
+(* The same transform on states, through [World.state_transform]. *)
+let state_transform ~dt world initial t =
+  let has x = Sim.World.slot world x <> None in
+  let plan = Inject.Plan.interposer ~dt (Inject.Plan.make ~seed:t.seed t.faults) in
+  let last = ref initial in
+  Sim.World.state_transform world (fun ~now st ->
+      let st =
+        List.fold_left
+          (fun st (every, w) ->
+            if tick_of ~dt now mod every = 0 && has (write_target w) then
+              write_state ~prev:!last st w
+            else st)
+          st t.writes
+      in
+      let st = plan ~now st in
+      last := st;
+      st)
+
+let gen_transform =
+  let open QCheck.Gen in
+  let var = oneofl [ "a"; "b"; "c"; "d"; "e"; "u" ] in
+  let value =
+    oneofl
+      [
+        Value.Bool true; Value.Int 2; Value.Float 0.; Value.Float (-0.); Value.Float 1.5;
+        Value.Sym "a";
+      ]
+  in
+  let write =
+    frequency
+      [
+        (3, map (fun x -> Rewrite x) var);
+        (3, map (fun x -> Restore x) var);
+        (3, map2 (fun x v -> Twice (x, v)) var value);
+        (1, map (fun x -> Remove x) var);
+      ]
+  in
+  let model =
+    oneof
+      [
+        map (fun v -> Inject.Fault.Stuck_at v) value;
+        return Inject.Fault.Dropout_hold;
+        return Inject.Fault.Dropout_missing;
+        map (fun k -> Inject.Fault.Delay k) (int_range 1 3);
+        return (Inject.Fault.Noise 0.5);
+        return (Inject.Fault.Intermittent 1.);
+      ]
+  in
+  let fault =
+    map3
+      (fun target model (from_t, len) ->
+        Inject.Fault.make ~from_t ~until_t:(from_t +. len) ~target model)
+      var model
+      (pair (oneofl [ 0.; 1.; 2.5 ]) (oneofl [ 1.; 3.; infinity ]))
+  in
+  map3
+    (fun writes seed faults -> { writes; seed; faults })
+    (list_size (int_range 0 4) (pair (int_range 1 3) write))
+    (int_bound 1000)
+    (list_size (int_range 0 2) fault)
+
+let print_transform t =
+  let pw = function
+    | Rewrite x -> "rewrite " ^ x
+    | Restore x -> "restore " ^ x
+    | Twice (x, v) -> Printf.sprintf "twice %s then %s" x (Value.to_string v)
+    | Remove x -> "remove " ^ x
+  in
+  Printf.sprintf "[%s] seed=%d %s"
+    (String.concat ", "
+       (List.map (fun (every, w) -> Printf.sprintf "%s/%d" (pw w) every) t.writes))
+    t.seed
+    (String.concat " " (List.map Inject.Fault.to_string t.faults))
+
 let outcome f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e)
 
-let prop_slot_kernel_matches_reference =
-  QCheck.Test.make ~count:300 ~name:"slot kernel = Map reference (rows and bytes)"
-    (QCheck.make ~print:print_comps gen_comps)
-    (fun comps ->
-      let dt = 0.5 and until = 6. in
-      let slot =
-        outcome (fun () ->
-            Sim.World.run ~until
-              (Sim.World.make ~check_conflicts:false ~dt
-                 (List.map (component ~dt) comps)))
+(* The kernel against the reference, both transformed by [t]: through a
+   frame transform, or through [World.state_transform] when [via_state]. *)
+let kernel_matches_reference ~via_state (comps, t) =
+  let dt = 0.5 and until = 6. in
+  let world =
+    Sim.World.make ~check_conflicts:false ~dt (List.map (component ~dt) comps)
+  in
+  let initial = State.of_list (List.concat_map (fun c -> c.outputs) comps) in
+  let transform =
+    (if via_state then state_transform else frame_transform) ~dt world initial t
+  in
+  let has x = Sim.World.slot world x <> None in
+  let slot = outcome (fun () -> Sim.World.run ~transform ~until world) in
+  match
+    ( slot,
+      outcome (fun () ->
+          reference ~transform:(reference_transform ~dt ~has t) ~dt ~until comps) )
+  with
+  | Ok tr, Ok rows ->
+      let text s =
+        let buf = Buffer.create 64 in
+        render_state buf 0 s;
+        Buffer.contents buf
       in
-      match (slot, outcome (fun () -> reference ~dt ~until comps)) with
-      | Ok tr, Ok rows ->
-          let text s =
-            let buf = Buffer.create 64 in
-            render_state buf 0 s;
-            Buffer.contents buf
-          in
-          Trace.length tr = List.length rows
-          && List.for_all2 ( = )
-               (List.init (Trace.length tr) (fun i -> text (Trace.get tr i)))
-               (List.map text rows)
-          (* the reference rows share no block with the kernel's values *)
-          && Marshal.to_string tr []
-             = Marshal.to_string
-                 (Trace.make ~dt
-                    (Marshal.from_string (Marshal.to_string rows [ Marshal.No_sharing ]) 0))
-                 []
-      | Error e, Error e' -> e = e'
-      | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "only one raised: %s" e)
+      Trace.length tr = List.length rows
+      && List.for_all2 ( = )
+           (List.init (Trace.length tr) (fun i -> text (Trace.get tr i)))
+           (List.map text rows)
+      (* the reference rows share no block with the kernel's values *)
+      && Marshal.to_string tr []
+         = Marshal.to_string
+             (Trace.make ~dt
+                (Marshal.from_string (Marshal.to_string rows [ Marshal.No_sharing ]) 0))
+             []
+  | Error e, Error e' -> e = e'
+  | Ok _, Error e | Error e, Ok _ -> QCheck.Test.fail_reportf "only one raised: %s" e
+
+let arb_world =
+  QCheck.make
+    ~print:(fun (comps, t) -> print_comps comps ^ " / " ^ print_transform t)
+    (QCheck.Gen.pair gen_comps gen_transform)
+
+(* Every writer logs: the components' setters, a frame transform's
+   [Frame.set] and the injection plan's interposer. A write behind the
+   log would be neither copied to the next state nor recorded. *)
+let prop_slot_kernel_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"slot kernel = Map reference (rows and bytes)"
+    arb_world
+    (kernel_matches_reference ~via_state:false)
+
+(* [World.state_transform] loads each transformed state back through
+   [Frame.load], which logs, including bindings removed (absent cells). *)
+let prop_state_transform_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"state transform = Map reference (rows and bytes)"
+    arb_world
+    (kernel_matches_reference ~via_state:true)
 
 let () =
   Alcotest.run "sim"
@@ -521,6 +718,7 @@ let () =
           Alcotest.test_case "early termination" `Quick test_early_termination;
           Alcotest.test_case "unwritten variables persist" `Quick test_unwritten_variables_persist;
           QCheck_alcotest.to_alcotest prop_slot_kernel_matches_reference;
+          QCheck_alcotest.to_alcotest prop_state_transform_matches_reference;
           Alcotest.test_case "a world runs once" `Quick test_world_runs_once;
         ] );
       ( "integration",

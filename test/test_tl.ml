@@ -256,8 +256,9 @@ let prop_entails_is_always_implies =
           (List.init (Trace.length tr) Fun.id))
 
 (* Rows with gaps (a variable absent, then present again), type changes
-   and one-value runs: [Trace.get] returns every row exactly, and the same
-   rows fed as frames pack to the same bytes. *)
+   and one-value runs: [Trace.get] returns every row exactly, [Trace.value]
+   every cell (raising [State.Unbound] where the row has no binding), and
+   the same rows fed as frames pack to the same bytes. *)
 let prop_trace_roundtrip =
   let open QCheck.Gen in
   let names = [| "x"; "y"; "z" |] in
@@ -276,15 +277,21 @@ let prop_trace_roundtrip =
              (List.mapi (fun i c -> Option.map (fun v -> (names.(i), v)) c) cells)))
       (list_repeat 3 (frequency [ (1, return None); (4, map Option.some value) ]))
   in
+  let cell = function
+    | Value.Float x -> `F (Int64.bits_of_float x)
+    | Value.Int i -> `I i
+    | Value.Bool x -> `B x
+    | Value.Sym x -> `S x
+  in
   let exact s s' =
-    let cell = function
-      | Value.Float x -> `F (Int64.bits_of_float x)
-      | Value.Int i -> `I i
-      | Value.Bool x -> `B x
-      | Value.Sym x -> `S x
-    in
     List.map (fun (k, v) -> (k, cell v)) (State.to_list s)
     = List.map (fun (k, v) -> (k, cell v)) (State.to_list s')
+  in
+  let read f = match f () with v -> Some (cell v) | exception State.Unbound _ -> None in
+  let cells_exact tr i row =
+    List.for_all
+      (fun x -> read (fun () -> Trace.value tr i x) = read (fun () -> State.get row x))
+      ("w" :: Array.to_list names)
   in
   QCheck.Test.make ~name:"trace rows round-trip; frames pack like rows" ~count:500
     (QCheck.make
@@ -293,17 +300,28 @@ let prop_trace_roundtrip =
     (fun rows ->
       let tr = Trace.make ~dt:1.0 rows in
       let b = Trace.Builder.of_slots ~dt:1.0 names in
-      List.iter (fun r -> Trace.Builder.add_frame b (Frame.of_state names r)) rows;
+      (* the kernel's protocol: each row's frame starts as a copy of the
+         previous row's, then loads the row *)
+      let frames = [| Frame.make 3; Frame.make 3 |] in
+      List.iteri
+        (fun i r ->
+          let f = frames.(i mod 2) in
+          Frame.copy_logged ~src:frames.((i + 1) mod 2) f;
+          Frame.load names r f;
+          Trace.Builder.add_frame b f)
+        rows;
       List.for_all2 exact (List.init (Trace.length tr) (Trace.get tr)) rows
+      && List.for_all2 (cells_exact tr) (List.init (Trace.length tr) Fun.id) rows
       && Marshal.to_string tr [] = Marshal.to_string (Trace.Builder.finish b) [])
 
 (* The kernel's way of feeding [add_frame]: two frame buffers used in
-   turn, each rewritten in place where its cells differ from the row to
-   record. A cell is the previous row's block again (recorded lazily by
-   the builder), a shared block, a fresh copy of an equal value, or
-   absent; columns go absent and come back, change kind, and repeat one
-   block for long enough to outgrow the builder's first capacity. The
-   rows and the packed bytes must equal [add] fed the same states. *)
+   turn, each made a copy of the previous row ([Frame.copy_logged]) and
+   then written through [Frame.set], which logs the slots it changes. A
+   cell is the previous row's block again (recorded lazily by the
+   builder), a shared block, a fresh copy of an equal value, or absent;
+   columns go absent and come back, change kind, and repeat one block
+   for long enough to outgrow the builder's first capacity. The rows and
+   the packed bytes must equal [add] fed the same states. *)
 let prop_frames_reused_in_place =
   let open QCheck.Gen in
   let names = [| "x"; "y"; "z" |] in
@@ -342,23 +360,19 @@ let prop_frames_reused_in_place =
        (list_size (int_range 1 80) (list_repeat 3 cell)))
     (fun rows ->
       let buffers = [| Frame.make 3; Frame.make 3 |] in
-      let last = Frame.make 3 in
       let b = Trace.Builder.of_slots ~hint:1 ~dt:1.0 names in
       let states =
         List.mapi
           (fun i row ->
             let f = buffers.(i mod 2) in
+            Frame.copy_logged ~src:buffers.((i + 1) mod 2) f;
             List.iteri
               (fun s c ->
-                let v =
-                  match c with
-                  | `Keep -> last.(s)
-                  | `Absent -> Frame.absent
-                  | `Shared k -> shared.(k)
-                  | `Fresh k -> fresh shared.(k)
-                in
-                last.(s) <- v;
-                if f.(s) != v then f.(s) <- v)
+                match c with
+                | `Keep -> ()
+                | `Absent -> Frame.set f s Frame.absent
+                | `Shared k -> Frame.set f s shared.(k)
+                | `Fresh k -> Frame.set f s (fresh shared.(k)))
               row;
             Trace.Builder.add_frame b f;
             Frame.to_state names f)

@@ -580,33 +580,49 @@ let test_monitor_allocation () =
     (minor <= (608_464. +. 551_129.) /. 2. /. 4.)
 
 (* The 1 ms tick allocates only what changes: a bit-identical float write
-   keeps its cell, the kernel copies and the trace records only changed
-   cells, and no component step allocates a closure, a list or a boxed
-   float field. A repaired 20-s run of scenario 1 allocated 49.8 minor
-   words per tick and one of scenario 9 53.0 (2 vCPU, dev profile); the
-   bound leaves a fifth of headroom above the larger. Before, the same
-   runs allocated 177 and 192 words per tick. *)
+   keeps its cell, the kernel copies and the trace records only the slots
+   the frame's change log lists, and no component step allocates a
+   closure, a list or a boxed float field. Repaired 20-s runs of
+   scenarios 1 and 9 allocated 25.3 and 30.8 minor words per tick, and
+   scenario 1 with [nan:host_jerk@2..8] interposed 25.9 (release
+   profile); the bound leaves a fifth of headroom above the largest. A
+   build with [-opaque] (dune's dev profile, [--profile dev]) stops the
+   kernel's cell accessors from inlining across modules, boxes the floats
+   they pass and allocates about 55 words per tick (49.8 on scenario 1):
+   it fails this bound, which is how the suite pins the release build
+   (dune-workspace). Before the change-driven tick, the same runs
+   allocated 177 and 192 words. *)
 let test_kernel_allocation () =
-  let simulate n =
+  let simulate ?inject n =
     let s = Scenarios.Defs.get n in
     let world =
       Vehicle.System.world ~defects:Vehicle.Defects.repaired ~objects:s.objects
         ~events:s.events ()
     in
+    let transform =
+      Option.map
+        (fun spec ->
+          Inject.Plan.frame_interposer ~dt:Vehicle.System.dt
+            (Inject.Plan.make ~seed:42 [ Inject.Spec.parse_exn spec ])
+            ~slot:(Sim.World.slot world))
+        inject
+    in
     let before = Gc.minor_words () in
-    let tr = Vehicle.System.simulate ~duration:s.duration world in
+    let tr = Vehicle.System.simulate ?transform ~duration:s.duration world in
     let words = Gc.minor_words () -. before in
     (Trace.length tr - 1, words)
   in
   ignore (simulate 1);
   List.iter
-    (fun n ->
-      let ticks, words = simulate n in
+    (fun (n, inject) ->
+      let ticks, words = simulate ?inject n in
       let per_tick = words /. float_of_int ticks in
-      Fmt.pr "scenario %d: %d ticks, %.1f minor words per tick@." n ticks per_tick;
+      Fmt.pr "scenario %d%a: %d ticks, %.1f minor words per tick@." n
+        Fmt.(option (any " with " ++ string))
+        inject ticks per_tick;
       Alcotest.(check int) "a full 20-s run" 20_000 ticks;
-      Alcotest.(check bool) "at most 64 minor words per tick" true (per_tick <= 64.))
-    [ 1; 9 ]
+      Alcotest.(check bool) "at most 37 minor words per tick" true (per_tick <= 37.))
+    [ (1, None); (9, None); (1, Some "nan:host_jerk@2..8") ]
 
 let () =
   Alcotest.run "vehicle"
